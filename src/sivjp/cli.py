@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DomainError
 from .harness import (ExperimentConfig, cmd_fixed_points, cmd_flow,
                       cmd_localize, cmd_scan, cmd_simulate, cmd_validate)
+from .rng import SeedSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,17 +50,9 @@ def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise ConfigError(f"{args.command} requires --config")
     cfg = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg = ExperimentConfig.from_dict(
-            {**_dump(cfg), "master_seed": args.seed})
+    if args.seed is not None:  # SeedSpec range-checks the override
+        cfg = replace(cfg, master_seed=SeedSpec(args.seed).master_seed)
     return cfg
-
-
-def _dump(cfg: ExperimentConfig) -> dict:
-    return {"name": cfg.name, "model": cfg.model, "sivjp": cfg.sivjp,
-            "sweep": cfg.sweep, "flow": cfg.flow, "localize": cfg.localize,
-            "master_seed": cfg.master_seed,
-            **({"output_dir": cfg.output_dir} if cfg.output_dir else {})}
 
 
 def _out_dir(args, cfg: ExperimentConfig | None) -> str:

@@ -19,10 +19,12 @@ so the self-interaction is exact and O(1) per event: the whole pair
 Poisson thinning under the envelope lambda_min + sup|U'| + |rho| (valid
 because a^2 + b^2 <= 1).
 
-Two modes: the exact moment mode above, and a general-kernel mode where the
-drift is a grid convolution of the kernel derivative against an occupation
-histogram. The histogram mode is approximate (bias of the order of the
-grid spacing) and exists for kernels that do not reduce to two moments.
+run_sitp is this exact moment engine; it carries no histogram. A run that
+asks for one (hist_grid) gets it binned once at the end from the recorded
+flight legs. run_sitp_general is the general-kernel mode, where the drift is
+a grid convolution of the kernel derivative against an occupation histogram
+kept up to date at every proposal; it is approximate (bias of the order of
+the grid spacing) and exists for kernels that do not reduce to two moments.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
-from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, wrap
+from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, segments_sojourn, wrap
 from .model import ModelSpec
 from .markov import MAX_PROPOSALS, TelegraphState
 from .rng import DrawBuffer, SeedSpec, derive_stream
@@ -47,19 +49,13 @@ MOMENT_DISK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OccupationStats:
-    """Sufficient statistics of the normalized occupation measure.
-
-    hist, when present, holds the normalized cell masses of the measure on
-    `grid` (summing to 1); the moments (a, b) are always exact regardless
-    of the histogram resolution.
-    """
+    """Sufficient statistics of the normalized occupation measure: initial
+    weight r, elapsed time t and the exact moments (a, b)."""
 
     r: float
     t: float
     a: float
     b: float
-    hist: np.ndarray | None = None
-    grid: PeriodicGrid | None = None
 
     def __post_init__(self) -> None:
         if not self.r > 0.0:
@@ -69,21 +65,6 @@ class OccupationStats:
         if self.a ** 2 + self.b ** 2 > 1.0 + MOMENT_DISK_TOL:
             raise DomainError(
                 f"OccupationStats: moments ({self.a}, {self.b}) leave the unit disk")
-        if (self.hist is None) != (self.grid is None):
-            raise ConfigError("OccupationStats: hist and grid come together")
-        if self.hist is not None:
-            h = np.asarray(self.hist, dtype=float)
-            if h.shape != (self.grid.n,) or np.any(h < 0.0):
-                raise ConfigError("OccupationStats: hist must be nonnegative on the grid")
-            if abs(h.sum() - 1.0) > 1e-9:
-                raise DomainError(f"OccupationStats: hist mass {h.sum()!r} != 1")
-            nodes = self.grid.nodes
-            ha = float(h @ np.cos(nodes))
-            hb = float(h @ np.sin(nodes))
-            tol = TWO_PI / self.grid.n
-            if abs(ha - self.a) > tol or abs(hb - self.b) > tol:
-                raise DomainError("OccupationStats: hist moments disagree with (a, b)")
-            object.__setattr__(self, "hist", h)
 
     @property
     def weight(self) -> float:
@@ -103,11 +84,7 @@ def advect_occupation(occ: OccupationStats, x0: float, y: int,
     x1 = x0 + y * tau
     a = (w * occ.a + y * (math.sin(x1) - math.sin(x0))) / (w + tau)
     b = (w * occ.b - y * (math.cos(x1) - math.cos(x0))) / (w + tau)
-    hist = occ.hist
-    if hist is not None:
-        masses = arc_sojourn(wrap(x0), y, tau, occ.grid)
-        hist = (w * hist + masses) / (w + tau)
-    return replace(occ, t=occ.t + tau, a=a, b=b, hist=hist)
+    return replace(occ, t=occ.t + tau, a=a, b=b)
 
 
 def drift_vprime(model: ModelSpec, x: float, occ: OccupationStats) -> float:
@@ -121,9 +98,9 @@ class SIVJPConfig:
     """One self-interacting run.
 
     z0 = None draws the initial position uniformly (the first stream draw)
-    with velocity +1. mu0 gives the initial occupation moments; when a
-    histogram grid is set and no initial histogram is supplied, mu0 must be
-    uniform -- i.e. (0, 0) -- and the uniform histogram is used.
+    with velocity +1. mu0 gives the initial occupation moments; a run with
+    a histogram grid starts from the uniform measure, so its mu0 must be
+    (0, 0).
 
     record_stride is the snapshot interval; with log_stride=True it is a
     multiplicative ratio and snapshots sit at record_t0 * stride^k, which
@@ -140,7 +117,6 @@ class SIVJPConfig:
     log_stride: bool = False
     record_t0: float = 1.0
     hist_grid: PeriodicGrid | None = None
-    mu0_hist: np.ndarray | None = None
     lambda_bar_override: float | None = None
 
     def validate(self) -> None:
@@ -157,12 +133,9 @@ class SIVJPConfig:
         a0, b0 = self.mu0
         if a0 * a0 + b0 * b0 > 1.0 + MOMENT_DISK_TOL:
             raise ConfigError("SIVJPConfig: mu0 moments must lie in the closed unit disk")
-        if self.mu0_hist is not None and self.hist_grid is None:
-            raise ConfigError("SIVJPConfig: mu0_hist requires hist_grid")
-        if (self.hist_grid is not None and self.mu0_hist is None
-                and (a0 != 0.0 or b0 != 0.0)):
-            raise ConfigError("SIVJPConfig: non-uniform mu0 with a histogram "
-                              "needs an explicit mu0_hist")
+        if self.hist_grid is not None and (a0 != 0.0 or b0 != 0.0):
+            raise ConfigError("SIVJPConfig: a histogram run starts uniform, "
+                              "so mu0 must be (0, 0)")
 
     def snapshot_times(self) -> np.ndarray:
         if self.log_stride:
@@ -180,7 +153,9 @@ class SIVJPConfig:
 
 @dataclass
 class MomentTrace:
-    """Snapshots of the occupation moments along one run."""
+    """Snapshots of the occupation moments along one run; hist holds the
+    final occupation measure on cfg.hist_grid (cell masses summing to 1)
+    when the run asked for one."""
 
     times: np.ndarray
     a_vals: np.ndarray
@@ -192,6 +167,7 @@ class MomentTrace:
     n_events: int
     n_proposals: int
     wall_time_s: float
+    hist: np.ndarray | None = None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -222,42 +198,48 @@ def _initial_state(cfg: SIVJPConfig, gen: np.random.Generator) -> tuple[float, i
     return gen.random() * TWO_PI, 1
 
 
-def _initial_hist(cfg: SIVJPConfig) -> np.ndarray | None:
-    """Raw (unnormalized) initial cell masses r * mu0."""
-    if cfg.hist_grid is None:
-        return None
-    if cfg.mu0_hist is not None:
-        h = np.asarray(cfg.mu0_hist, dtype=float)
-        if h.shape != (cfg.hist_grid.n,) or np.any(h < 0.0):
-            raise ConfigError("SIVJPConfig: mu0_hist must be nonnegative on hist_grid")
-        s = h.sum()
-        if s <= 0.0:
-            raise ConfigError("SIVJPConfig: mu0_hist must have positive mass")
-        h = h / s
-        nodes = cfg.hist_grid.nodes
-        tol = TWO_PI / cfg.hist_grid.n
-        if (abs(float(h @ np.cos(nodes)) - cfg.mu0[0]) > tol
-                or abs(float(h @ np.sin(nodes)) - cfg.mu0[1]) > tol):
-            raise ConfigError("SIVJPConfig: mu0_hist moments disagree with mu0")
-        return cfg.r * h
-    return np.full(cfg.hist_grid.n, cfg.r / cfg.hist_grid.n)
+def _envelope(cfg: SIVJPConfig, lam_bar: float) -> float:
+    """The thinning envelope: the certified bound, or an override above it."""
+    if cfg.lambda_bar_override is None:
+        return lam_bar
+    if cfg.lambda_bar_override < lam_bar:
+        raise ConfigError("lambda_bar_override must dominate the certified envelope")
+    return cfg.lambda_bar_override
 
 
-def _finalize(cfg: SIVJPConfig, rec, x, y, a, b, hist_raw,
-              n_events, n_proposals, t0) -> MomentTrace:
+def _record_due(rec, snaps: list, k: int, t_next: float, r: float, t: float,
+                x: float, y: int, a: float, b: float) -> int:
+    """Record the snapshots due by t_next on the leg that leaves x at time t
+    with velocity y and moments (a, b); returns the next snapshot's index.
+
+    The schedule ends at t_end, so the last record is the final state.
+    """
+    w = r + t
+    while k < len(snaps) and snaps[k] <= t_next:
+        s = snaps[k]
+        dt = s - t
+        xs = x + y * dt
+        rec[0].append(s)
+        rec[1].append((w * a + y * (math.sin(xs) - math.sin(x))) / (w + dt))
+        rec[2].append((w * b - y * (math.cos(xs) - math.cos(x))) / (w + dt))
+        rec[3].append(wrap(xs))
+        rec[4].append(y)
+        k += 1
+    return k
+
+
+def _finalize(cfg: SIVJPConfig, rec, hist_raw, n_events, n_proposals,
+              t0) -> MomentTrace:
     times, a_vals, b_vals, x_vals, y_vals = rec
-    hist = None
-    if hist_raw is not None:
-        hist = hist_raw / (cfg.r + cfg.t_end)
-        hist = hist / hist.sum()
-    final = OccupationStats(r=cfg.r, t=cfg.t_end, a=a, b=b,
-                            hist=hist, grid=cfg.hist_grid)
     return MomentTrace(times=np.array(times), a_vals=np.array(a_vals),
                        b_vals=np.array(b_vals), x_vals=np.array(x_vals),
-                       y_vals=np.array(y_vals), final=final,
-                       final_state=TelegraphState(x=x, y=y),
+                       y_vals=np.array(y_vals),
+                       final=OccupationStats(r=cfg.r, t=cfg.t_end,
+                                             a=a_vals[-1], b=b_vals[-1]),
+                       final_state=TelegraphState(x=x_vals[-1], y=y_vals[-1]),
                        n_events=n_events, n_proposals=n_proposals,
-                       wall_time_s=time.perf_counter() - t0)
+                       wall_time_s=time.perf_counter() - t0,
+                       hist=None if hist_raw is None else hist_raw / hist_raw.sum())
 
 
 def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
@@ -265,17 +247,15 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
 
     With rho = 0 the interaction vanishes and this is the plain telegraph
     engine with the same draw consumption, so matched seeds reproduce
-    simulate_telegraph exactly.
+    simulate_telegraph exactly. With cfg.hist_grid set, the flight legs
+    between flips are recorded and binned once at the end into
+    MomentTrace.hist; the draws and moments are the same as without.
     """
     cfg.validate()
     t_start = time.perf_counter()
     model = cfg.model
     lam_min = model.lambda_min
-    lam_bar = model.thinning_bound
-    if cfg.lambda_bar_override is not None:
-        if cfg.lambda_bar_override < lam_bar:
-            raise ConfigError("lambda_bar_override must dominate the certified envelope")
-        lam_bar = cfg.lambda_bar_override
+    lam_bar = _envelope(cfg, model.thinning_bound)
     rho = model.rho
     du = model.potential.dv_scalar
 
@@ -286,11 +266,12 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
     r = cfg.r
     t = 0.0
     t_end = cfg.t_end
-    hist_raw = _initial_hist(cfg)
+    legs = [] if cfg.hist_grid is not None else None  # (start, direction, length)
     seg_x, seg_t = x, 0.0
 
-    snaps = cfg.snapshot_times()
+    snaps = cfg.snapshot_times().tolist()
     snap_idx = 0
+    next_snap = snaps[0]
     rec: tuple[list, list, list, list, list] = ([], [], [], [], [])
     n_events = 0
     n_prop = 0
@@ -302,28 +283,11 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
         u_gap, u_acc = draws.pair()
         tau = -log1p(-u_gap) / lam_bar
         t_next = t + tau
-        horizon = t_next if t_next < t_end else t_end
-        while snap_idx < snaps.size and snaps[snap_idx] <= horizon:
-            s = snaps[snap_idx]
-            dt = s - t
-            w = r + t
-            xs = x + y * dt
-            rec[0].append(s)
-            rec[1].append((w * a + y * (sin(xs) - sin(x))) / (w + dt))
-            rec[2].append((w * b - y * (cos(xs) - cos(x))) / (w + dt))
-            rec[3].append(wrap(xs))
-            rec[4].append(y)
-            snap_idx += 1
-        if t_next >= t_end:
-            dt = t_end - t
-            w = r + t
-            xs = x + y * dt
-            a = (w * a + y * (sin(xs) - sin(x))) / (w + dt)
-            b = (w * b - y * (cos(xs) - cos(x))) / (w + dt)
-            x = wrap(xs)
-            if hist_raw is not None:
-                arc_sojourn(seg_x, y, t_end - seg_t, cfg.hist_grid, out=hist_raw)
-            break
+        if t_next >= next_snap:
+            snap_idx = _record_due(rec, snaps, snap_idx, t_next, r, t, x, y, a, b)
+            if t_next >= t_end:
+                break
+            next_snap = snaps[snap_idx]
         w = r + t
         xs = x + y * tau
         a = (w * a + y * (sin(xs) - sin(x))) / (w + tau)
@@ -337,14 +301,18 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
         yd = y * drift
         rate = lam_min + (yd if yd > 0.0 else 0.0)
         if u_acc * lam_bar < rate:
-            if hist_raw is not None:
-                arc_sojourn(seg_x, y, t - seg_t, cfg.hist_grid, out=hist_raw)
+            if legs is not None:
+                legs.append((seg_x, y, t - seg_t))
                 seg_x, seg_t = x, t
             y = -y
             n_events += 1
 
-    return _finalize(cfg, rec, x, y, a, b, hist_raw,
-                     n_events, n_prop, t_start)
+    hist_raw = None
+    if legs is not None:
+        legs.append((seg_x, y, t_end - seg_t))
+        grid = cfg.hist_grid
+        hist_raw = segments_sojourn(*np.array(legs).T, grid) + r / grid.n
+    return _finalize(cfg, rec, hist_raw, n_events, n_prop, t_start)
 
 
 def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
@@ -354,9 +322,9 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
     w_grid and dw_grid sample W(x, z) and its x-derivative on
     hist_grid x hist_grid; the drift at x is the grid convolution of
     dw_grid against the occupation histogram, with piecewise-linear
-    interpolation in x. The histogram carries mass r*mu0 plus the exact
-    sojourn masses of the trajectory, so the only bias is the cell-width
-    smearing of the kernel, of the order of the grid spacing.
+    interpolation in x. The histogram carries the uniform initial mass r
+    plus the exact sojourn masses of the trajectory, so the only bias is
+    the cell-width smearing of the kernel, of the order of the grid spacing.
 
     The exterior potential must be baked into the kernel
     (W = U(x) + Wint(x, z) + U(z)); cfg.model contributes lambda_min and
@@ -377,11 +345,7 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
         raise ConfigError(f"run_sitp_general: kernel is not symmetric (max {asym:.2e})")
 
     lam_min = cfg.model.lambda_min
-    lam_bar = lam_min + 1.05 * float(np.max(np.abs(dw_grid)))
-    if cfg.lambda_bar_override is not None:
-        if cfg.lambda_bar_override < lam_bar:
-            raise ConfigError("lambda_bar_override must dominate the certified envelope")
-        lam_bar = cfg.lambda_bar_override
+    lam_bar = _envelope(cfg, lam_min + 1.05 * float(np.max(np.abs(dw_grid))))
 
     gen = derive_stream(cfg.seed)
     x, y = _initial_state(cfg, gen)
@@ -390,11 +354,12 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
     r = cfg.r
     t = 0.0
     t_end = cfg.t_end
-    hist_raw = _initial_hist(cfg)
+    hist_raw = np.full(n, r / n)  # uniform initial measure of mass r
     inv_h = n / TWO_PI
 
-    snaps = cfg.snapshot_times()
+    snaps = cfg.snapshot_times().tolist()
     snap_idx = 0
+    next_snap = snaps[0]
     rec: tuple[list, list, list, list, list] = ([], [], [], [], [])
     n_events = 0
     n_prop = 0
@@ -406,28 +371,12 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
         u_gap, u_acc = draws.pair()
         tau = -log1p(-u_gap) / lam_bar
         t_next = t + tau
-        horizon = t_next if t_next < t_end else t_end
-        while snap_idx < snaps.size and snaps[snap_idx] <= horizon:
-            s = snaps[snap_idx]
-            dt = s - t
-            w = r + t
-            xs = x + y * dt
-            rec[0].append(s)
-            rec[1].append((w * a + y * (sin(xs) - sin(x))) / (w + dt))
-            rec[2].append((w * b - y * (cos(xs) - cos(x))) / (w + dt))
-            rec[3].append(wrap(xs))
-            rec[4].append(y)
-            snap_idx += 1
-        if t_next >= t_end:
-            dt = t_end - t
-            w = r + t
-            x_prev = x
-            xs = x + y * dt
-            a = (w * a + y * (sin(xs) - sin(x))) / (w + dt)
-            b = (w * b - y * (cos(xs) - cos(x))) / (w + dt)
-            x = wrap(xs)
-            arc_sojourn(x_prev, y, dt, grid, out=hist_raw)
-            break
+        if t_next >= next_snap:
+            snap_idx = _record_due(rec, snaps, snap_idx, t_next, r, t, x, y, a, b)
+            if t_next >= t_end:
+                arc_sojourn(x, y, t_end - t, grid, out=hist_raw)
+                break
+            next_snap = snaps[snap_idx]
         w = r + t
         x_prev = x
         xs = x + y * tau
@@ -454,8 +403,7 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
             y = -y
             n_events += 1
 
-    return _finalize(cfg, rec, x, y, a, b, hist_raw,
-                     n_events, n_prop, t_start)
+    return _finalize(cfg, rec, hist_raw, n_events, n_prop, t_start)
 
 
 def quadratic_kernel_grids(model: ModelSpec,

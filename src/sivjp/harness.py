@@ -11,18 +11,20 @@ hash of the model configuration.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import equilibria, flow as flow_mod
-from .engine import MomentTrace, OccupationStats, SIVJPConfig, run_sitp
+from .engine import MomentTrace, SIVJPConfig, run_sitp
 from .equilibria import FixedPointRecord, STABILITY_TOL
 from .errors import ConfigError, DomainError
 from .geometry import TWO_PI, PeriodicGrid
@@ -54,10 +56,9 @@ def config_schema() -> dict:
 
 _SIVJP_DEFAULTS = {"r": 1.0, "mu0": [0.0, 0.0], "x0": None, "y0": 1,
                    "T": 10000.0, "record_stride": 10.0, "log_stride": False,
-                   "record_t0": 1.0, "hist_n": None}
+                   "record_t0": 1.0}
 
-_LOCALIZE_DEFAULTS = {"N": 50, "delta": 0.2, "T": 4000.0, "hist_n": 256,
-                      "rho_min": 10.0}
+_LOCALIZE_DEFAULTS = {"N": 50, "delta": 0.2, "T": 4000.0, "rho_min": 10.0}
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,6 @@ class ExperimentConfig:
         z0 = None
         if s["x0"] is not None:
             z0 = TelegraphState(x=float(s["x0"]), y=int(s["y0"]))
-        hist_n = hist_n if hist_n is not None else s["hist_n"]
         return SIVJPConfig(
             model=self.build_model(rho=rho),
             t_end=float(s["T"]),
@@ -224,42 +224,29 @@ def run_summary(seed_index: int, trace: MomentTrace,
 # ---------------------------------------------------------------------------
 # workers (module level so process pools can pickle them)
 
-def _simulate_worker(payload: dict) -> dict:
-    cfg = ExperimentConfig.from_dict(payload["config"])
-    run = cfg.build_sivjp(rho=payload["rho"], stream_index=payload["stream_index"],
-                          hist_n=payload.get("hist_n"))
-    trace = run_sitp(run)
-    out = {"stream_index": payload["stream_index"],
-           "csv": trace.to_csv(),
-           "summary": trace.summary(),
-           "times": trace.times.tolist(),
-           "a_vals": trace.a_vals.tolist(),
-           "b_vals": trace.b_vals.tolist()}
-    if trace.final.hist is not None:
-        out["hist"] = trace.final.hist.tolist()
-    return out
+def _simulate_worker(cfg: ExperimentConfig, rho: float,
+                     stream_index: int) -> MomentTrace | Exception:
+    """One run of the validated config; a failure is returned, not raised,
+    so that one bad run does not abort a sweep."""
+    try:
+        return run_sitp(cfg.build_sivjp(rho=rho, stream_index=stream_index))
+    except Exception as exc:
+        return exc
 
 
-def _map_ordered(worker, payloads: list[dict], threads: int) -> list[dict]:
+def _map_ordered(worker, jobs: list[tuple], threads: int) -> list:
     if threads <= 1:
-        return [worker(p) for p in payloads]
+        return [worker(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, payloads))
+        return list(pool.map(worker, *zip(*jobs)))
 
 
-def _trace_view(result: dict) -> MomentTrace:
-    """Rebuild the pieces of a MomentTrace that classification needs."""
-    final = OccupationStats(r=1.0, t=1.0,
-                            a=result["summary"]["final_a"],
-                            b=result["summary"]["final_b"])
-    return MomentTrace(times=np.asarray(result["times"]),
-                       a_vals=np.asarray(result["a_vals"]),
-                       b_vals=np.asarray(result["b_vals"]),
-                       x_vals=np.empty(0), y_vals=np.empty(0),
-                       final=final, final_state=TelegraphState(0.0, 1),
-                       n_events=result["summary"]["n_events"],
-                       n_proposals=result["summary"]["n_proposals"],
-                       wall_time_s=result["summary"]["wall_time_s"])
+def _traces(results: list) -> list[MomentTrace]:
+    """The runs of a command that needs all of them; raises the first failure."""
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +304,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     rho = cfg.model["rho"]
     model = cfg.build_model()
     census = equilibria.find_fixed_points(model)
-    payloads = [{"config": _raw_config(cfg), "rho": rho, "stream_index": k}
-                for k in range(n_seeds)]
-    results = _map_ordered(_simulate_worker, payloads, threads)
-    results.sort(key=lambda r: r["stream_index"])
+    traces = _traces(_map_ordered(_simulate_worker,
+                                  [(cfg, rho, k) for k in range(n_seeds)], threads))
     summaries = []
-    for res in results:
-        k = res["stream_index"]
+    for k, trace in enumerate(traces):
         csv_path = os.path.join(out_dir, f"{cfg.name}_seed{k:04d}.csv")
-        write_text(csv_path, res["csv"])
-        summaries.append(run_summary(k, _trace_view(res), census))
+        write_text(csv_path, trace.to_csv())
+        summaries.append(run_summary(k, trace, census))
         if not quiet:
             s = summaries[-1]
             print(f"seed {k}: |m| = {s['final_r_polar']:.4f} {s['classification']}")
@@ -369,42 +353,46 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
 def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
              quiet: bool = True) -> tuple[int, str]:
     """Sweep rho: per-rho census plus per-seed final moments, written as a
-    tidy CSV. Returns (exit_code, csv_path); exit 4 when more than 10% of
-    the rows failed."""
+    tidy CSV. Every census is computed first, then all rho x seed runs go
+    through one ordered map (one pool). A run that fails, in the engine or
+    in classification, becomes an "error:<Type>: <message>" row. Returns
+    (exit_code, csv_path); exit 4 when more than 10% of the rows failed."""
     rhos = cfg.sweep.get("rhos") or []
     if not rhos:
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")
     n_seeds = int(cfg.sweep.get("seeds", 1))
     ensure_outdir(out_dir)
-    rows = []
-    censuses = {}
-    theta_finals = []
-    n_failed = 0
-    stream = 0
+    censuses, records = {}, []
     for rho in rhos:
         model = cfg.build_model(rho=rho)
-        census = equilibria.find_fixed_points(model)
-        censuses[f"{rho:.12g}"] = fixed_point_payload(cfg, model, census, rho)
-        payloads = [{"config": _raw_config(cfg), "rho": rho,
-                     "stream_index": stream + k} for k in range(n_seeds)]
-        stream += n_seeds
-        results = _map_ordered(_simulate_worker, payloads, threads)
-        for res in results:
-            try:
-                summ = run_summary(res["stream_index"], _trace_view(res), census)
-                theta_finals.append(summ["final_theta"])
-                rows.append([rho, res["stream_index"], summ["final_a"], summ["final_b"],
-                             summ["final_r_polar"], summ["nearest_fp"],
-                             summ["nearest_fp_dist"], "ok"])
-            except Exception as exc:  # per-row failure, recorded not raised
-                n_failed += 1
-                rows.append([rho, res["stream_index"], "", "", "", "", "", f"error:{exc}"])
-    lines = ["rho,seed,a_final,b_final,r_final,nearest_fp,dist,status"]
+        records.append(equilibria.find_fixed_points(model))
+        censuses[f"{rho:.12g}"] = fixed_point_payload(cfg, model, records[-1], rho)
+    jobs = [(cfg, rho, i * n_seeds + k) for i, rho in enumerate(rhos) for k in range(n_seeds)]
+    results = _map_ordered(_simulate_worker, jobs, threads)
+    rows = []
+    theta_finals = []
+    n_failed = 0
+    for (_, rho, stream), res in zip(jobs, results):
+        try:
+            if isinstance(res, Exception):
+                raise res
+            summ = run_summary(stream, res, records[stream // n_seeds])
+            theta_finals.append(summ["final_theta"])
+            rows.append([rho, stream, summ["final_a"], summ["final_b"],
+                         summ["final_r_polar"], summ["nearest_fp"],
+                         summ["nearest_fp_dist"], "ok"])
+        except Exception as exc:  # per-row failure, recorded not raised
+            n_failed += 1
+            rows.append([rho, stream, "", "", "", "", "",
+                         f"error:{type(exc).__name__}: {exc}"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["rho", "seed", "a_final", "b_final", "r_final", "nearest_fp",
+                     "dist", "status"])
     for row in rows:
-        lines.append(",".join("%.12g" % v if isinstance(v, float) else str(v)
-                              for v in row))
+        writer.writerow(["%.12g" % v if isinstance(v, float) else v for v in row])
     csv_path = os.path.join(out_dir, f"{cfg.name}_scan.csv")
-    write_text(csv_path, "\r\n".join(lines) + "\r\n")
+    write_text(csv_path, buf.getvalue())
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_census.json"), censuses)
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_info.json"),
                {"theta_ks_uniform": _ks_uniform_angle(theta_finals),
@@ -431,9 +419,13 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     """Multi-well localization experiment.
 
     Requires a potential with at least two non-degenerate local minima and
-    a large interaction strength. Runs N seeds in histogram mode and, for
-    each detected minimum x0, counts the runs whose occupation measure
-    satisfies int dist^2(z, x0) d mu_T < delta.
+    a large interaction strength. Runs N seeds of the exact moment engine
+    with horizon localize.T and, for each detected minimum x0, counts the
+    runs whose occupation measure satisfies
+
+        int dist^2(z, x0) d mu_T = 2 - 2 (a cos x0 + b sin x0) < delta,
+
+    which holds exactly since dist^2(z, x0) = 2 - 2 cos(z - x0).
     """
     model = cfg.build_model()
     minima = local_minima(model.potential)
@@ -447,25 +439,19 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
             f"cmd_localize: |rho| = {abs(model.rho)} below configured floor "
             f"{loc['rho_min']} (localization needs strong attraction)")
     ensure_outdir(out_dir)
-    n_runs = int(loc["N"])
-    grid = PeriodicGrid(int(loc["hist_n"]))
-    raw = _raw_config(cfg)
-    raw["sivjp"] = dict(raw.get("sivjp", {}))
-    raw["sivjp"]["T"] = loc["T"]
-    payloads = [{"config": raw, "rho": cfg.model["rho"], "stream_index": k,
-                 "hist_n": grid.n} for k in range(n_runs)]
-    results = _map_ordered(_simulate_worker, payloads, threads)
-    nodes = grid.nodes
+    run_cfg = replace(cfg, sivjp={**cfg.sivjp, "T": loc["T"]})
+    traces = _traces(_map_ordered(
+        _simulate_worker, [(run_cfg, cfg.model["rho"], k) for k in range(int(loc["N"]))],
+        threads))
     per_run = []
     counts = [0] * len(minima)
-    for res in results:
-        hist = np.asarray(res["hist"])
-        w_vals = [float(hist @ (2.0 - 2.0 * np.cos(nodes - x0))) for x0 in minima]
+    for k, trace in enumerate(traces):
+        a, b = trace.final.a, trace.final.b
+        w_vals = [2.0 - 2.0 * (a * math.cos(x0) + b * math.sin(x0)) for x0 in minima]
         localized = int(np.argmin(w_vals)) if min(w_vals) < loc["delta"] else None
         if localized is not None:
             counts[localized] += 1
-        per_run.append({"seed": res["stream_index"], "w": w_vals,
-                        "localized": localized})
+        per_run.append({"seed": k, "w": w_vals, "localized": localized})
     payload = {"minima": minima, "delta": loc["delta"], "T": loc["T"],
                "rho": cfg.model["rho"], "counts": counts,
                "every_minimum_hit": all(c > 0 for c in counts),
@@ -474,12 +460,6 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     if not quiet:
         print(f"localize: counts per minimum {counts} (minima at {minima})")
     return payload
-
-
-def _raw_config(cfg: ExperimentConfig) -> dict:
-    return {"name": cfg.name, "model": cfg.model, "sivjp": cfg.sivjp,
-            "sweep": cfg.sweep, "flow": cfg.flow, "localize": cfg.localize,
-            "master_seed": cfg.master_seed}
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_criterion_12_multiwell_localization():
     raw = {"name": "localize",
            "model": {"potential": "two_well", "rho": 30.0, "lambda_min": 1.0},
            "sivjp": {"T": 4000.0, "record_stride": 1000.0},
-           "localize": {"N": 50, "delta": 0.2, "T": 4000.0, "hist_n": 256},
+           "localize": {"N": 50, "delta": 0.2, "T": 4000.0},
            "master_seed": 0}
     all_ok = True
     details = []

@@ -71,15 +71,6 @@ class TestAdvect:
         assert abs(joint.a - split.a) < 1e-12
         assert abs(joint.b - split.b) < 1e-12
 
-    def test_hist_deposited_with_moments(self):
-        grid = PeriodicGrid(64)
-        occ = OccupationStats(r=1.0, t=0.0, a=0.0, b=0.0,
-                              hist=np.full(64, 1.0 / 64), grid=grid)
-        out = advect_occupation(occ, 0.0, 1, 2.5)
-        assert out.hist.sum() == pytest.approx(1.0, abs=1e-12)
-        nodes = grid.nodes
-        assert float(out.hist @ np.cos(nodes)) == pytest.approx(out.a, abs=grid.h)
-
     def test_tau_must_be_positive(self):
         occ = OccupationStats(r=1.0, t=0.0, a=0.0, b=0.0)
         with pytest.raises(ConfigError):
@@ -90,12 +81,6 @@ class TestOccupationStats:
     def test_disk_invariant(self):
         with pytest.raises(DomainError):
             OccupationStats(r=1.0, t=0.0, a=0.9, b=0.5)
-
-    def test_hist_mass_checked(self):
-        grid = PeriodicGrid(8)
-        with pytest.raises(DomainError):
-            OccupationStats(r=1.0, t=0.0, a=0.0, b=0.0,
-                            hist=np.full(8, 0.2), grid=grid)
 
 
 class TestRunSitp:
@@ -210,6 +195,27 @@ class TestRunSitp:
         with pytest.raises(ConfigError):
             SIVJPConfig(model=model, t_end=1.0, seed=SeedSpec(0, 0),
                         record_stride=1.0, log_stride=True).validate()
+        with pytest.raises(ConfigError, match="uniform"):
+            SIVJPConfig(model=model, t_end=1.0, seed=SeedSpec(0, 0),
+                        mu0=(0.1, 0.0), hist_grid=PeriodicGrid(8)).validate()
+
+    def test_hist_built_at_end(self):
+        # the histogram is binned from the recorded flight legs after the
+        # run: unit mass, moments within a cell of the exact (a, b), and
+        # the same draws and moments as the run without it
+        grid = PeriodicGrid(64)
+        model = ModelSpec(potential=cos2_potential(), rho=3.0)
+        plain = sitp(model, 500.0, master=15)
+        binned = sitp(model, 500.0, master=15, hist_grid=grid)
+        h = binned.hist
+        assert plain.hist is None
+        assert h.shape == (64,) and np.all(h >= 0.0)
+        assert h.sum() == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(h @ np.cos(grid.nodes)) - binned.final.a) <= grid.h
+        assert abs(float(h @ np.sin(grid.nodes)) - binned.final.b) <= grid.h
+        assert binned.final == plain.final
+        assert binned.n_events == plain.n_events
+        assert binned.n_proposals == plain.n_proposals
 
     def test_trace_csv_and_summary(self):
         model = ModelSpec(potential=zero_potential(), rho=1.0)
@@ -276,7 +282,7 @@ class TestRunSitpGeneral:
             cfg = SIVJPConfig(model=ZERO, t_end=3e3, seed=SeedSpec(73, k),
                               record_stride=1e3, hist_grid=grid)
             tr = run_sitp_general(w, dw, cfg)
-            h = tr.final.hist
+            h = tr.hist
             m2.append(math.hypot(float(h @ np.cos(2 * z)), float(h @ np.sin(2 * z))))
             a_signs.append(math.copysign(1.0, tr.final.a))
         assert all(m > 0.7 for m in m2)

@@ -1,12 +1,16 @@
 import copy
+import csv
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from sivjp import harness
 from sivjp.cli import main
-from sivjp.errors import ConfigError
+from sivjp.errors import ConfigError, RunawayRateError
 from sivjp.harness import (ExperimentConfig, classify_limit, cmd_fixed_points,
                            cmd_localize, cmd_scan, cmd_simulate, cmd_validate,
                            validation_report)
@@ -205,6 +209,57 @@ class TestScan:
         assert info["n_failed"] == 0
         assert 0.0 <= info["theta_ks_uniform"] <= 1.0
 
+    def test_thread_count_invariance(self, tmp_path):
+        raw = copy.deepcopy(BASE)
+        raw["model"] = {"potential": "cos2", "rho": 0.0, "lambda_min": 1.0}
+        raw["sweep"] = {"rhos": [0.8, 2.8], "seeds": 3}
+        cfg = ExperimentConfig.from_dict(raw)
+        for threads in (1, 2):
+            assert cmd_scan(cfg, str(tmp_path / f"t{threads}"), threads=threads)[0] == 0
+        for suffix in ("_scan.csv", "_scan_census.json", "_scan_info.json"):
+            one = (tmp_path / "t1" / f"smoke{suffix}").read_bytes()
+            assert one == (tmp_path / "t2" / f"smoke{suffix}").read_bytes(), suffix
+
+    def test_failed_runs_become_error_rows(self, tmp_path, monkeypatch):
+        # 10 rows: one failed run sits on the 10% line (exit 0), two are
+        # above it (exit 4); the rows of the other runs stay as they were
+        raw = copy.deepcopy(BASE)
+        raw["model"]["rho"] = 1.0
+        raw["sweep"] = {"rhos": [1.0], "seeds": 10}
+        path = write_config(tmp_path, raw)
+        real_run = harness.run_sitp
+        failing = set()
+
+        def flaky(run):
+            if run.seed.stream_index in failing:
+                raise RunawayRateError(f"budget exceeded, stream {run.seed.stream_index}")
+            return real_run(run)
+
+        monkeypatch.setattr(harness, "run_sitp", flaky)
+
+        def scan(tag, bad):
+            failing.clear()
+            failing.update(bad)
+            out = tmp_path / tag
+            code = main(["--config", path, "--out", str(out), "--quiet", "scan"])
+            with open(out / "smoke_scan.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            info = json.loads((out / "smoke_scan_info.json").read_text())
+            return code, rows, info
+
+        code, clean, info = scan("clean", ())
+        assert code == 0 and info["n_failed"] == 0
+        for tag, bad, want_code in (("one", {3}, 0), ("two", {3, 7}, 4)):
+            code, rows, info = scan(tag, bad)
+            assert code == want_code
+            assert info["n_failed"] == len(bad) and info["n_rows"] == 10
+            for k, (row, ok) in enumerate(zip(rows, clean)):
+                if k in bad:
+                    assert row == ["1", str(k), "", "", "", "", "",
+                                   f"error:RunawayRateError: budget exceeded, stream {k}"]
+                else:
+                    assert row == ok
+
 
 class TestLocalize:
     def test_single_well_rejected(self, tmp_path):
@@ -218,6 +273,25 @@ class TestLocalize:
         cfg = ExperimentConfig.from_dict(raw)
         with pytest.raises(ConfigError, match="minima"):
             cmd_localize(cfg, str(tmp_path / "loc"))
+
+    def test_w_from_exact_moments(self, tmp_path):
+        # int dist^2(z, x0) d mu_T = 2 - 2 (a cos x0 + b sin x0) of the
+        # same-seed engine run with horizon localize.T
+        from sivjp import run_sitp
+        raw = copy.deepcopy(BASE)
+        raw["model"] = {"potential": "two_well", "params": {"a1": 0.2, "a2": -0.5},
+                        "rho": 30.0, "lambda_min": 1.0}
+        raw["localize"] = {"N": 3, "T": 300.0}
+        cfg = ExperimentConfig.from_dict(raw)
+        payload = cmd_localize(cfg, str(tmp_path / "loc"))
+        assert len(payload["runs"]) == 3
+        for k, run in enumerate(payload["runs"]):
+            trace = run_sitp(dataclasses.replace(
+                cfg.build_sivjp(rho=30.0, stream_index=k), t_end=300.0))
+            a, b = trace.final.a, trace.final.b
+            assert run["seed"] == k
+            assert run["w"] == [2.0 - 2.0 * (a * math.cos(x0) + b * math.sin(x0))
+                                for x0 in payload["minima"]]
 
     def test_weak_attraction_rejected(self, tmp_path):
         raw = copy.deepcopy(BASE)
@@ -250,7 +324,7 @@ class TestLocalize:
             cfg = SIVJPConfig(model=ModelSpec(potential=pot, rho=0.0),
                               t_end=20000.0, seed=SeedSpec(777, k),
                               record_stride=5000.0, hist_grid=grid)
-            hist = run_sitp(cfg).final.hist
+            hist = run_sitp(cfg).hist
             for i, x0 in enumerate(minima):
                 mask = np.abs(np.mod(nodes - x0 + np.pi, TWO_PI) - np.pi) < phi
                 got[i] += float(hist[mask].sum()) / n_runs
