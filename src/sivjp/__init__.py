@@ -8,7 +8,7 @@ from .engine import (MomentTrace, OccupationStats, SIVJPConfig,
                      run_sitp_general, quadratic_kernel_grids)
 from .equilibria import (FixedPointRecord, GridDensity, fbar, find_fixed_points,
                          free_energy, jacobian_fbar, laplace_check, moments,
-                         pibar, rho_2, rho_c, solve_r_of_rho, xi, xi_vertical)
+                         pibar, rho_2, rho_c, solve_r_of_rho)
 from .errors import ConfigError, DomainError, NumericError, RunawayRateError
 from .flow import FlowTrace, integrate_flow, pseudotrajectory_error
 from .geometry import (DENSITY_GRID, THRESHOLD_GRID, PeriodicGrid, dist_t,

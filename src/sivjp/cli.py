@@ -2,8 +2,9 @@
 
 Subcommands: simulate, fixed-points, flow, scan, localize, validate.
 Global flags: --config, --seed, --out, --threads, --quiet.
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 partial sweep
-failure.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a run or sweep
+failed (a run raised NumericError or RunawayRateError, or more than 10% of
+a scan's rows failed).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError, RunawayRateError
 from .harness import (ExperimentConfig, cmd_fixed_points, cmd_flow,
                       cmd_localize, cmd_scan, cmd_simulate, cmd_validate)
 from .rng import SeedSpec
@@ -20,7 +21,7 @@ from .rng import SeedSpec
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_PARTIAL = 4
+EXIT_RUN_FAILED = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (NumericError, RunawayRateError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUN_FAILED
 
 
 if __name__ == "__main__":

@@ -12,9 +12,12 @@ and the reduced two-dimensional vector field on trigonometric moments
     Fbar(a, b) = (int cos d pibar(a,b) - a, int sin d pibar(a,b) - b)
 
 closes the limiting dynamics. This module computes pibar, Fbar, its
-analytic Jacobian, the bifurcation thresholds, the axis fixed points, a
-global fixed-point census with stability classification, the free energy,
-and a Laplace-asymptotics cross-check.
+analytic Jacobian, the bifurcation thresholds, a global fixed-point census
+with stability classification, the free energy, and a Laplace-asymptotics
+cross-check. The census takes Fbar and its Jacobian from one tilted
+density per point, and, when U is even about 0 and about pi/2, finds the
+axis fixed points as the roots of Fbar's own components Fbar_a(a, 0) and
+Fbar_b(0, b).
 
 Sign convention for the free energy: J(g) = 0.5*int int W g g + int g ln g
 with W(x,z) = U(x) - rho cos(x - z) + U(z). With this convention J is
@@ -98,14 +101,12 @@ def fbar(model: ModelSpec, a: float, b: float,
     return ma - a, mb - b
 
 
-def jacobian_fbar(model: ModelSpec, a: float, b: float,
-                  grid: PeriodicGrid = DENSITY_GRID) -> np.ndarray:
-    """Analytic Jacobian of Fbar: rho * Cov - I.
+def _fbar_jacobian(model: ModelSpec, a: float, b: float,
+                   grid: PeriodicGrid) -> tuple[tuple[float, float], np.ndarray]:
+    """(Fbar, Jacobian of Fbar) at (a, b) from one tilted density.
 
-    Cov is the covariance matrix of (cos z, sin z) under pibar(a, b);
-    differentiation under the integral gives d moments / d(a,b) = rho*Cov.
-    At the origin with centred exterior potential this is the classical
-    rho*M_U - I with M_U the second trigonometric moment matrix.
+    The first moments are computed exactly as moments() computes them, so
+    Fbar here is bit-equal to fbar().
     """
     d = pibar(model, a, b, grid)
     z = d.grid.nodes
@@ -115,7 +116,19 @@ def jacobian_fbar(model: ModelSpec, a: float, b: float,
     cc = quad_periodic(c * c * d.values, d.grid) - ma * ma
     ss = quad_periodic(s * s * d.values, d.grid) - mb * mb
     cs = quad_periodic(c * s * d.values, d.grid) - ma * mb
-    return model.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
+    return (ma - a, mb - b), model.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
+
+
+def jacobian_fbar(model: ModelSpec, a: float, b: float,
+                  grid: PeriodicGrid = DENSITY_GRID) -> np.ndarray:
+    """Analytic Jacobian of Fbar: rho * Cov - I.
+
+    Cov is the covariance matrix of (cos z, sin z) under pibar(a, b);
+    differentiation under the integral gives d moments / d(a,b) = rho*Cov.
+    At the origin with centred exterior potential this is the classical
+    rho*M_U - I with M_U the second trigonometric moment matrix.
+    """
+    return _fbar_jacobian(model, a, b, grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +161,8 @@ def solve_r_of_rho(rho: float, tol: float = 1e-10,
     return r
 
 
-def _gibbs_density(model: ModelSpec, grid: PeriodicGrid) -> GridDensity:
-    return pibar(model, 0.0, 0.0, grid)
-
-
 def _require_centered(model: ModelSpec, grid: PeriodicGrid, tol: float = 1e-10) -> GridDensity:
-    m_u = _gibbs_density(model, grid)
+    m_u = pibar(model, 0.0, 0.0, grid)
     ma, mb = moments(m_u)
     if abs(ma) > tol or abs(mb) > tol:
         raise DomainError(
@@ -186,33 +195,12 @@ def _check_symmetry(u_vals: np.ndarray, flipped: np.ndarray, what: str,
         raise DomainError(f"exterior potential lacks {what} symmetry (max deviation {err:.2e})")
 
 
-def xi(model: ModelSpec, a: float, grid: PeriodicGrid = THRESHOLD_GRID) -> float:
-    """Unnormalized axis residual int (cos z - a) exp(-U(z) + rho a cos z) dz.
+def _axis_root(residual: Callable[[float], float]) -> float | None:
+    """Positive root of an odd axis residual by sign scan plus bisection.
 
-    Its zeros on (0, 1) are the horizontal-axis fixed points beyond the
-    Gibbs measure. Requires U even about 0 and about pi/2 (U(z) = U(-z)
-    and U(z) = U(pi - z)); xi is then odd in a.
+    Bisection stops once the midpoint rounds to an endpoint: no further
+    step can move the bracket.
     """
-    z = grid.nodes
-    u_vals = np.asarray(model.u(z), dtype=float)
-    _check_symmetry(u_vals, np.asarray(model.u(-z), dtype=float), "z -> -z")
-    _check_symmetry(u_vals, np.asarray(model.u(np.pi - z), dtype=float), "z -> pi - z")
-    integrand = (np.cos(z) - a) * np.exp(-u_vals + model.rho * a * np.cos(z))
-    return quad_periodic(integrand, grid)
-
-
-def xi_vertical(model: ModelSpec, b: float, grid: PeriodicGrid = THRESHOLD_GRID) -> float:
-    """Vertical-axis analogue int (sin z - b) exp(-U(z) + rho b sin z) dz."""
-    z = grid.nodes
-    u_vals = np.asarray(model.u(z), dtype=float)
-    _check_symmetry(u_vals, np.asarray(model.u(-z), dtype=float), "z -> -z")
-    _check_symmetry(u_vals, np.asarray(model.u(np.pi - z), dtype=float), "z -> pi - z")
-    integrand = (np.sin(z) - b) * np.exp(-u_vals + model.rho * b * np.sin(z))
-    return quad_periodic(integrand, grid)
-
-
-def _axis_root(residual: Callable[[float], float], tol: float = 1e-14) -> float | None:
-    """Positive root of an odd axis residual by sign scan plus bisection."""
     xs = np.linspace(1e-9, 1.0 - 1e-9, 512)
     vals = [residual(x) for x in xs]
     for i in range(len(xs) - 1):
@@ -220,6 +208,8 @@ def _axis_root(residual: Callable[[float], float], tol: float = 1e-14) -> float 
             lo, hi = xs[i], xs[i + 1]
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
                 if residual(mid) > 0.0:
                     lo = mid
                 else:
@@ -268,8 +258,7 @@ def classify(eigenvalues: np.ndarray, tol: float = STABILITY_TOL) -> str:
 
 
 def _record(model: ModelSpec, a: float, b: float, grid: PeriodicGrid) -> FixedPointRecord:
-    fa, fb = fbar(model, a, b, grid)
-    jac = jacobian_fbar(model, a, b, grid)
+    (fa, fb), jac = _fbar_jacobian(model, a, b, grid)
     eig = np.linalg.eigvals(jac)
     eig = eig[np.lexsort((eig.imag, eig.real))]
     return FixedPointRecord(a=a, b=b, residual=math.hypot(fa, fb),
@@ -281,10 +270,10 @@ def _newton(model: ModelSpec, a: float, b: float, grid: PeriodicGrid,
             max_iter: int = 60, tol: float = 1e-13) -> tuple[float, float] | None:
     x = np.array([a, b], dtype=float)
     for _ in range(max_iter):
-        f = np.array(fbar(model, x[0], x[1], grid))
+        f, jac = _fbar_jacobian(model, x[0], x[1], grid)
+        f = np.array(f)
         if np.hypot(f[0], f[1]) < tol:
             return float(x[0]), float(x[1])
-        jac = jacobian_fbar(model, x[0], x[1], grid)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -303,12 +292,14 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
                       residual_tol: float = 1e-10) -> list[FixedPointRecord]:
     """All roots of Fbar in the closed unit disk, with stability classes.
 
-    Two stages: when the exterior potential has the double axis symmetry,
-    the axis residuals are scanned for sign changes (robust near the
-    bifurcation thresholds, where Newton's basins shrink); then Newton
-    iterations started from a sweep x sweep grid over the disk look for
-    anything off-axis. Results are deduplicated within `dedup` and sorted
-    by (a, b) so the census is deterministic.
+    Two stages: when the exterior potential is even about 0 and about pi/2
+    (U(z) = U(-z) = U(pi - z), checked once on the grid), the origin is a
+    root and the components Fbar_a(a, 0) and Fbar_b(0, b) are odd, so
+    their positive roots are found by a sign scan plus bisection (robust
+    near the bifurcation thresholds, where Newton's basins shrink) and
+    mirrored; then Newton iterations started from a sweep x sweep grid
+    over the disk look for anything off-axis. Results are deduplicated
+    within `dedup` and sorted by (a, b) so the census is deterministic.
     """
     roots: list[tuple[float, float]] = []
 
@@ -319,18 +310,23 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
         roots.append((a, b))
 
     # stage 1: axis roots under symmetry
+    z = grid.nodes
+    u_vals = np.asarray(model.u(z), dtype=float)
     try:
-        a_star = _axis_root(lambda a: xi(model, a, grid))
+        _check_symmetry(u_vals, np.asarray(model.u(-z), dtype=float), "z -> -z")
+        _check_symmetry(u_vals, np.asarray(model.u(np.pi - z), dtype=float), "z -> pi - z")
+    except DomainError:
+        pass  # no axis symmetry; the sweep below does the work
+    else:
         push(0.0, 0.0)
+        a_star = _axis_root(lambda a: fbar(model, a, 0.0, grid)[0])
         if a_star is not None:
             push(a_star, 0.0)
             push(-a_star, 0.0)
-        b_star = _axis_root(lambda b: xi_vertical(model, b, grid))
+        b_star = _axis_root(lambda b: fbar(model, 0.0, b, grid)[1])
         if b_star is not None:
             push(0.0, b_star)
             push(0.0, -b_star)
-    except DomainError:
-        pass  # no axis symmetry; the sweep below does the work
 
     # stage 2: global Newton sweep over the disk
     ticks = np.linspace(-1.0, 1.0, sweep)

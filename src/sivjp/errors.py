@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: ConfigError -> 2, OSError -> 3,
-partial sweep failures -> 4. Everything else is a genuine bug.
+The CLI maps these onto exit codes: ConfigError and DomainError -> 2,
+OSError -> 3, a run or sweep that failed (NumericError, RunawayRateError,
+or more than 10% of a scan's rows) -> 4. Everything else is a genuine bug.
 """
 
 

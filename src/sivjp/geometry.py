@@ -33,16 +33,6 @@ def wrap(x: float) -> float:
     return r
 
 
-def wrap_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized wrap."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("wrap_array: non-finite input")
-    r = np.mod(x, TWO_PI)
-    r[r >= TWO_PI] -= TWO_PI
-    return r
-
-
 def dist_t(x: float, z: float) -> float:
     """Chordal distance |e^{ix} - e^{iz}| = 2|sin((x-z)/2)|, in [0, 2]."""
     return 2.0 * abs(math.sin(0.5 * (x - z)))

@@ -160,34 +160,15 @@ def is_attracting(rec: FixedPointRecord, tol: float = STABILITY_TOL) -> bool:
     return bool(np.max(rec.eigenvalues.real) <= tol)
 
 
-def _attracting_rings(census: list[FixedPointRecord]) -> list[float]:
-    """Radii of rings of attracting fixed points discovered by the sweep.
-
-    Rotation-invariant models have a whole circle of (individually
-    degenerate) fixed points; the census samples it densely. Eight or more
-    attracting points sharing a radius are treated as one ring, so limit
-    classification measures distance to the set rather than to the sample.
-    """
-    radii = sorted(math.hypot(r.a, r.b) for r in census
-                   if is_attracting(r) and math.hypot(r.a, r.b) > 1e-6)
-    rings, group = [], []
-    for rad in radii:
-        if group and rad - group[0] > 2e-3:
-            if len(group) >= 8:
-                rings.append(float(np.mean(group)))
-            group = []
-        group.append(rad)
-    if len(group) >= 8:
-        rings.append(float(np.mean(group)))
-    return rings
-
-
-def classify_limit(trace: MomentTrace, census: list[FixedPointRecord]) -> tuple[str, int, float]:
+def classify_limit(trace: MomentTrace, census: list[FixedPointRecord],
+                   ring: float | None = None) -> tuple[str, int, float]:
     """(classification, nearest fixed point index, distance at the end).
 
     converged-to-sink: the last 10% of the trace stays within 0.05 of one
-    attracting census point (or of a ring of them, radially); near-saddle:
-    same but for a non-attracting point; unresolved otherwise.
+    attracting census point, or radially within 0.05 of the ring of fixed
+    points at radius `ring` (r(rho) of a rotation-invariant model, whose
+    circle of individually degenerate points attracts as a set);
+    near-saddle: same but for a non-attracting point; unresolved otherwise.
     """
     times = trace.times
     tail = times >= (1.0 - TAIL_FRACTION) * times[-1]
@@ -203,18 +184,16 @@ def classify_limit(trace: MomentTrace, census: list[FixedPointRecord]) -> tuple[
             best = dists_end[k]
             label = "converged-to-sink" if is_attracting(rec) else "near-saddle"
             nearest = k
-    if label == "unresolved":
+    if label == "unresolved" and ring is not None:
         tail_radii = np.hypot(pts[:, 0], pts[:, 1])
-        for ring in _attracting_rings(census):
-            if float(np.max(np.abs(tail_radii - ring))) <= LIMIT_RADIUS:
-                label = "converged-to-sink"
-                break
+        if float(np.max(np.abs(tail_radii - ring))) <= LIMIT_RADIUS:
+            label = "converged-to-sink"
     return label, nearest, dists_end[nearest]
 
 
 def run_summary(seed_index: int, trace: MomentTrace,
-                census: list[FixedPointRecord]) -> dict:
-    label, nearest, dist = classify_limit(trace, census)
+                census: list[FixedPointRecord], ring: float | None) -> dict:
+    label, nearest, dist = classify_limit(trace, census, ring)
     out = trace.summary()
     out.update({"seed": seed_index, "classification": label,
                 "nearest_fp": nearest, "nearest_fp_dist": dist})
@@ -276,7 +255,7 @@ def fixed_point_payload(cfg: ExperimentConfig, model: ModelSpec,
                "census": [r.as_dict() for r in records],
                "thresholds": {}}
     thr = payload["thresholds"]
-    if model.potential.name == "zero" and rho > 2.0:
+    if model.du_sup == 0.0 and rho > 2.0:  # U constant: rotation invariant
         thr["r_of_rho"] = equilibria.solve_r_of_rho(rho)
     try:
         thr["rho_c"] = equilibria.rho_c(model)
@@ -304,21 +283,22 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     rho = cfg.model["rho"]
     model = cfg.build_model()
     census = equilibria.find_fixed_points(model)
+    payload = fixed_point_payload(cfg, model, census, rho)
+    ring = payload["thresholds"].get("r_of_rho")
     traces = _traces(_map_ordered(_simulate_worker,
                                   [(cfg, rho, k) for k in range(n_seeds)], threads))
     summaries = []
     for k, trace in enumerate(traces):
         csv_path = os.path.join(out_dir, f"{cfg.name}_seed{k:04d}.csv")
         write_text(csv_path, trace.to_csv())
-        summaries.append(run_summary(k, trace, census))
+        summaries.append(run_summary(k, trace, census, ring))
         if not quiet:
             s = summaries[-1]
             print(f"seed {k}: |m| = {s['final_r_polar']:.4f} {s['classification']}")
     write_json(os.path.join(out_dir, "summary.json"),
                {"name": cfg.name, "model_hash": cfg.model_hash(rho=rho),
                 "master_seed": cfg.master_seed, "runs": summaries})
-    write_json(os.path.join(out_dir, "fixed_points.json"),
-               fixed_point_payload(cfg, model, census, rho))
+    write_json(os.path.join(out_dir, "fixed_points.json"), payload)
     return {"summaries": summaries, "census": census}
 
 
@@ -362,11 +342,13 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")
     n_seeds = int(cfg.sweep.get("seeds", 1))
     ensure_outdir(out_dir)
-    censuses, records = {}, []
+    censuses, records, rings = {}, [], []
     for rho in rhos:
         model = cfg.build_model(rho=rho)
         records.append(equilibria.find_fixed_points(model))
-        censuses[f"{rho:.12g}"] = fixed_point_payload(cfg, model, records[-1], rho)
+        payload = fixed_point_payload(cfg, model, records[-1], rho)
+        censuses[f"{rho:.12g}"] = payload
+        rings.append(payload["thresholds"].get("r_of_rho"))
     jobs = [(cfg, rho, i * n_seeds + k) for i, rho in enumerate(rhos) for k in range(n_seeds)]
     results = _map_ordered(_simulate_worker, jobs, threads)
     rows = []
@@ -376,7 +358,8 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
         try:
             if isinstance(res, Exception):
                 raise res
-            summ = run_summary(stream, res, records[stream // n_seeds])
+            i = stream // n_seeds
+            summ = run_summary(stream, res, records[i], rings[i])
             theta_finals.append(summ["final_theta"])
             rows.append([rho, stream, summ["final_a"], summ["final_b"],
                          summ["final_r_polar"], summ["nearest_fp"],

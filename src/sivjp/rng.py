@@ -34,9 +34,6 @@ class SeedSpec:
         if self.stream_index < 0:
             raise ConfigError("SeedSpec: stream_index must be nonnegative")
 
-    def with_stream(self, stream_index: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_index)
-
 
 def derive_stream(seed: SeedSpec) -> np.random.Generator:
     """Generator whose state is a pure function of (master_seed, stream_index)."""

@@ -21,7 +21,7 @@ from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
 RHO_C_COS2 = 1.3827529553970006       # 2 I0(1) / (I0(1) + I1(1))
 RHO_2_COS2 = 3.6126512830260866       # 2 I0(1) / (I0(1) - I1(1))
 R_OF_RHO_4 = 0.8314620247542568       # int cos d pibar_4(r,0) = r
-A_STAR_2RHOC = 0.8698531264089        # xi root at rho = 2*rho_c, U = -cos 2z
+A_STAR_2RHOC = 0.8698531264089        # axis root at rho = 2*rho_c, U = -cos 2z
 B_STAR_RHO4 = 0.4248941947461         # vertical axis root at rho = 4
 TWO_PI_I0_1 = 7.954926521012844       # int exp(cos z) dz
 

@@ -7,10 +7,11 @@ from helpers import (A_STAR_2RHOC, B_STAR_RHO4, RHO_2_COS2, RHO_C_COS2,
                      R_OF_RHO_4, bessel_i, brute_moments, brute_r_of_rho)
 from sivjp import (PeriodicGrid, fbar, find_fixed_points, free_energy,
                    integrate_flow, jacobian_fbar, laplace_check, moments,
-                   pibar, quad_periodic, rho_2, rho_c, solve_r_of_rho, xi)
+                   pibar, quad_periodic, rho_2, rho_c, solve_r_of_rho)
+from sivjp import equilibria
 from sivjp.equilibria import GridDensity, census_signature, classify, records_to_json
 from sivjp.errors import DomainError
-from sivjp.geometry import THRESHOLD_GRID, TWO_PI
+from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.model import ModelSpec
 from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
                               two_well_potential, zero_potential)
@@ -186,30 +187,36 @@ class TestThresholds:
             rho_c(ModelSpec(potential=cos_potential(), rho=0.0))
 
 
-class TestXi:
-    def test_zero_at_origin(self):
-        assert abs(xi(COS2(3.0), 0.0)) < 1e-10
-
-    def test_odd(self):
+class TestAxisStage:
+    def test_axis_component_odd(self):
+        # the census mirrors each positive axis root to -a*, which relies on
+        # Fbar_a(a, 0) being odd under the double axis symmetry
         model = COS2(2.5)
         for a in (0.1, 0.4, 0.83):
-            assert xi(model, -a) == pytest.approx(-xi(model, a), abs=1e-12)
+            assert fbar(model, -a, 0.0)[0] == pytest.approx(-fbar(model, a, 0.0)[0],
+                                                             abs=1e-15)
 
-    def test_sign_change_above_threshold(self):
-        model = COS2(2.0 * RHO_C_COS2)
-        xs = np.linspace(1e-6, 1 - 1e-6, 200)
-        vals = np.array([xi(model, float(x)) for x in xs])
-        assert vals[0] > 0 and vals[-1] < 0
+    def test_asymmetric_potential_skips_axis_stage(self, monkeypatch):
+        def no_axis_stage(residual):
+            raise AssertionError("axis stage ran on an asymmetric potential")
 
-    def test_no_sign_change_below_threshold(self):
-        model = COS2(0.8 * RHO_C_COS2)
-        xs = np.linspace(1e-6, 1 - 1e-6, 200)
-        vals = np.array([xi(model, float(x)) for x in xs])
-        assert np.all(vals < 0)
+        monkeypatch.setattr(equilibria, "_axis_root", no_axis_stage)
+        model = ModelSpec(potential=cos_potential(), rho=1.0)
+        recs = find_fixed_points(model)
+        assert len(recs) >= 1
+        for rec in recs:
+            assert rec.residual < 1e-10
+            assert max(abs(v) for v in fbar(model, rec.a, rec.b)) < 1e-10
 
-    def test_symmetry_precondition(self):
-        with pytest.raises(DomainError):
-            xi(ModelSpec(potential=cos_potential(), rho=1.0), 0.3)
+    def test_fused_field_and_jacobian_bit_equal(self):
+        rng = np.random.default_rng(20260418)
+        models = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
+                  ModelSpec(potential=zero_potential(), rho=4.0))
+        for model in models:
+            for a, b in rng.uniform(-1.2, 1.2, size=(8, 2)):
+                f, jac = equilibria._fbar_jacobian(model, a, b, DENSITY_GRID)
+                assert f == fbar(model, a, b)
+                assert np.array_equal(jac, jacobian_fbar(model, a, b))
 
 
 class TestCensus:

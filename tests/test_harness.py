@@ -8,12 +8,18 @@ import os
 import numpy as np
 import pytest
 
+from helpers import R_OF_RHO_4
 from sivjp import harness
 from sivjp.cli import main
-from sivjp.errors import ConfigError, RunawayRateError
+from sivjp.errors import ConfigError, NumericError, RunawayRateError
 from sivjp.harness import (ExperimentConfig, classify_limit, cmd_fixed_points,
                            cmd_localize, cmd_scan, cmd_simulate, cmd_validate,
                            validation_report)
+from sivjp.engine import MomentTrace, OccupationStats
+from sivjp.equilibria import find_fixed_points
+from sivjp.markov import TelegraphState
+from sivjp.model import ModelSpec
+from sivjp.potentials import cos2_potential
 
 BASE = {
     "name": "smoke",
@@ -159,6 +165,23 @@ class TestCLI:
         assert main(["--config", path, "--out", out, "--quiet", "flow"]) == 0
         text = (tmp_path / "out" / "smoke_flow.csv").read_text()
         assert text.splitlines()[0] == "s,a,b"
+
+    @pytest.mark.parametrize("command, owner, attr, exc", [
+        ("simulate", harness, "run_sitp", RunawayRateError("proposal budget exceeded")),
+        ("flow", harness.flow_mod, "integrate_flow", NumericError("non-finite flow state")),
+    ])
+    def test_run_failure_exit_four(self, tmp_path, monkeypatch, capsys,
+                                   command, owner, attr, exc):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(owner, attr, failing)
+        raw = copy.deepcopy(BASE)
+        raw["flow"] = {"start": [0.5, 0.0], "T_flow": 5.0}
+        path = write_config(tmp_path, raw)
+        assert main(["--config", path, "--out", str(tmp_path / "out"),
+                     "--quiet", command]) == 4
+        assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 class TestFixedPointsCommand:
@@ -358,24 +381,22 @@ class TestValidate:
         assert main(["--out", str(tmp_path / "v"), "--quiet", "validate"]) == 0
 
 
+def _fake_trace(a_vals, b_vals):
+    n = len(a_vals)
+    return MomentTrace(times=np.linspace(0.0, 1000.0, n), a_vals=np.asarray(a_vals),
+                       b_vals=np.asarray(b_vals), x_vals=np.zeros(n), y_vals=np.ones(n),
+                       final=OccupationStats(r=1.0, t=1000.0, a=a_vals[-1], b=b_vals[-1]),
+                       final_state=TelegraphState(0.0, 1),
+                       n_events=0, n_proposals=0, wall_time_s=0.0)
+
+
 class TestClassification:
     def test_near_saddle_and_unresolved(self):
-        from sivjp.equilibria import find_fixed_points
-        from sivjp.engine import MomentTrace, OccupationStats
-        from sivjp.markov import TelegraphState
-        from sivjp.model import ModelSpec
-        from sivjp.potentials import cos2_potential
         model = ModelSpec(potential=cos2_potential(), rho=2.0 * 1.3827529554)
         census = find_fixed_points(model)
-        times = np.linspace(0.0, 1000.0, 101)
 
         def fake(a, b):
-            return MomentTrace(times=times, a_vals=np.full(101, a),
-                               b_vals=np.full(101, b), x_vals=np.zeros(101),
-                               y_vals=np.ones(101),
-                               final=OccupationStats(r=1.0, t=1000.0, a=a, b=b),
-                               final_state=TelegraphState(0.0, 1),
-                               n_events=0, n_proposals=0, wall_time_s=0.0)
+            return _fake_trace(np.full(101, a), np.full(101, b))
 
         label, _, dist = classify_limit(fake(0.001, 0.0), census)
         assert label == "near-saddle" and dist < 0.05
@@ -384,3 +405,14 @@ class TestClassification:
         assert label == "converged-to-sink"
         label, _, _ = classify_limit(fake(0.4, 0.3), census)
         assert label == "unresolved"
+
+    def test_ring_classified_radially(self):
+        # with no exterior potential the tail may drift along the circle of
+        # fixed points at r(rho); its last 10% sweeps an arc of about 0.4,
+        # so no single census point is within 0.05 of all of it
+        census = find_fixed_points(ModelSpec(rho=4.0))
+        theta = np.linspace(0.0, 5.0, 101)
+        trace = _fake_trace(R_OF_RHO_4 * np.cos(theta), R_OF_RHO_4 * np.sin(theta))
+        assert classify_limit(trace, census, ring=R_OF_RHO_4)[0] == "converged-to-sink"
+        assert classify_limit(trace, census)[0] == "unresolved"
+        assert classify_limit(trace, census, ring=R_OF_RHO_4 + 0.1)[0] == "unresolved"
