@@ -19,32 +19,33 @@ so the self-interaction is exact and O(1) per event: the whole pair
 Poisson thinning under the envelope lambda_min + sup|U'| + |rho| (valid
 because a^2 + b^2 <= 1).
 
-run_sitp is this exact moment engine; it carries no histogram. A run that
-asks for one (hist_grid) gets it binned once at the end from the recorded
-flight legs. run_sitp_general is the general-kernel mode, where the drift is
-a grid convolution of the kernel derivative against an occupation histogram
-kept up to date at every proposal; it is approximate (bias of the order of
-the grid spacing) and exists for kernels that do not reduce to two moments.
+One thinning loop, _drive, serves both modes; only the drift differs.
+run_sitp is the exact moment mode: the drift U'(x) + rho*(a sin x - b cos x)
+is computed inline, and a run that asks for a histogram (hist_grid) gets it
+binned once at the end from the recorded flight legs. run_sitp_general is
+the general-kernel mode: its drift callback deposits each flight leg into an
+occupation histogram and convolves the kernel derivative against it; it is
+approximate (bias of the order of the grid spacing) and exists for kernels
+that do not reduce to two moments. The envelope is chosen by
+markov.thinning_envelope and checked on every accepted proposal.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, segments_sojourn, wrap
 from .model import ModelSpec
-from .markov import MAX_PROPOSALS, TelegraphState
+from .markov import MAX_PROPOSALS, ROUNDOFF_TOL, TelegraphState, thinning_envelope
 from .rng import DrawBuffer, SeedSpec, derive_stream
-
-MOMENT_DISK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,22 @@ class OccupationStats:
             raise ConfigError("OccupationStats: initial weight r must be > 0")
         if self.t < 0.0:
             raise ConfigError("OccupationStats: elapsed time must be >= 0")
-        if self.a ** 2 + self.b ** 2 > 1.0 + MOMENT_DISK_TOL:
+        if self.a ** 2 + self.b ** 2 > 1.0 + ROUNDOFF_TOL:
             raise DomainError(
                 f"OccupationStats: moments ({self.a}, {self.b}) leave the unit disk")
 
     @property
     def weight(self) -> float:
         return self.r + self.t
+
+
+def _advance(w: float, a: float, b: float, x0: float, y: int,
+             tau: float) -> tuple[float, float]:
+    """Moments (a, b) at weight w after a free-flight leg of length tau that
+    leaves x0 with velocity y (the closed form in the module docstring)."""
+    x1 = x0 + y * tau
+    return ((w * a + y * (math.sin(x1) - math.sin(x0))) / (w + tau),
+            (w * b - y * (math.cos(x1) - math.cos(x0))) / (w + tau))
 
 
 def advect_occupation(occ: OccupationStats, x0: float, y: int,
@@ -80,10 +90,7 @@ def advect_occupation(occ: OccupationStats, x0: float, y: int,
     """
     if not tau > 0.0:
         raise ConfigError("advect_occupation: tau must be > 0")
-    w = occ.weight
-    x1 = x0 + y * tau
-    a = (w * occ.a + y * (math.sin(x1) - math.sin(x0))) / (w + tau)
-    b = (w * occ.b - y * (math.cos(x1) - math.cos(x0))) / (w + tau)
+    a, b = _advance(occ.weight, occ.a, occ.b, x0, y, tau)
     return replace(occ, t=occ.t + tau, a=a, b=b)
 
 
@@ -131,7 +138,7 @@ class SIVJPConfig:
         if self.log_stride and not self.record_t0 > 0.0:
             raise ConfigError("SIVJPConfig: record_t0 must be > 0")
         a0, b0 = self.mu0
-        if a0 * a0 + b0 * b0 > 1.0 + MOMENT_DISK_TOL:
+        if a0 * a0 + b0 * b0 > 1.0 + ROUNDOFF_TOL:
             raise ConfigError("SIVJPConfig: mu0 moments must lie in the closed unit disk")
         if self.hist_grid is not None and (a0 != 0.0 or b0 != 0.0):
             raise ConfigError("SIVJPConfig: a histogram run starts uniform, "
@@ -188,24 +195,6 @@ class MomentTrace:
             "wall_time_s": self.wall_time_s,
         }
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
-
-
-def _initial_state(cfg: SIVJPConfig, gen: np.random.Generator) -> tuple[float, int]:
-    if cfg.z0 is not None:
-        return wrap(cfg.z0.x), cfg.z0.y
-    return gen.random() * TWO_PI, 1
-
-
-def _envelope(cfg: SIVJPConfig, lam_bar: float) -> float:
-    """The thinning envelope: the certified bound, or an override above it."""
-    if cfg.lambda_bar_override is None:
-        return lam_bar
-    if cfg.lambda_bar_override < lam_bar:
-        raise ConfigError("lambda_bar_override must dominate the certified envelope")
-    return cfg.lambda_bar_override
-
 
 def _record_due(rec, snaps: list, k: int, t_next: float, r: float, t: float,
                 x: float, y: int, a: float, b: float) -> int:
@@ -218,11 +207,11 @@ def _record_due(rec, snaps: list, k: int, t_next: float, r: float, t: float,
     while k < len(snaps) and snaps[k] <= t_next:
         s = snaps[k]
         dt = s - t
-        xs = x + y * dt
+        a_s, b_s = _advance(w, a, b, x, y, dt)
         rec[0].append(s)
-        rec[1].append((w * a + y * (math.sin(xs) - math.sin(x))) / (w + dt))
-        rec[2].append((w * b - y * (math.cos(xs) - math.cos(x))) / (w + dt))
-        rec[3].append(wrap(xs))
+        rec[1].append(a_s)
+        rec[2].append(b_s)
+        rec[3].append(wrap(x + y * dt))
         rec[4].append(y)
         k += 1
     return k
@@ -242,31 +231,37 @@ def _finalize(cfg: SIVJPConfig, rec, hist_raw, n_events, n_proposals,
                        hist=None if hist_raw is None else hist_raw / hist_raw.sum())
 
 
-def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
-    """Exact moment-mode simulation of the self-interacting telegraph process.
+def _drive(cfg: SIVJPConfig, lam_bar: float,
+           drift: Callable[[float, int, float, float, float], float] | None = None,
+           legs: list | None = None):
+    """The thinning loop of both modes, under the envelope lam_bar.
 
-    With rho = 0 the interaction vanishes and this is the plain telegraph
-    engine with the same draw consumption, so matched seeds reproduce
-    simulate_telegraph exactly. With cfg.hist_grid set, the flight legs
-    between flips are recorded and binned once at the end into
-    MomentTrace.hist; the draws and moments are the same as without.
+    With drift None the drift is the moment mode's
+    U'(x) + rho*(a sin x - b cos x), computed inline; otherwise it is
+    drift(x_prev, y, tau, x, t), called once per proposal after the flight
+    leg of length tau from x_prev to x (now at time t). With legs a list,
+    each flight leg between flips, the last one included, is appended as
+    (start, direction, length).
+
+    Returns (rec, x, y, t, n_events, n_proposals), where rec holds the
+    snapshot columns and (x, y, t) is the state at the last proposal.
     """
-    cfg.validate()
-    t_start = time.perf_counter()
     model = cfg.model
     lam_min = model.lambda_min
-    lam_bar = _envelope(cfg, model.thinning_bound)
+    lam_cap = lam_bar * (1.0 + ROUNDOFF_TOL)
     rho = model.rho
     du = model.potential.dv_scalar
 
     gen = derive_stream(cfg.seed)
-    x, y = _initial_state(cfg, gen)
+    if cfg.z0 is not None:
+        x, y = wrap(cfg.z0.x), cfg.z0.y
+    else:
+        x, y = gen.random() * TWO_PI, 1
     draws = DrawBuffer(gen)
     a, b = cfg.mu0
     r = cfg.r
     t = 0.0
     t_end = cfg.t_end
-    legs = [] if cfg.hist_grid is not None else None  # (start, direction, length)
     seg_x, seg_t = x, 0.0
 
     snaps = cfg.snapshot_times().tolist()
@@ -288,7 +283,9 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
             if t_next >= t_end:
                 break
             next_snap = snaps[snap_idx]
+        # _advance inlined: one Python call less per proposal
         w = r + t
+        x_prev = x
         xs = x + y * tau
         a = (w * a + y * (sin(xs) - sin(x))) / (w + tau)
         b = (w * b - y * (cos(xs) - cos(x))) / (w + tau)
@@ -296,22 +293,46 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
         t = t_next
         n_prop += 1
         if n_prop > MAX_PROPOSALS:
-            raise RunawayRateError("run_sitp: proposal budget exceeded")
-        drift = du(x) + rho * (a * sin(x) - b * cos(x))
-        yd = y * drift
+            raise RunawayRateError("self-interacting engine: proposal budget exceeded")
+        if drift is None:
+            v = du(x) + rho * (a * sin(x) - b * cos(x))
+        else:
+            v = drift(x_prev, y, tau, x, t)
+        yd = y * v
         rate = lam_min + (yd if yd > 0.0 else 0.0)
         if u_acc * lam_bar < rate:
+            if rate > lam_cap:  # always accepted, so checking here is enough
+                raise RunawayRateError(f"self-interacting engine: jump rate {rate!r} "
+                                       f"exceeds the envelope {lam_bar!r}")
             if legs is not None:
                 legs.append((seg_x, y, t - seg_t))
                 seg_x, seg_t = x, t
             y = -y
             n_events += 1
 
-    hist_raw = None
     if legs is not None:
         legs.append((seg_x, y, t_end - seg_t))
-        grid = cfg.hist_grid
-        hist_raw = segments_sojourn(*np.array(legs).T, grid) + r / grid.n
+    return rec, x, y, t, n_events, n_prop
+
+
+def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
+    """Exact moment-mode simulation of the self-interacting telegraph process.
+
+    With rho = 0 the interaction vanishes and this is the plain telegraph
+    engine with the same draw consumption, so matched seeds reproduce
+    simulate_telegraph exactly. With cfg.hist_grid set, the flight legs
+    between flips are recorded and binned once at the end into
+    MomentTrace.hist; the draws and moments are the same as without.
+    """
+    cfg.validate()
+    t_start = time.perf_counter()
+    lam_bar = thinning_envelope(cfg.model.thinning_bound, cfg.lambda_bar_override)
+    grid = cfg.hist_grid
+    legs = [] if grid is not None else None  # (start, direction, length)
+    rec, _, _, _, n_events, n_prop = _drive(cfg, lam_bar, legs=legs)
+    hist_raw = None
+    if legs is not None:
+        hist_raw = segments_sojourn(*np.array(legs).T, grid) + cfg.r / grid.n
     return _finalize(cfg, rec, hist_raw, n_events, n_prop, t_start)
 
 
@@ -343,51 +364,16 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
     asym = float(np.max(np.abs(w_grid - w_grid.T)))
     if asym > 1e-12:
         raise ConfigError(f"run_sitp_general: kernel is not symmetric (max {asym:.2e})")
+    lam_bar = thinning_envelope(
+        cfg.model.lambda_min + 1.05 * float(np.max(np.abs(dw_grid))),
+        cfg.lambda_bar_override)
 
-    lam_min = cfg.model.lambda_min
-    lam_bar = _envelope(cfg, lam_min + 1.05 * float(np.max(np.abs(dw_grid))))
-
-    gen = derive_stream(cfg.seed)
-    x, y = _initial_state(cfg, gen)
-    draws = DrawBuffer(gen)
-    a, b = cfg.mu0
     r = cfg.r
-    t = 0.0
-    t_end = cfg.t_end
     hist_raw = np.full(n, r / n)  # uniform initial measure of mass r
     inv_h = n / TWO_PI
 
-    snaps = cfg.snapshot_times().tolist()
-    snap_idx = 0
-    next_snap = snaps[0]
-    rec: tuple[list, list, list, list, list] = ([], [], [], [], [])
-    n_events = 0
-    n_prop = 0
-    sin = math.sin
-    cos = math.cos
-    log1p = math.log1p
-
-    while True:
-        u_gap, u_acc = draws.pair()
-        tau = -log1p(-u_gap) / lam_bar
-        t_next = t + tau
-        if t_next >= next_snap:
-            snap_idx = _record_due(rec, snaps, snap_idx, t_next, r, t, x, y, a, b)
-            if t_next >= t_end:
-                arc_sojourn(x, y, t_end - t, grid, out=hist_raw)
-                break
-            next_snap = snaps[snap_idx]
-        w = r + t
-        x_prev = x
-        xs = x + y * tau
-        a = (w * a + y * (sin(xs) - sin(x))) / (w + tau)
-        b = (w * b - y * (cos(xs) - cos(x))) / (w + tau)
-        x = wrap(xs)
+    def drift(x_prev: float, y: int, tau: float, x: float, t: float) -> float:
         arc_sojourn(x_prev, y, tau, grid, out=hist_raw)
-        t = t_next
-        n_prop += 1
-        if n_prop > MAX_PROPOSALS:
-            raise RunawayRateError("run_sitp_general: proposal budget exceeded")
         pos = x * inv_h
         i = int(pos)
         if i >= n:
@@ -395,14 +381,11 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
             pos = 0.0
         frac = pos - i
         i1 = i + 1 if i + 1 < n else 0
-        drift = ((1.0 - frac) * float(dw_grid[i] @ hist_raw)
-                 + frac * float(dw_grid[i1] @ hist_raw)) / (r + t)
-        yd = y * drift
-        rate = lam_min + (yd if yd > 0.0 else 0.0)
-        if u_acc * lam_bar < rate:
-            y = -y
-            n_events += 1
+        return ((1.0 - frac) * float(dw_grid[i] @ hist_raw)
+                + frac * float(dw_grid[i1] @ hist_raw)) / (r + t)
 
+    rec, x, y, t, n_events, n_prop = _drive(cfg, lam_bar, drift=drift)
+    arc_sojourn(x, y, cfg.t_end - t, grid, out=hist_raw)
     return _finalize(cfg, rec, hist_raw, n_events, n_prop, t_start)
 
 

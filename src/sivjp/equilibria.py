@@ -26,7 +26,6 @@ non-increasing along the limiting flow and sinks are local minimizers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -353,10 +352,6 @@ def census_signature(records: Sequence[FixedPointRecord]) -> str:
     for r in records:
         counts[r.stability] = counts.get(r.stability, 0) + 1
     return ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-
-
-def records_to_json(records: Sequence[FixedPointRecord]) -> str:
-    return json.dumps([r.as_dict() for r in records], indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

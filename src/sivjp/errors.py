@@ -21,5 +21,7 @@ class NumericError(RuntimeError):
 
 
 class RunawayRateError(RuntimeError):
-    """The thinning loop exceeded its proposal budget, which indicates an
-    unbounded effective jump rate rather than a long run."""
+    """A thinning loop lost its exactness guarantee: a jump rate exceeded
+    the envelope (an understated bound such as a potential's dv_sup), or
+    the loop exceeded its proposal budget, which indicates an unbounded
+    effective jump rate rather than a long run."""

@@ -41,12 +41,6 @@ class FlowTrace:
             writer.writerow(["%.12g" % s, "%.12g" % a, "%.12g" % b])
         return buf.getvalue()
 
-    def at(self, s: np.ndarray) -> np.ndarray:
-        """Linear interpolation of the trace at flow times s."""
-        a = np.interp(s, self.times, self.points[:, 0])
-        b = np.interp(s, self.times, self.points[:, 1])
-        return np.stack([a, b], axis=-1)
-
 
 def _rk4_path(model: ModelSpec, start: np.ndarray, t_flow: float, dt: float,
               grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -85,6 +85,9 @@ class ExperimentConfig:
         model.update(raw.get("model", {}))
         sivjp = dict(_SIVJP_DEFAULTS)
         sivjp.update(raw.get("sivjp", {}))
+        if "y0" in raw.get("sivjp", {}) and sivjp["x0"] is None:
+            raise ConfigError("sivjp.y0 needs sivjp.x0: without x0 the start is "
+                              "drawn uniformly with velocity +1")
         localize = dict(_LOCALIZE_DEFAULTS)
         localize.update(raw.get("localize", {}))
         cfg = ExperimentConfig(

@@ -6,7 +6,11 @@ arrive at a constant rate lam_bar that dominates the true jump rate
 everywhere, and a proposal at state z is accepted with probability
 rate(z)/lam_bar. Between events the motion is free flight, so the law of
 the output is exactly that of the jump process -- there is no
-time-discretization error anywhere.
+time-discretization error anywhere. Exactness needs the envelope to
+dominate, so every thinning loop here and in the self-interacting engine
+raises RunawayRateError on a jump rate above it (beyond round-off).
+thinning_envelope is the one rule for raising a certified envelope by an
+override, shared with the engine.
 
 The 1-D telegraph process flips its velocity y in {-1, +1} at rate
 lambda_min + (y V'(x))_+, which keeps exp(-V) (x) (delta_1 + delta_{-1})/2
@@ -34,6 +38,9 @@ from .potentials import FrozenPotential
 from .rng import DrawBuffer, SeedSpec, derive_stream
 
 MAX_PROPOSALS = 10 ** 10
+# relative round-off allowance on exact invariants: the unit disk of the
+# occupation moments and the domination of the jump rate by the envelope
+ROUNDOFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,16 @@ class EventLog:
         return buf.getvalue()
 
 
+def thinning_envelope(certified: float, override: float | None) -> float:
+    """The thinning envelope: the certified bound, or an override above it
+    (e.g. to share a proposal skeleton between runs)."""
+    if override is None:
+        return certified
+    if override < certified:
+        raise ConfigError("lambda_bar_override must dominate the certified envelope")
+    return override
+
+
 def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphState,
                        t_end: float, seed: SeedSpec,
                        lambda_bar_override: float | None = None) -> EventLog:
@@ -105,14 +122,11 @@ def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphSta
         raise ConfigError("simulate_telegraph: lambda_min must be > 0")
     if not t_end > 0.0:
         raise ConfigError("simulate_telegraph: T must be > 0")
-    lam_bar = lambda_min + pot.dv_sup
-    if lambda_bar_override is not None:
-        if lambda_bar_override < lam_bar:
-            raise ConfigError("lambda_bar_override must dominate the certified envelope")
-        lam_bar = lambda_bar_override
+    lam_bar = thinning_envelope(lambda_min + pot.dv_sup, lambda_bar_override)
     if not lam_bar > 0.0:
         raise ConfigError("simulate_telegraph: thinning envelope must be > 0")
 
+    lam_cap = lam_bar * (1.0 + ROUNDOFF_TOL)
     draws = DrawBuffer(derive_stream(seed))
     dv = pot.dv_scalar
     x = wrap(z0.x)
@@ -136,6 +150,9 @@ def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphSta
             raise RunawayRateError("simulate_telegraph: proposal budget exceeded")
         rate = lambda_min + max(0.0, y * dv(x))
         if u_acc * lam_bar < rate:
+            if rate > lam_cap:  # always accepted, so checking here is enough
+                raise RunawayRateError(
+                    f"simulate_telegraph: jump rate {rate!r} exceeds the envelope {lam_bar!r}")
             y = -y
             times.append(t)
             xs.append(x)
@@ -159,7 +176,8 @@ def simulate_torus_vjp(v: Callable[[np.ndarray], float],
 
     grad_sup must dominate sup|grad V| and speed_sup the largest speed in
     the support of q; together they certify the thinning envelope
-    lambda_bar + 2*speed_sup*grad_sup. On a bounce the direction is
+    lambda_bar + 2*speed_sup*grad_sup, and a bounce rate above
+    2*speed_sup*grad_sup raises RunawayRateError. On a bounce the direction is
     resampled uniformly on the sphere of radius |y| (normalized Gaussians);
     on a refreshment y is redrawn from q.
     """
@@ -171,7 +189,9 @@ def simulate_torus_vjp(v: Callable[[np.ndarray], float],
     x = np.mod(np.asarray(z0.x, dtype=float), TWO_PI)
     y = np.asarray(z0.y, dtype=float).copy()
     d = x.size
-    lam_tot = lambda_bar + 2.0 * speed_sup * grad_sup
+    bounce_sup = 2.0 * speed_sup * grad_sup
+    bounce_cap = bounce_sup * (1.0 + ROUNDOFF_TOL)
+    lam_tot = lambda_bar + bounce_sup
     t = 0.0
     times: list[float] = []
     xs: list[np.ndarray] = []
@@ -191,6 +211,9 @@ def simulate_torus_vjp(v: Callable[[np.ndarray], float],
         grad = np.asarray(grad_v(x), dtype=float)
         speed = float(np.linalg.norm(y))
         lam1 = speed * float(np.linalg.norm(grad)) + float(y @ grad)
+        if lam1 > bounce_cap:
+            raise RunawayRateError(
+                f"simulate_torus_vjp: bounce rate {lam1!r} exceeds its envelope {bounce_sup!r}")
         u = gen.random() * lam_tot
         if u < lam1:
             # bounce: uniform direction on the sphere of radius |y|

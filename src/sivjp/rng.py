@@ -13,7 +13,6 @@ simulation is fully pinned down by its uniform stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +38,6 @@ def derive_stream(seed: SeedSpec) -> np.random.Generator:
     """Generator whose state is a pure function of (master_seed, stream_index)."""
     key = np.array([seed.master_seed, seed.stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def exponential(gen: np.random.Generator) -> float:
-    """One unit-exponential variate as -log(1 - u)."""
-    return -math.log1p(-gen.random())
 
 
 class DrawBuffer:

@@ -288,6 +288,24 @@ class TestRunSitpGeneral:
         assert all(m > 0.7 for m in m2)
         assert len(set(a_signs)) == 2
 
+    def test_zero_kernel_shares_the_moment_driver(self):
+        # both modes run one thinning loop; with no drift in either (zero
+        # kernel, zero potential at rho = 0) and one envelope they consume
+        # the same draws and record the same snapshots bit for bit
+        grid = PeriodicGrid(64)
+        cfg = SIVJPConfig(model=ZERO, t_end=300.0, seed=SeedSpec(74, 0),
+                          record_stride=25.0, hist_grid=grid,
+                          lambda_bar_override=2.0)
+        zeros = np.zeros((64, 64))
+        gen = run_sitp_general(zeros, zeros, cfg)
+        mom = run_sitp(cfg)
+        for name in ("times", "a_vals", "b_vals", "x_vals", "y_vals"):
+            assert np.array_equal(getattr(gen, name), getattr(mom, name)), name
+        assert (gen.n_events, gen.n_proposals) == (mom.n_events, mom.n_proposals)
+        assert gen.n_events < gen.n_proposals  # the override thins proposals
+        assert gen.final == mom.final
+        assert np.max(np.abs(gen.hist - mom.hist)) <= 1e-12
+
     def test_hist_required(self):
         with pytest.raises(ConfigError):
             run_sitp_general(np.zeros((16, 16)), np.zeros((16, 16)),

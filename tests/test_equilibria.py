@@ -9,7 +9,7 @@ from sivjp import (PeriodicGrid, fbar, find_fixed_points, free_energy,
                    integrate_flow, jacobian_fbar, laplace_check, moments,
                    pibar, quad_periodic, rho_2, rho_c, solve_r_of_rho)
 from sivjp import equilibria
-from sivjp.equilibria import GridDensity, census_signature, classify, records_to_json
+from sivjp.equilibria import GridDensity, census_signature, classify
 from sivjp.errors import DomainError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.model import ModelSpec
@@ -276,7 +276,7 @@ class TestCensus:
     def test_json_serialization(self):
         import json
         recs = find_fixed_points(COS2(3.0))
-        data = json.loads(records_to_json(recs))
+        data = json.loads(json.dumps([r.as_dict() for r in recs]))
         assert len(data) == 3
         assert set(data[0]) == {"a", "b", "residual", "jac", "eig_re", "eig_im",
                                 "stability"}

@@ -66,6 +66,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
 
+    def test_y0_without_x0_rejected(self, tmp_path):
+        # without x0 the start is drawn with velocity +1, so a lone y0
+        # would be silently dropped
+        for given in ({"y0": -1}, {"x0": None, "y0": 1}):
+            bad = copy.deepcopy(BASE)
+            bad["sivjp"].update(given)
+            with pytest.raises(ConfigError, match="x0"):
+                ExperimentConfig.from_dict(bad)
+        out = str(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, bad), "--out", out,
+                     "--quiet", "simulate"]) == 2
+        good = copy.deepcopy(BASE)
+        good["sivjp"].update(x0=0.5, y0=-1)
+        run = ExperimentConfig.from_dict(good).build_sivjp(rho=0.0, stream_index=0)
+        assert run.z0 == TelegraphState(0.5, -1)
+
     def test_model_hash_stable_and_rho_sensitive(self):
         cfg = ExperimentConfig.from_dict(BASE)
         assert cfg.model_hash() == cfg.model_hash()

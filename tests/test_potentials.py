@@ -6,6 +6,7 @@ import pytest
 from sivjp import SeedSpec, SIVJPConfig, TelegraphState, run_sitp, simulate_telegraph
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import THRESHOLD_GRID, TWO_PI
+from sivjp.markov import TorusVJPState, simulate_torus_vjp
 from sivjp.model import ModelSpec
 from sivjp.potentials import (certify_dv_sup, check_derivative, cos_potential,
                               cos2_potential, frozen_potential, grid_potential,
@@ -111,3 +112,30 @@ class TestRunawayGuard:
         model = ModelSpec(potential=zero_potential(), rho=1.0)
         with pytest.raises(RunawayRateError):
             run_sitp(SIVJPConfig(model=model, t_end=1e4, seed=SeedSpec(0, 0)))
+
+    # a rate above the envelope breaks thinning's exactness; every loop
+    # raises instead of silently biasing the law
+    def test_telegraph_envelope_guard(self):
+        with pytest.raises(RunawayRateError, match="envelope"):
+            simulate_telegraph(_understated_cos(), 1.0, TelegraphState(0.0, 1),
+                               100.0, SeedSpec(0, 0))
+
+    def test_engine_envelope_guard(self):
+        model = ModelSpec(potential=_understated_cos(), rho=0.0)
+        with pytest.raises(RunawayRateError, match="envelope"):
+            run_sitp(SIVJPConfig(model=model, t_end=100.0, seed=SeedSpec(0, 0)))
+
+    def test_torus_envelope_guard(self):
+        def run(grad_sup):
+            return simulate_torus_vjp(
+                lambda x: float(np.cos(x).sum()), lambda x: -np.sin(x), grad_sup,
+                lambda gen: np.array([1.0, 0.0]), 1.0, 1.0,
+                TorusVJPState(np.zeros(2), np.array([1.0, 0.0])), 100.0, SeedSpec(0, 0))
+        with pytest.raises(RunawayRateError, match="envelope"):
+            run(0.1)
+        run(1.5)  # dominates sup|grad V| = sqrt(2)
+
+
+def _understated_cos():
+    """U = cos with dv_sup = 0.1, although sup|U'| = 1."""
+    return frozen_potential(np.cos, lambda z: -np.sin(z), dv_sup=0.1)
