@@ -19,6 +19,14 @@ density per point, and, when U is even about 0 and about pi/2, finds the
 axis fixed points as the roots of Fbar's own components Fbar_a(a, 0) and
 Fbar_b(0, b).
 
+The census, the flow integrator (flow.integrate_flow) and solve_r_of_rho
+evaluate Fbar thousands of times for one model on one grid, so each builds
+a _NodeTables once: cos z, sin z, their products and -U(z) on the nodes.
+Its evaluations do the arithmetic of pibar, moments and jacobian_fbar in
+the same order, with pibar's checks, so they are bit-equal to fbar() and
+jacobian_fbar() and raise the same exception types. The public pibar ->
+GridDensity -> moments path stays as the validated reference.
+
 Sign convention for the free energy: J(g) = 0.5*int int W g g + int g ln g
 with W(x,z) = U(x) - rho cos(x - z) + U(z). With this convention J is
 non-increasing along the limiting flow and sinks are local minimizers.
@@ -100,24 +108,6 @@ def fbar(model: ModelSpec, a: float, b: float,
     return ma - a, mb - b
 
 
-def _fbar_jacobian(model: ModelSpec, a: float, b: float,
-                   grid: PeriodicGrid) -> tuple[tuple[float, float], np.ndarray]:
-    """(Fbar, Jacobian of Fbar) at (a, b) from one tilted density.
-
-    The first moments are computed exactly as moments() computes them, so
-    Fbar here is bit-equal to fbar().
-    """
-    d = pibar(model, a, b, grid)
-    z = d.grid.nodes
-    c, s = np.cos(z), np.sin(z)
-    ma = quad_periodic(c * d.values, d.grid)
-    mb = quad_periodic(s * d.values, d.grid)
-    cc = quad_periodic(c * c * d.values, d.grid) - ma * ma
-    ss = quad_periodic(s * s * d.values, d.grid) - mb * mb
-    cs = quad_periodic(c * s * d.values, d.grid) - ma * mb
-    return (ma - a, mb - b), model.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
-
-
 def jacobian_fbar(model: ModelSpec, a: float, b: float,
                   grid: PeriodicGrid = DENSITY_GRID) -> np.ndarray:
     """Analytic Jacobian of Fbar: rho * Cov - I.
@@ -127,7 +117,67 @@ def jacobian_fbar(model: ModelSpec, a: float, b: float,
     At the origin with centred exterior potential this is the classical
     rho*M_U - I with M_U the second trigonometric moment matrix.
     """
-    return _fbar_jacobian(model, a, b, grid)[1]
+    d = pibar(model, a, b, grid)
+    z = grid.nodes
+    c, s = np.cos(z), np.sin(z)
+    ma = quad_periodic(c * d.values, grid)
+    mb = quad_periodic(s * d.values, grid)
+    cc = quad_periodic(c * c * d.values, grid) - ma * ma
+    ss = quad_periodic(s * s * d.values, grid) - mb * mb
+    cs = quad_periodic(c * s * d.values, grid) - ma * mb
+    return model.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
+
+
+class _NodeTables:
+    """Fbar and its Jacobian for one model on one grid, from node tables.
+
+    cos z, sin z, their products and -U(z) are computed once; each
+    evaluation then does pibar's, moments()' and jacobian_fbar's
+    arithmetic in the same order, with pibar's checks (non-finite
+    log-density, non-positive density, mass off 1), so results and
+    exceptions are those of fbar() and jacobian_fbar(). The quadrature
+    finiteness checks are dropped: a finite log-density makes every
+    quadrature integrand finite.
+    """
+
+    def __init__(self, model: ModelSpec, grid: PeriodicGrid) -> None:
+        z = grid.nodes
+        self.rho = model.rho
+        self.h = grid.h
+        self.neg_u = -np.asarray(model.u(z), dtype=float)
+        self.c, self.s = np.cos(z), np.sin(z)
+        self.cc, self.ss, self.cs = self.c * self.c, self.s * self.s, self.c * self.s
+
+    def _density(self, a: float, b: float) -> np.ndarray:
+        logw = self.neg_u + self.rho * (a * self.c + b * self.s)
+        shift = float(logw.max())  # a nan or +inf value propagates here
+        if not math.isfinite(shift):
+            raise NumericError("density_from_log: non-finite log-density value")
+        w = np.exp(logw - shift)
+        vals = w / (self.h * float(w.sum()))
+        if not vals.min() > 0.0:
+            if not np.isfinite(logw).all():  # a -inf value, which exp took to 0
+                raise NumericError("density_from_log: non-finite log-density value")
+            raise DomainError("GridDensity: density values must be strictly positive")
+        mass = self.h * float(vals.sum())
+        if abs(mass - 1.0) > 1e-12:
+            raise DomainError(f"GridDensity: not normalized (mass {mass!r})")
+        return vals
+
+    def fbar(self, a: float, b: float) -> tuple[float, float]:
+        vals = self._density(a, b)
+        return (self.h * float((self.c * vals).sum()) - a,
+                self.h * float((self.s * vals).sum()) - b)
+
+    def fbar_jacobian(self, a: float, b: float) -> tuple[tuple[float, float], np.ndarray]:
+        vals = self._density(a, b)
+        h = self.h
+        ma = h * float((self.c * vals).sum())
+        mb = h * float((self.s * vals).sum())
+        cc = h * float((self.cc * vals).sum()) - ma * ma
+        ss = h * float((self.ss * vals).sum()) - mb * mb
+        cs = h * float((self.cs * vals).sum()) - ma * mb
+        return (ma - a, mb - b), self.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +189,10 @@ def solve_r_of_rho(rho: float, tol: float = 1e-10,
     potential. Exists iff rho > 2; located by bisection on [tol, 1]."""
     if not rho > 2.0:
         raise DomainError(f"solve_r_of_rho: no positive root for rho = {rho} <= 2")
-    model = ModelSpec(rho=rho)
+    tables = _NodeTables(ModelSpec(rho=rho), grid)
 
     def g(r: float) -> float:
-        return fbar(model, r, 0.0, grid)[0]
+        return tables.fbar(r, 0.0)[0]
 
     lo, hi = tol, 1.0
     if not (g(lo) > 0.0 > g(hi)):
@@ -256,8 +306,8 @@ def classify(eigenvalues: np.ndarray, tol: float = STABILITY_TOL) -> str:
     return "Saddle"
 
 
-def _record(model: ModelSpec, a: float, b: float, grid: PeriodicGrid) -> FixedPointRecord:
-    (fa, fb), jac = _fbar_jacobian(model, a, b, grid)
+def _record(tables: _NodeTables, a: float, b: float) -> FixedPointRecord:
+    (fa, fb), jac = tables.fbar_jacobian(a, b)
     eig = np.linalg.eigvals(jac)
     eig = eig[np.lexsort((eig.imag, eig.real))]
     return FixedPointRecord(a=a, b=b, residual=math.hypot(fa, fb),
@@ -265,11 +315,11 @@ def _record(model: ModelSpec, a: float, b: float, grid: PeriodicGrid) -> FixedPo
                             stability=classify(eig))
 
 
-def _newton(model: ModelSpec, a: float, b: float, grid: PeriodicGrid,
+def _newton(tables: _NodeTables, a: float, b: float,
             max_iter: int = 60, tol: float = 1e-13) -> tuple[float, float] | None:
     x = np.array([a, b], dtype=float)
     for _ in range(max_iter):
-        f, jac = _fbar_jacobian(model, x[0], x[1], grid)
+        f, jac = tables.fbar_jacobian(x[0], x[1])
         f = np.array(f)
         if np.hypot(f[0], f[1]) < tol:
             return float(x[0]), float(x[1])
@@ -308,9 +358,11 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
                 return
         roots.append((a, b))
 
+    tables = _NodeTables(model, grid)
+
     # stage 1: axis roots under symmetry
     z = grid.nodes
-    u_vals = np.asarray(model.u(z), dtype=float)
+    u_vals = -tables.neg_u
     try:
         _check_symmetry(u_vals, np.asarray(model.u(-z), dtype=float), "z -> -z")
         _check_symmetry(u_vals, np.asarray(model.u(np.pi - z), dtype=float), "z -> pi - z")
@@ -318,11 +370,11 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
         pass  # no axis symmetry; the sweep below does the work
     else:
         push(0.0, 0.0)
-        a_star = _axis_root(lambda a: fbar(model, a, 0.0, grid)[0])
+        a_star = _axis_root(lambda a: tables.fbar(a, 0.0)[0])
         if a_star is not None:
             push(a_star, 0.0)
             push(-a_star, 0.0)
-        b_star = _axis_root(lambda b: fbar(model, 0.0, b, grid)[1])
+        b_star = _axis_root(lambda b: tables.fbar(0.0, b)[1])
         if b_star is not None:
             push(0.0, b_star)
             push(0.0, -b_star)
@@ -333,12 +385,12 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
         for b0 in ticks:
             if math.hypot(a0, b0) > 1.0 + 1e-12:
                 continue
-            res = _newton(model, a0, b0, grid)
+            res = _newton(tables, a0, b0)
             if res is not None:
                 push(*res)
 
     roots.sort()
-    records = [_record(model, a, b, grid) for (a, b) in roots]
+    records = [_record(tables, a, b) for (a, b) in roots]
     records = [r for r in records if r.residual < residual_tol]
     if not records:
         raise NumericError("find_fixed_points: no roots found (centred models "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -43,7 +44,9 @@ class PeriodicGrid:
     """n equispaced nodes 2*pi*k/n on the circle.
 
     n must be even and >= 4 so that the node set is symmetric under both
-    z -> z + pi and z -> -z, which the symmetry checks rely on.
+    z -> z + pi and z -> -z, which the symmetry checks rely on. The node
+    array is built on first use and shared, so it is read-only; it is left
+    out of equality, hashing and pickling, which see only n.
     """
 
     n: int
@@ -56,9 +59,14 @@ class PeriodicGrid:
     def h(self) -> float:
         return TWO_PI / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.n) / self.n
+        z = TWO_PI * np.arange(self.n) / self.n
+        z.flags.writeable = False
+        return z
+
+    def __getstate__(self) -> dict:
+        return {"n": self.n}
 
 
 # Defaults per the accuracy budget: 512 nodes for density work, 4096 for

@@ -86,17 +86,27 @@ class EventLog:
         return xs, ys, np.diff(t)
 
     def to_csv(self) -> str:
+        """The skeleton as CSV rows: start, one row per jump, final state.
+
+        Columns are t, x, y for scalar positions (the telegraph process) and
+        t, x_1..x_d, y_1..y_d for positions in the d-torus.
+        """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["t", "x", "y"])
+        if np.ndim(self.x0) == 0:
+            writer.writerow(["t", "x", "y"])
+        else:
+            d = np.size(self.x0)
+            writer.writerow(["t"] + [f"x_{i}" for i in range(1, d + 1)]
+                            + [f"y_{i}" for i in range(1, d + 1)])
 
-        def fmt(v):
-            return "%.12g" % v
+        def row(t, x, y):
+            writer.writerow(["%.12g" % v for part in (t, x, y) for v in np.ravel(part)])
 
-        writer.writerow([fmt(0.0), fmt(self.x0), fmt(self.y0)])
+        row(0.0, self.x0, self.y0)
         for t, x, y in zip(self.jump_times, self.post_x, self.post_y):
-            writer.writerow([fmt(t), fmt(x), fmt(y)])
-        writer.writerow([fmt(self.t_final), fmt(self.x_final), fmt(self.y_final)])
+            row(t, x, y)
+        row(self.t_final, self.x_final, self.y_final)
         return buf.getvalue()
 
 

@@ -10,11 +10,11 @@ from sivjp import (PeriodicGrid, fbar, find_fixed_points, free_energy,
                    pibar, quad_periodic, rho_2, rho_c, solve_r_of_rho)
 from sivjp import equilibria
 from sivjp.equilibria import GridDensity, census_signature, classify
-from sivjp.errors import DomainError
+from sivjp.errors import DomainError, NumericError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.model import ModelSpec
 from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
-                              two_well_potential, zero_potential)
+                              grid_potential, two_well_potential, zero_potential)
 
 ZERO = ModelSpec(potential=zero_potential(), rho=0.0)
 COS2 = lambda rho: ModelSpec(potential=cos2_potential(), rho=rho)
@@ -209,14 +209,35 @@ class TestAxisStage:
             assert max(abs(v) for v in fbar(model, rec.a, rec.b)) < 1e-10
 
     def test_fused_field_and_jacobian_bit_equal(self):
+        # the census, flow and threshold node tables against the public path
         rng = np.random.default_rng(20260418)
         models = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
-                  ModelSpec(potential=zero_potential(), rho=4.0))
-        for model in models:
-            for a, b in rng.uniform(-1.2, 1.2, size=(8, 2)):
-                f, jac = equilibria._fbar_jacobian(model, a, b, DENSITY_GRID)
-                assert f == fbar(model, a, b)
-                assert np.array_equal(jac, jacobian_fbar(model, a, b))
+                  ModelSpec(potential=zero_potential(), rho=4.0),
+                  ModelSpec(potential=grid_potential([0.3, -0.1, 0.5, 0.2, -0.4, 0.0]),
+                            rho=-3.0))
+        for grid in (DENSITY_GRID, THRESHOLD_GRID):
+            for model in models:
+                tables = equilibria._NodeTables(model, grid)
+                points = rng.uniform(-1.2, 1.2, size=(8, 2))
+                assert np.any(np.hypot(*points.T) < 1.0) and np.any(np.hypot(*points.T) > 1.0)
+                for a, b in points:
+                    f, jac = tables.fbar_jacobian(a, b)
+                    assert f == fbar(model, a, b, grid) == tables.fbar(a, b)
+                    assert np.array_equal(jac, jacobian_fbar(model, a, b, grid))
+
+    def test_tables_raise_like_public_path(self):
+        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
+                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
+        cases = [(COS2(40.0), 20.0, DomainError),  # density underflows to 0
+                 (COS2(40.0), 1e308, NumericError),  # log-density overflows
+                 (COS2(40.0), math.nan, NumericError),
+                 (ModelSpec(potential=spike, rho=1.0), 0.1, NumericError)]  # -inf entry
+        for model, a, exc in cases:
+            tables = equilibria._NodeTables(model, DENSITY_GRID)
+            for evaluate in (lambda: fbar(model, a, 0.3), lambda: jacobian_fbar(model, a, 0.3),
+                             lambda: tables.fbar(a, 0.3), lambda: tables.fbar_jacobian(a, 0.3)):
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc):
+                    evaluate()
 
 
 class TestCensus:

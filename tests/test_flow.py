@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import RHO_C_COS2, A_STAR_2RHOC
-from sivjp import (SIVJPConfig, SeedSpec, integrate_flow,
+from sivjp import (SIVJPConfig, SeedSpec, fbar, integrate_flow,
                    pseudotrajectory_error, run_sitp, solve_r_of_rho)
+from sivjp import flow
 from sivjp.engine import MomentTrace, OccupationStats
+from sivjp.equilibria import _NodeTables
+from sivjp.geometry import DENSITY_GRID
 from sivjp.errors import ConfigError, DomainError
 from sivjp.markov import TelegraphState
 from sivjp.model import ModelSpec
@@ -15,6 +18,25 @@ from sivjp.potentials import cos2_potential, zero_potential
 
 def model_zero(rho):
     return ModelSpec(potential=zero_potential(), rho=rho)
+
+
+def reference_rk4(model, start, t_flow, dt, grid=DENSITY_GRID):
+    """The classical RK4 loop of integrate_flow on the public fbar."""
+    p = np.array(start, dtype=float)
+    points, s = [p], 0.0
+    for _ in range(int(math.ceil(t_flow / dt - 1e-12))):
+        h = min(dt, t_flow - s)
+        k1 = np.array(fbar(model, p[0], p[1], grid))
+        k2 = np.array(fbar(model, *(p + 0.5 * h * k1), grid))
+        k3 = np.array(fbar(model, *(p + 0.5 * h * k2), grid))
+        k4 = np.array(fbar(model, *(p + h * k3), grid))
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norm = float(np.hypot(p[0], p[1]))
+        if norm > 1.0:
+            p = p / norm
+        s += h
+        points.append(p)
+    return np.array(points)
 
 
 class TestIntegrateFlow:
@@ -37,6 +59,13 @@ class TestIntegrateFlow:
         trace = integrate_flow(model_zero(4.0), (0.1, 0.0), 60.0)
         assert abs(trace.points[-1, 0] - r4) < 1e-6
         assert abs(trace.points[-1, 1]) < 1e-12
+
+    def test_tables_match_reference_loop(self):
+        for model, start in ((model_zero(4.0), (0.1, 0.05)),
+                             (ModelSpec(potential=cos2_potential(), rho=3.0), (0.3, -0.2))):
+            _, points = flow._rk4_path(_NodeTables(model, DENSITY_GRID),
+                                       np.array(start), 0.5, 0.01)
+            assert np.array_equal(points, reference_rk4(model, start, 0.5, 0.01))
 
     def test_fourth_order_step_scaling(self):
         model = model_zero(4.0)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import TWO_PI_I0_1, bessel_i
 from sivjp import PeriodicGrid, dist_t, quad_periodic, wrap
 from sivjp.errors import ConfigError, DomainError, NumericError
-from sivjp.geometry import TWO_PI, arc_sojourn, segments_sojourn
+from sivjp.geometry import DENSITY_GRID, TWO_PI, arc_sojourn, segments_sojourn
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
@@ -73,6 +74,16 @@ class TestGrid:
         g = PeriodicGrid(8)
         assert g.nodes.shape == (8,)
         assert g.nodes[1] == pytest.approx(TWO_PI / 8)
+
+    def test_nodes_cached_read_only(self):
+        g = PeriodicGrid(16)
+        before = pickle.dumps(g)
+        assert g.nodes is g.nodes
+        with pytest.raises(ValueError):
+            g.nodes[0] = 1.0
+        assert pickle.dumps(g) == before  # the cache is not pickled
+        assert PeriodicGrid(512) == DENSITY_GRID
+        assert hash(PeriodicGrid(512)) == hash(DENSITY_GRID)
 
 
 class TestQuadrature:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -185,6 +187,22 @@ class TestTorusVJP:
                               range=[[0, TWO_PI]] * 2)[0]
         p = hist / hist.sum()
         assert 0.5 * np.abs(p - 1.0 / 1024).sum() < 0.03
+
+    def test_csv_columns_d2(self):
+        log = simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), 0.0,
+                                 _q_circle, 1.0, 1.0,
+                                 TorusVJPState(np.array([0.5, 1.0]), np.array([0.6, 0.8])),
+                                 20.0, SeedSpec(53, 0))
+        rows = list(csv.reader(io.StringIO(log.to_csv())))
+        assert rows[0] == ["t", "x_1", "x_2", "y_1", "y_2"]
+        assert log.jump_times.size > 0 and len(rows) == 1 + log.jump_times.size + 2
+        assert all(len(r) == 1 + 2 * 2 for r in rows)
+        got = np.array(rows[1:], dtype=float)
+        want = np.column_stack([
+            np.concatenate([[0.0], log.jump_times, [log.t_final]]),
+            np.vstack([log.x0, log.post_x, log.x_final]),
+            np.vstack([log.y0, log.post_y, log.y_final])])
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
     def test_d1_two_speed_reduces_to_telegraph_equilibrium(self):
         # q = (delta_1 + delta_-1)/2: equilibrium exp(-V) x q
