@@ -273,6 +273,7 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     sin = math.sin
     cos = math.cos
     log1p = math.log1p
+    sx, cx = sin(x), cos(x)  # at the leg start: for the drift and the next update
 
     while True:
         u_gap, u_acc = draws.pair()
@@ -287,15 +288,16 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
         w = r + t
         x_prev = x
         xs = x + y * tau
-        a = (w * a + y * (sin(xs) - sin(x))) / (w + tau)
-        b = (w * b - y * (cos(xs) - cos(x))) / (w + tau)
+        a = (w * a + y * (sin(xs) - sx)) / (w + tau)
+        b = (w * b - y * (cos(xs) - cx)) / (w + tau)
         x = wrap(xs)
+        sx, cx = sin(x), cos(x)
         t = t_next
         n_prop += 1
         if n_prop > MAX_PROPOSALS:
             raise RunawayRateError("self-interacting engine: proposal budget exceeded")
         if drift is None:
-            v = du(x) + rho * (a * sin(x) - b * cos(x))
+            v = du(x) + rho * (a * sx - b * cx)
         else:
             v = drift(x_prev, y, tau, x, t)
         yd = y * v
@@ -364,8 +366,9 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
     asym = float(np.max(np.abs(w_grid - w_grid.T)))
     if asym > 1e-12:
         raise ConfigError(f"run_sitp_general: kernel is not symmetric (max {asym:.2e})")
+    # the drift averages dw_grid entries (weights hist_raw/(r+t), mass 1)
     lam_bar = thinning_envelope(
-        cfg.model.lambda_min + 1.05 * float(np.max(np.abs(dw_grid))),
+        cfg.model.lambda_min + float(np.max(np.abs(dw_grid))),
         cfg.lambda_bar_override)
 
     r = cfg.r

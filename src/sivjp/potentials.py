@@ -1,18 +1,18 @@
 """Potentials on the circle and the registry used by experiment configs.
 
-A FrozenPotential bundles a potential V, its derivative dV and a certified
-upper bound on sup|dV|. The bound drives the global thinning envelope of
-the event-driven simulators, so it is certified conservatively: 1.05 times
-the max of |dV| over 4096 nodes, which dominates the grid interpolation
-error for every smooth potential in scope (the margin is overridable).
+A FrozenPotential bundles a potential V, its derivative dV and an upper
+bound dv_sup on sup|dV|, which the simulators add to the jump rate floor to
+obtain their thinning envelope. Every registry kind (zero, cos(2z), a
+two-parameter trigonometric double well, a grid-sampled custom potential)
+is a trigonometric polynomial built by trig_potential from its
+coefficients, with the exact dv_sup = sum_k k (|a_k| + |b_k|).
+frozen_potential is the general path for arbitrary callables; it certifies
+dv_sup as 1.05 times the max of |dV| over 4096 nodes (the margin is
+overridable).
 
 Potentials carry both vectorized callables (for quadrature work) and plain
 scalar callables (for the per-proposal evaluations inside the event loops,
 where numpy dispatch overhead would dominate).
-
-The registry covers the potentials the experiments use -- zero, cos(2z),
-a two-parameter trigonometric double well, and a grid-sampled custom
-potential -- without pulling in an expression parser.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ class FrozenPotential:
     """A smooth potential with derivative and a certified derivative bound.
 
     v and dv are vectorized over arrays of angles; v_scalar and dv_scalar
-    are their float->float counterparts. dv_sup must dominate sup|dV|; it
-    is what the simulators add to the jump rate floor to obtain their
-    thinning envelope.
+    are their float->float counterparts. dv_sup must dominate sup|dV|: it
+    is exact for trig_potential and certified on a grid by frozen_potential.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
@@ -73,9 +72,8 @@ def check_derivative(v: Callable, dv: Callable, grid: PeriodicGrid = THRESHOLD_G
 
 
 def frozen_potential(v: Callable, dv: Callable, name: str = "custom",
-                     dv_sup: float | None = None, validate: bool = True,
-                     v_scalar: Callable[[float], float] | None = None,
-                     dv_scalar: Callable[[float], float] | None = None) -> FrozenPotential:
+                     dv_sup: float | None = None,
+                     validate: bool = True) -> FrozenPotential:
     """Build a FrozenPotential from vectorized callables, certifying dv_sup."""
     v = _vectorize(v)
     dv = _vectorize(dv)
@@ -83,47 +81,70 @@ def frozen_potential(v: Callable, dv: Callable, name: str = "custom",
         check_derivative(v, dv)
     if dv_sup is None:
         dv_sup = certify_dv_sup(dv)
-    if v_scalar is None:
-        v_scalar = lambda x: float(v(np.array([x]))[0])
-    if dv_scalar is None:
-        dv_scalar = lambda x: float(dv(np.array([x]))[0])
     return FrozenPotential(v=v, dv=dv, dv_sup=float(dv_sup),
-                           v_scalar=v_scalar, dv_scalar=dv_scalar, name=name)
+                           v_scalar=lambda x: float(v(np.array([x]))[0]),
+                           dv_scalar=lambda x: float(dv(np.array([x]))[0]), name=name)
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: trigonometric polynomials
+
+def _trig_forms(const: float, terms: list):
+    """const + sum c f(kz) over terms (k, c, numpy f, math f), in order; array and float forms."""
+    scalar_terms = [(k, c, f) for k, c, _, f in terms]
+
+    def array_form(z):
+        z = np.asarray(z, dtype=float)
+        out = np.full(z.shape, const)
+        for k, c, f, _ in terms:
+            out = out + c * f(k * z)
+        return out
+
+    def float_form(x):
+        out = const
+        for k, c, f in scalar_terms:
+            out += c * f(k * x)
+        return out
+
+    return array_form, float_form
+
+
+def trig_potential(cos_coef, sin_coef=(), const: float = 0.0,
+                   name: str = "trig") -> FrozenPotential:
+    """U(z) = const + sum_k (a_k cos kz + b_k sin kz), k = 1, 2, ..., with
+    a = cos_coef and b = sin_coef.
+
+    Only nonzero terms are evaluated: the cosine terms first, then the sine
+    terms, each in ascending k. dv_sup is the exact bound
+    sum_k k (|a_k| + |b_k|) on |U'| (2 for -cos 2z). Non-finite
+    coefficients raise ConfigError.
+    """
+    a, b = (np.asarray(coef, dtype=float).ravel() for coef in (cos_coef, sin_coef))
+    if not np.isfinite([const, *a, *b]).all():
+        raise ConfigError(f"potential {name!r}: coefficients must be finite")
+    cos_terms = [(float(k), float(c)) for k, c in enumerate(a, 1) if c != 0.0]
+    sin_terms = [(float(k), float(c)) for k, c in enumerate(b, 1) if c != 0.0]
+    v, v_scalar = _trig_forms(float(const), [(k, c, np.cos, math.cos) for k, c in cos_terms]
+                              + [(k, c, np.sin, math.sin) for k, c in sin_terms])
+    # U' = sum_k (k b_k cos kz - k a_k sin kz)
+    dv, dv_scalar = _trig_forms(0.0, [(k, k * c, np.cos, math.cos) for k, c in sin_terms]
+                                + [(k, -k * c, np.sin, math.sin) for k, c in cos_terms])
+    return FrozenPotential(v=v, dv=dv, v_scalar=v_scalar, dv_scalar=dv_scalar, name=name,
+                           dv_sup=sum((k * abs(c) for k, c in cos_terms + sin_terms), 0.0))
+
 
 def zero_potential() -> FrozenPotential:
-    return FrozenPotential(
-        v=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        dv=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        dv_sup=0.0,
-        v_scalar=lambda x: 0.0,
-        dv_scalar=lambda x: 0.0,
-        name="zero")
+    return trig_potential((), name="zero")
 
 
 def cos_potential() -> FrozenPotential:
     """V(z) = cos z, the standard single-well test potential."""
-    return FrozenPotential(
-        v=lambda z: np.cos(np.asarray(z, dtype=float)),
-        dv=lambda z: -np.sin(np.asarray(z, dtype=float)),
-        dv_sup=CERTIFY_MARGIN,
-        v_scalar=math.cos,
-        dv_scalar=lambda x: -math.sin(x),
-        name="cos")
+    return trig_potential((1.0,), name="cos")
 
 
 def cos2_potential() -> FrozenPotential:
     """U(z) = -cos(2z): the symmetric double well with minima at 0 and pi."""
-    return FrozenPotential(
-        v=lambda z: -np.cos(2.0 * np.asarray(z, dtype=float)),
-        dv=lambda z: 2.0 * np.sin(2.0 * np.asarray(z, dtype=float)),
-        dv_sup=CERTIFY_MARGIN * 2.0,
-        v_scalar=lambda x: -math.cos(2.0 * x),
-        dv_scalar=lambda x: 2.0 * math.sin(2.0 * x),
-        name="cos2")
+    return trig_potential((0.0, -1.0), name="cos2")
 
 
 def two_well_potential(a1: float = 0.2, a2: float = -0.5) -> FrozenPotential:
@@ -134,19 +155,7 @@ def two_well_potential(a1: float = 0.2, a2: float = -0.5) -> FrozenPotential:
     (U = a2 - a1). Choosing a2 > 0 instead produces a symmetric pair of
     equal-depth wells at +/- z*, since the potential is even either way.
     """
-    def v(z):
-        z = np.asarray(z, dtype=float)
-        return a1 * np.cos(z) + a2 * np.cos(2.0 * z)
-
-    def dv(z):
-        z = np.asarray(z, dtype=float)
-        return -a1 * np.sin(z) - 2.0 * a2 * np.sin(2.0 * z)
-
-    return FrozenPotential(
-        v=v, dv=dv, dv_sup=certify_dv_sup(dv),
-        v_scalar=lambda x: a1 * math.cos(x) + a2 * math.cos(2.0 * x),
-        dv_scalar=lambda x: -a1 * math.sin(x) - 2.0 * a2 * math.sin(2.0 * x),
-        name=f"two_well({a1},{a2})")
+    return trig_potential((a1, a2), name=f"two_well({a1},{a2})")
 
 
 def grid_potential(values: np.ndarray, name: str = "custom-grid") -> FrozenPotential:
@@ -161,48 +170,34 @@ def grid_potential(values: np.ndarray, name: str = "custom-grid") -> FrozenPoten
     n = values.size
     if n < 4 or n % 2 != 0:
         raise ConfigError("grid_potential: need an even number >= 4 of samples")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"potential {name!r}: samples must be finite")
     spec = np.fft.rfft(values) / n
-    k = np.arange(1, n // 2 + 1)
     a_cos = 2.0 * spec[1:].real
     a_cos[-1] *= 0.5  # Nyquist mode appears once
-    b_sin = np.concatenate([-2.0 * spec[1:-1].imag, [0.0]])
-    a0 = float(spec[0].real)
-    dk_cos = k * a_cos
-    dk_sin = k * b_sin
-
-    def v(z):
-        kz = np.outer(np.atleast_1d(np.asarray(z, dtype=float)), k)
-        out = a0 + np.cos(kz) @ a_cos + np.sin(kz) @ b_sin
-        return out.reshape(np.shape(z))
-
-    def dv(z):
-        kz = np.outer(np.atleast_1d(np.asarray(z, dtype=float)), k)
-        out = np.cos(kz) @ dk_sin - np.sin(kz) @ dk_cos
-        return out.reshape(np.shape(z))
-
-    return FrozenPotential(
-        v=v, dv=dv, dv_sup=certify_dv_sup(dv),
-        v_scalar=lambda x: float(v(np.array([x]))[0]),
-        dv_scalar=lambda x: float(dv(np.array([x]))[0]),
-        name=name)
+    b_sin = -2.0 * spec[1:-1].imag
+    return trig_potential(a_cos, b_sin, const=spec[0].real, name=name)
 
 
-POTENTIAL_KINDS = ("zero", "cos2", "two_well", "custom_grid")
+# each registry kind: its builder and the parameters it takes
+_REGISTRY = {"zero": (zero_potential, ()), "cos2": (cos2_potential, ()),
+             "two_well": (two_well_potential, ("a1", "a2")),
+             "custom_grid": (grid_potential, ("values",))}
+POTENTIAL_KINDS = tuple(_REGISTRY)
 
 
 def make_potential(kind: str, params: dict | None = None) -> FrozenPotential:
     params = dict(params or {})
-    if kind == "zero":
-        return zero_potential()
-    if kind == "cos2":
-        return cos2_potential()
-    if kind == "two_well":
-        return two_well_potential(**params)
-    if kind == "custom_grid":
-        if "values" not in params:
-            raise ConfigError("custom_grid potential requires 'values'")
-        return grid_potential(np.asarray(params["values"], dtype=float))
-    raise ConfigError(f"unknown potential kind {kind!r}; choose from {POTENTIAL_KINDS}")
+    if kind not in _REGISTRY:
+        raise ConfigError(f"unknown potential kind {kind!r}; choose from {POTENTIAL_KINDS}")
+    build, takes = _REGISTRY[kind]
+    extra = sorted(set(params) - set(takes))
+    if extra:
+        raise ConfigError(f"potential {kind!r} does not take {extra}; it takes "
+                          f"{list(takes) or 'no parameters'}")
+    if kind == "custom_grid" and "values" not in params:
+        raise ConfigError("custom_grid potential requires 'values'")
+    return build(**params)
 
 
 def local_minima(pot: FrozenPotential, grid: PeriodicGrid = THRESHOLD_GRID,

@@ -182,6 +182,23 @@ class TestCLI:
         text = (tmp_path / "out" / "smoke_flow.csv").read_text()
         assert text.splitlines()[0] == "s,a,b"
 
+    @pytest.mark.parametrize("params", [
+        {"potential": "two_well", "params": {"values": [0, 1, 0, 1]}},
+        {"potential": "cos2", "params": {"a1": 5.0}},
+        {"potential": "custom_grid", "params": {"values": [0, float("nan"), 0, 1]}},
+        {"potential": "two_well", "params": {"a1": float("inf")}},
+        {"potential": "custom_grid", "params": {"values": [0, float("inf"), 0, 1]}},
+    ], ids=["param-of-another-kind", "ignored-param", "nan-values", "infinite-a1",
+            "infinite-values"])
+    def test_bad_potential_params_exit_two(self, tmp_path, capsys, params):
+        raw = copy.deepcopy(BASE)
+        raw["model"].update(params)
+        path = write_config(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert main(["--config", path, "--out", out, "--quiet", "fixed-points"]) == 2
+        assert capsys.readouterr().err.startswith("error: potential ")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command, owner, attr, exc", [
         ("simulate", harness, "run_sitp", RunawayRateError("proposal budget exceeded")),
         ("flow", harness.flow_mod, "integrate_flow", NumericError("non-finite flow state")),

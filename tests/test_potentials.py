@@ -5,13 +5,13 @@ import pytest
 
 from sivjp import SeedSpec, SIVJPConfig, TelegraphState, run_sitp, simulate_telegraph
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
-from sivjp.geometry import THRESHOLD_GRID, TWO_PI
+from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.markov import TorusVJPState, simulate_torus_vjp
 from sivjp.model import ModelSpec
 from sivjp.potentials import (certify_dv_sup, check_derivative, cos_potential,
                               cos2_potential, frozen_potential, grid_potential,
-                              local_minima, make_potential, two_well_potential,
-                              zero_potential)
+                              local_minima, make_potential, trig_potential,
+                              two_well_potential, zero_potential)
 
 
 class TestFrozenPotential:
@@ -28,17 +28,59 @@ class TestFrozenPotential:
             certify_dv_sup(lambda z: np.sin(z), margin=0.9)
 
     def test_dv_sup_dominates_grid_max(self):
-        for pot in (cos_potential(), cos2_potential(), two_well_potential()):
-            grid_max = float(np.max(np.abs(pot.dv(THRESHOLD_GRID.nodes))))
+        # registry kinds: dv_sup is the exact bound sum_k k(|a_k| + |b_k|)
+        z = np.linspace(0.0, TWO_PI, 200_001)
+        for pot, coefs, true_max in (
+                (cos_potential(), [(1, 1.0, 0.0)], 1.0),
+                (cos2_potential(), [(2, -1.0, 0.0)], 2.0),
+                (two_well_potential(), [(1, 0.2, 0.0), (2, -0.5, 0.0)], 1.1438),
+                (zero_potential(), [], 0.0)):
+            assert pot.dv_sup == sum(k * (abs(a) + abs(b)) for k, a, b in coefs)
+            grid_max = float(np.max(np.abs(pot.dv(z))))
+            assert grid_max == pytest.approx(true_max, abs=1e-4)
             assert pot.dv_sup >= grid_max
 
     def test_scalar_matches_vectorized(self):
-        pot = two_well_potential(0.3, -0.7)
-        for x in np.linspace(0, TWO_PI, 9):
-            assert pot.v_scalar(float(x)) == pytest.approx(
-                float(pot.v(np.array([x]))[0]), abs=1e-14)
-            assert pot.dv_scalar(float(x)) == pytest.approx(
-                float(pot.dv(np.array([x]))[0]), abs=1e-14)
+        z = TWO_PI * np.arange(64) / 64
+        custom = grid_potential(0.3 * np.cos(z) - 0.5 * np.cos(2 * z) + 0.1 * np.sin(3 * z))
+        for pot in (two_well_potential(0.3, -0.7), zero_potential(), cos_potential(),
+                    cos2_potential(), custom):
+            for x in np.linspace(0, TWO_PI, 9):
+                assert pot.v_scalar(float(x)) == pytest.approx(
+                    float(pot.v(np.array([x]))[0]), abs=1e-14)
+                assert pot.dv_scalar(float(x)) == pytest.approx(
+                    float(pot.dv(np.array([x]))[0]), abs=1e-14)
+
+
+class TestTrigPotential:
+    def test_fixed_kinds_match_closed_forms(self):
+        # bit-equal to the closed forms, so census and flow bits are kept
+        a1, a2 = 0.2, -0.5
+        for grid in (DENSITY_GRID, THRESHOLD_GRID):
+            z = grid.nodes
+            for pot, v, dv in (
+                    (cos2_potential(), -np.cos(2.0 * z), 2.0 * np.sin(2.0 * z)),
+                    (two_well_potential(a1, a2), a1 * np.cos(z) + a2 * np.cos(2.0 * z),
+                     -a1 * np.sin(z) - 2.0 * a2 * np.sin(2.0 * z)),
+                    (zero_potential(), np.zeros(grid.n), np.zeros(grid.n))):
+                assert np.array_equal(pot.v(z), v)
+                assert np.array_equal(pot.dv(z), dv)
+
+    def test_sine_terms_and_constant(self):
+        pot = trig_potential((0.5,), (0.0, -0.25), const=1.5)
+        z = np.linspace(0.0, TWO_PI, 33)
+        assert np.allclose(pot.v(z), 1.5 + 0.5 * np.cos(z) - 0.25 * np.sin(2 * z),
+                           rtol=0, atol=1e-14)
+        assert np.allclose(pot.dv(z), -0.5 * np.sin(z) - 0.5 * np.cos(2 * z),
+                           rtol=0, atol=1e-14)
+        assert pot.dv_sup == 1.0
+        check_derivative(pot.v, pot.dv)
+
+    @pytest.mark.parametrize("cos_coef, sin_coef, const", [
+        ((np.nan,), (), 0.0), ((1.0,), (np.inf,), 0.0), ((), (), -np.inf)])
+    def test_non_finite_coefficients_rejected(self, cos_coef, sin_coef, const):
+        with pytest.raises(ConfigError, match="finite"):
+            trig_potential(cos_coef, sin_coef, const=const)
 
 
 class TestGridPotential:
@@ -48,6 +90,7 @@ class TestGridPotential:
         vals = 0.3 * np.cos(z) - 0.5 * np.cos(2 * z) + 0.1 * np.sin(3 * z)
         pot = grid_potential(vals)
         assert np.max(np.abs(pot.v(z) - vals)) < 1e-12
+        assert pot.dv_sup == pytest.approx(0.3 + 2 * 0.5 + 3 * 0.1, abs=1e-12)
 
     def test_derivative_is_exact_for_the_interpolant(self):
         n = 64
