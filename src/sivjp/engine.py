@@ -45,7 +45,7 @@ from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, segments_sojourn, wrap
 from .model import ModelSpec
 from .markov import MAX_PROPOSALS, ROUNDOFF_TOL, TelegraphState, thinning_envelope
-from .rng import DrawBuffer, SeedSpec, derive_stream
+from .rng import SeedSpec, derive_stream, uniform_pairs
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
         x, y = wrap(cfg.z0.x), cfg.z0.y
     else:
         x, y = gen.random() * TWO_PI, 1
-    draws = DrawBuffer(gen)
+    draws = uniform_pairs(gen)
     a, b = cfg.mu0
     r = cfg.r
     t = 0.0
@@ -273,10 +273,10 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     sin = math.sin
     cos = math.cos
     log1p = math.log1p
+    fmod = math.fmod
     sx, cx = sin(x), cos(x)  # at the leg start: for the drift and the next update
 
-    while True:
-        u_gap, u_acc = draws.pair()
+    for u_gap, u_acc in draws:
         tau = -log1p(-u_gap) / lam_bar
         t_next = t + tau
         if t_next >= next_snap:
@@ -290,7 +290,12 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
         xs = x + y * tau
         a = (w * a + y * (sin(xs) - sx)) / (w + tau)
         b = (w * b - y * (cos(xs) - cx)) / (w + tau)
-        x = wrap(xs)
+        # wrap inlined: xs is finite under a finite envelope
+        x = fmod(xs, TWO_PI)
+        if x < 0.0:
+            x += TWO_PI
+            if x >= TWO_PI:  # a tiny negative xs rounds up to 2*pi
+                x -= TWO_PI
         sx, cx = sin(x), cos(x)
         t = t_next
         n_prop += 1

@@ -35,7 +35,7 @@ from .geometry import (DENSITY_GRID, TWO_PI, PeriodicGrid,
                        segments_sojourn, wrap)
 from .equilibria import GridDensity, density_from_log
 from .potentials import FrozenPotential
-from .rng import DrawBuffer, SeedSpec, derive_stream
+from .rng import SeedSpec, derive_stream, uniform_pairs
 
 MAX_PROPOSALS = 10 ** 10
 # relative round-off allowance on exact invariants: the unit disk of the
@@ -112,12 +112,20 @@ class EventLog:
 
 def thinning_envelope(certified: float, override: float | None) -> float:
     """The thinning envelope: the certified bound, or an override above it
-    (e.g. to share a proposal skeleton between runs)."""
-    if override is None:
-        return certified
-    if override < certified:
+    (e.g. to share a proposal skeleton between runs).
+
+    It must be finite and > 0. An infinite envelope makes every gap 0, so
+    a run never reaches its end time; a NaN one makes the clock NaN. The
+    thinning loops rely on it: with it, every gap and position they see
+    is finite.
+    """
+    lam = certified if override is None else override
+    if not (math.isfinite(lam) and lam > 0.0):
+        name = "certified" if override is None else "lambda_bar_override"
+        raise ConfigError(f"thinning envelope must be finite and > 0, got {name} {lam!r}")
+    if not lam >= certified:
         raise ConfigError("lambda_bar_override must dominate the certified envelope")
-    return override
+    return lam
 
 
 def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphState,
@@ -133,12 +141,12 @@ def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphSta
     if not t_end > 0.0:
         raise ConfigError("simulate_telegraph: T must be > 0")
     lam_bar = thinning_envelope(lambda_min + pot.dv_sup, lambda_bar_override)
-    if not lam_bar > 0.0:
-        raise ConfigError("simulate_telegraph: thinning envelope must be > 0")
 
     lam_cap = lam_bar * (1.0 + ROUNDOFF_TOL)
-    draws = DrawBuffer(derive_stream(seed))
+    draws = uniform_pairs(derive_stream(seed))
     dv = pot.dv_scalar
+    log1p = math.log1p
+    fmod = math.fmod
     x = wrap(z0.x)
     y = z0.y
     t = 0.0
@@ -146,15 +154,19 @@ def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphSta
     xs: list[float] = []
     ys: list[int] = []
     n_prop = 0
-    while True:
-        u_gap, u_acc = draws.pair()
-        tau = -math.log1p(-u_gap) / lam_bar
+    for u_gap, u_acc in draws:
+        tau = -log1p(-u_gap) / lam_bar
         if t + tau >= t_end:
             x = wrap(x + y * (t_end - t))
             t = t_end
             break
         t += tau
-        x = wrap(x + y * tau)
+        # wrap inlined: x and tau are finite under a finite envelope
+        x = fmod(x + y * tau, TWO_PI)
+        if x < 0.0:
+            x += TWO_PI
+            if x >= TWO_PI:  # a tiny negative x rounds up to 2*pi
+                x -= TWO_PI
         n_prop += 1
         if n_prop > MAX_PROPOSALS:
             raise RunawayRateError("simulate_telegraph: proposal budget exceeded")

@@ -90,9 +90,13 @@ def frozen_potential(v: Callable, dv: Callable, name: str = "custom",
 # registry: trigonometric polynomials
 
 def _trig_forms(const: float, terms: list):
-    """const + sum c f(kz) over terms (k, c, numpy f, math f), in order; array and float forms."""
-    scalar_terms = [(k, c, f) for k, c, _, f in terms]
+    """const + sum c f(kz) over terms (k, c, numpy f, math f), in order; array and float forms.
 
+    The float form runs once per proposal in the thinning loops, so it is
+    compiled with the terms unrolled, one statement each: the same
+    operations in the same order as a loop over the terms, without the
+    loop. One statement per term keeps the code flat at any term count.
+    """
     def array_form(z):
         z = np.asarray(z, dtype=float)
         out = np.full(z.shape, const)
@@ -100,13 +104,12 @@ def _trig_forms(const: float, terms: list):
             out = out + c * f(k * z)
         return out
 
-    def float_form(x):
-        out = const
-        for k, c, f in scalar_terms:
-            out += c * f(k * x)
-        return out
-
-    return array_form, float_form
+    lines = ["def float_form(x):", f"    out = {const!r}"]
+    lines += [f"    out += {c!r} * {f.__name__}({k!r} * x)" for k, c, _, f in terms]
+    lines.append("    return out")
+    namespace = {"cos": math.cos, "sin": math.sin}
+    exec("\n".join(lines), namespace)
+    return array_form, namespace["float_form"]
 
 
 def trig_potential(cos_coef, sin_coef=(), const: float = 0.0,

@@ -8,12 +8,15 @@ bit-for-bit regardless of scheduling.
 
 Exponential variates are always produced as -log(1 - u) from a uniform u in
 [0, 1), never via a library shortcut, so the draw-consumption pattern of a
-simulation is fully pinned down by its uniform stream.
+simulation is fully pinned down by its uniform stream. The thinning loops
+read that stream as Python floats, two per proposal, from uniform_pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -40,28 +43,23 @@ def derive_stream(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class DrawBuffer:
-    """Batched uniform draws consumed in a strict sequence.
+def uniform_pairs(gen: np.random.Generator,
+                  batch: int = 2048) -> Iterator[tuple[float, float]]:
+    """Endless iterator of the generator's uniforms in [0, 1), two at a time.
 
-    The thinning loops pull two uniforms per proposal; batching the
-    generator calls cuts the per-proposal overhead several-fold. The
-    consumed sequence is exactly the generator's uniform stream, so results
-    do not depend on the batch size.
+    The thinning loops take one pair per proposal. The generator is called
+    for an even batch at a time and the batch is read back as Python
+    floats, so the loop does plain float arithmetic and no method call per
+    proposal. The pairs are consecutive draws of the generator's uniform
+    stream, in order, so results do not depend on the batch size. The
+    batch is kept small: two batches are alive across a refill.
     """
+    if batch < 2 or batch % 2:
+        raise ConfigError(f"uniform_pairs: batch must be even and >= 2, got {batch}")
 
-    __slots__ = ("_gen", "_batch", "_buf", "_pos")
+    def batches():
+        while True:
+            u = gen.random(batch).tolist()
+            yield zip(u[0::2], u[1::2])
 
-    def __init__(self, gen: np.random.Generator, batch: int = 16384):
-        self._gen = gen
-        self._batch = batch
-        self._buf = gen.random(batch)
-        self._pos = 0
-
-    def pair(self) -> tuple[float, float]:
-        """Next two uniforms in [0, 1)."""
-        pos = self._pos
-        if pos + 2 > self._buf.shape[0]:
-            self._buf = self._gen.random(self._batch)
-            pos = 0
-        self._pos = pos + 2
-        return self._buf[pos], self._buf[pos + 1]
+    return chain.from_iterable(batches())

@@ -290,7 +290,7 @@ def test_criterion_11_free_energy_limit():
     assert worst < 0.02
 
 
-def test_criterion_12_multiwell_localization():
+def test_criterion_12_multiwell_localization(tmp_path):
     """Every local minimum attracts at least one run, across 3 master seeds."""
     raw = {"name": "localize",
            "model": {"potential": "two_well", "rho": 30.0, "lambda_min": 1.0},
@@ -302,8 +302,7 @@ def test_criterion_12_multiwell_localization():
     for master in (2101, 2102, 2103):
         raw["master_seed"] = master
         cfg = ExperimentConfig.from_dict(raw)
-        out = f"/tmp/sivjp_localize_{master}"
-        payload = cmd_localize(cfg, out, threads=WORKERS)
+        payload = cmd_localize(cfg, str(tmp_path / f"localize_{master}"), threads=WORKERS)
         all_ok &= payload["every_minimum_hit"]
         details.append(f"seed {master}: counts {payload['counts']}")
     report("criterion-12 multiwell-localization", all_ok,

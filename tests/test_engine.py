@@ -14,7 +14,7 @@ from sivjp import (OccupationStats, PeriodicGrid, SIVJPConfig, SeedSpec,
 from sivjp.errors import ConfigError, DomainError
 from sivjp.geometry import TWO_PI
 from sivjp.model import ModelSpec
-from sivjp.potentials import cos2_potential, zero_potential
+from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
 
 ZERO = ModelSpec(potential=zero_potential(), rho=0.0)
 
@@ -199,6 +199,16 @@ class TestRunSitp:
             SIVJPConfig(model=model, t_end=1.0, seed=SeedSpec(0, 0),
                         mu0=(0.1, 0.0), hist_grid=PeriodicGrid(8)).validate()
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_envelope_rejected(self, lam):
+        # an infinite envelope makes every gap 0 and a NaN one the clock NaN
+        model = ModelSpec(potential=cos2_potential(), rho=1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            sitp(model, 10.0, master=1, lambda_bar_override=lam)
+        with pytest.raises(ConfigError, match="finite"):
+            simulate_telegraph(cos2_potential(), 1.0, TelegraphState(0.0, 1), 10.0,
+                               SeedSpec(1, 0), lambda_bar_override=lam)
+
     def test_hist_built_at_end(self):
         # the histogram is binned from the recorded flight legs after the
         # run: unit mass, moments within a cell of the exact (a, b), and
@@ -228,6 +238,36 @@ class TestRunSitp:
                              "n_events", "n_proposals", "wall_time_s"}
         assert summ["final_r_polar"] == pytest.approx(
             math.hypot(summ["final_a"], summ["final_b"]))
+
+
+class TestDrawConsumption:
+    """Pinned counts and final states of the thinning loops on fixed seeds.
+
+    The values were recorded before the loops read their uniforms as
+    Python floats; the loops must consume the same draws in the same
+    order, so any change to draw consumption fails here.
+    """
+
+    @pytest.mark.parametrize("pot, rho, t_end, events, proposals, a, b, x, y", [
+        (zero_potential(), 4.0, 2e4, 33925, 100086,
+         -0.6500187499874148, 0.5256642178708055, 0.9836846534166979, -1),
+        (cos2_potential(), 1.8, 1e4, 17763, 48193,
+         -0.7358379856398659, -0.003609354503368994, 3.2765068204773806, -1),
+        (two_well_potential(), 30.0, 4000.0, 12908, 128801,
+         -0.9834105271928092, 0.024548946877660353, 2.6578262741271157, 1),
+    ], ids=["zero", "cos2", "two_well"])
+    def test_run_sitp_golden(self, pot, rho, t_end, events, proposals, a, b, x, y):
+        trace = sitp(ModelSpec(potential=pot, rho=rho), t_end, master=7, stream=3,
+                     record_stride=200.0)
+        assert (trace.n_events, trace.n_proposals) == (events, proposals)
+        assert (trace.final.a, trace.final.b) == (a, b)
+        assert (trace.final_state.x, trace.final_state.y) == (x, y)
+
+    def test_simulate_telegraph_golden(self):
+        log = simulate_telegraph(cos2_potential(), 1.0, TelegraphState(1.0, 1), 1e4,
+                                 SeedSpec(7, 3))
+        assert (log.jump_times.size, log.n_proposals) == (15801, 29914)
+        assert (log.x_final, log.y_final) == (5.313493724985484, -1)
 
 
 class TestRunSitpGeneral:

@@ -1,10 +1,12 @@
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from sivjp import SeedSpec, derive_stream
 from sivjp.errors import ConfigError
-from sivjp.rng import DrawBuffer
+from sivjp.rng import uniform_pairs
 
 
 def test_determinism():
@@ -51,10 +53,16 @@ def test_seed_validation():
 
 
 def test_draw_buffer_consumes_stream_in_order():
-    gen = derive_stream(SeedSpec(4, 0))
-    ref = gen.random(40)
-    buf = DrawBuffer(derive_stream(SeedSpec(4, 0)), batch=8)
-    got = []
-    for _ in range(20):
-        got.extend(buf.pair())
+    # 20 pairs at batch 8 cross four refills and read the stream in order,
+    # as Python floats
+    ref = derive_stream(SeedSpec(4, 0)).random(40)
+    pairs = uniform_pairs(derive_stream(SeedSpec(4, 0)), batch=8)
+    got = [u for pair in islice(pairs, 20) for u in pair]
     assert np.array_equal(np.array(got), ref)
+    assert {type(u) for u in got} == {float}
+
+
+@pytest.mark.parametrize("batch", [-2, 0, 1, 7])
+def test_draw_buffer_batch_must_be_even_and_positive(batch):
+    with pytest.raises(ConfigError):
+        uniform_pairs(derive_stream(SeedSpec(4, 0)), batch=batch)
