@@ -16,8 +16,17 @@ in closed form,
 
 so the self-interaction is exact and O(1) per event: the whole pair
 (state, occupation) is simulated with no time-discretization error, by
-Poisson thinning under the envelope lambda_min + sup|U'| + |rho| (valid
-because a^2 + b^2 <= 1).
+Poisson thinning. The global envelope lam_bar = lambda_min + sup|U'| + |rho|
+dominates the rate because a^2 + b^2 <= 1. The moment mode proposes under
+the tighter local envelope of markov.local_clock, capped at lam_bar: along
+a leg g(s) = y V'(x(s)) has
+
+    g' = U''(x) + rho*(a cos x + b sin x) - rho*y*(a sin x - b cos x)/w,
+
+with w = r + t growing, so |g'| <= sup|U''| + |rho|*(1 + 1/w) at the leg
+start's weight w. Where markov.envelope_slope predicts too small a saving
+to repay the dearer clock (weak interaction under a high floor), the run
+keeps the constant lam_bar.
 
 One thinning loop, _drive, serves both modes; only the drift differs.
 run_sitp is the exact moment mode: the drift U'(x) + rho*(a sin x - b cos x)
@@ -26,7 +35,8 @@ binned once at the end from the recorded flight legs. run_sitp_general is
 the general-kernel mode: its drift callback deposits each flight leg into an
 occupation histogram and convolves the kernel derivative against it; it is
 approximate (bias of the order of the grid spacing) and exists for kernels
-that do not reduce to two moments. The envelope is chosen by
+that do not reduce to two moments, and proposes under the constant lam_bar,
+as does a run with lambda_bar_override. The envelope is chosen by
 markov.thinning_envelope and checked on every accepted proposal.
 """
 
@@ -44,7 +54,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, segments_sojourn, wrap
 from .model import ModelSpec
-from .markov import MAX_PROPOSALS, ROUNDOFF_TOL, TelegraphState, thinning_envelope
+from .markov import (ROUNDOFF_TOL, TelegraphState, envelope_slope, local_clock,
+                     proposal_budget, thinning_envelope)
 from .rng import SeedSpec, derive_stream, uniform_pairs
 
 
@@ -234,23 +245,34 @@ def _finalize(cfg: SIVJPConfig, rec, hist_raw, n_events, n_proposals,
 def _drive(cfg: SIVJPConfig, lam_bar: float,
            drift: Callable[[float, int, float, float, float], float] | None = None,
            legs: list | None = None):
-    """The thinning loop of both modes, under the envelope lam_bar.
+    """The thinning loop of both modes, capped at the envelope lam_bar.
 
     With drift None the drift is the moment mode's
-    U'(x) + rho*(a sin x - b cos x), computed inline; otherwise it is
+    U'(x) + rho*(a sin x - b cos x), computed inline, and proposals come
+    from the local envelope (the module docstring) unless
+    cfg.lambda_bar_override pins the constant lam_bar; otherwise it is
     drift(x_prev, y, tau, x, t), called once per proposal after the flight
-    leg of length tau from x_prev to x (now at time t). With legs a list,
-    each flight leg between flips, the last one included, is appended as
-    (start, direction, length).
+    leg of length tau from x_prev to x (now at time t), under the constant
+    lam_bar. With legs a list, each flight leg between flips, the last one
+    included, is appended as (start, direction, length).
 
     Returns (rec, x, y, t, n_events, n_proposals), where rec holds the
     snapshot columns and (x, y, t) is the state at the last proposal.
     """
     model = cfg.model
     lam_min = model.lambda_min
-    lam_cap = lam_bar * (1.0 + ROUNDOFF_TOL)
+    tol = 1.0 + ROUNDOFF_TOL
     rho = model.rho
     du = model.potential.dv_scalar
+    slope0 = slope_w = math.inf
+    if drift is None and cfg.lambda_bar_override is None:
+        # the local envelope's slope at weight w is slope0 + slope_w / w;
+        # slope0 is its limit, which envelope_slope judges
+        slope0 = envelope_slope(lam_min, lam_bar, model.potential.ddv_sup + abs(rho))
+        slope_w = abs(rho)
+    local = slope0 < math.inf
+    lam = lam_bar  # the bound at the proposal: constant unless local
+    budget = proposal_budget(lam_bar, cfg.t_end)
 
     gen = derive_stream(cfg.seed)
     if cfg.z0 is not None:
@@ -274,10 +296,17 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     cos = math.cos
     log1p = math.log1p
     fmod = math.fmod
+    clock = local_clock
     sx, cx = sin(x), cos(x)  # at the leg start: for the drift and the next update
+    # V'(x) at the leg start: y*v is the local envelope's intercept
+    v = du(x) + rho * (a * sx - b * cx) if drift is None else 0.0
 
     for u_gap, u_acc in draws:
-        tau = -log1p(-u_gap) / lam_bar
+        w = r + t
+        if local:
+            tau, lam = clock(u_gap, y * v, slope0 + slope_w / w, lam_min, lam_bar)
+        else:  # local_clock's constant case, inlined
+            tau = -log1p(-u_gap) / lam_bar
         t_next = t + tau
         if t_next >= next_snap:
             snap_idx = _record_due(rec, snaps, snap_idx, t_next, r, t, x, y, a, b)
@@ -285,7 +314,6 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
                 break
             next_snap = snaps[snap_idx]
         # _advance inlined: one Python call less per proposal
-        w = r + t
         x_prev = x
         xs = x + y * tau
         a = (w * a + y * (sin(xs) - sx)) / (w + tau)
@@ -299,7 +327,7 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
         sx, cx = sin(x), cos(x)
         t = t_next
         n_prop += 1
-        if n_prop > MAX_PROPOSALS:
+        if n_prop > budget:
             raise RunawayRateError("self-interacting engine: proposal budget exceeded")
         if drift is None:
             v = du(x) + rho * (a * sx - b * cx)
@@ -307,10 +335,10 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
             v = drift(x_prev, y, tau, x, t)
         yd = y * v
         rate = lam_min + (yd if yd > 0.0 else 0.0)
-        if u_acc * lam_bar < rate:
-            if rate > lam_cap:  # always accepted, so checking here is enough
+        if u_acc * lam < rate:
+            if rate > lam * tol:  # always accepted, so checking here is enough
                 raise RunawayRateError(f"self-interacting engine: jump rate {rate!r} "
-                                       f"exceeds the envelope {lam_bar!r}")
+                                       f"exceeds the envelope {lam!r}")
             if legs is not None:
                 legs.append((seg_x, y, t - seg_t))
                 seg_x, seg_t = x, t

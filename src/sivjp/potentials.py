@@ -1,14 +1,16 @@
 """Potentials on the circle and the registry used by experiment configs.
 
-A FrozenPotential bundles a potential V, its derivative dV and an upper
-bound dv_sup on sup|dV|, which the simulators add to the jump rate floor to
-obtain their thinning envelope. Every registry kind (zero, cos(2z), a
+A FrozenPotential bundles a potential V, its derivative dV, an upper bound
+dv_sup on sup|dV|, which the simulators add to the jump rate floor to
+obtain their thinning envelope, and an upper bound ddv_sup on sup|V''|,
+the slope of their local envelopes. Every registry kind (zero, cos(2z), a
 two-parameter trigonometric double well, a grid-sampled custom potential)
 is a trigonometric polynomial built by trig_potential from its
-coefficients, with the exact dv_sup = sum_k k (|a_k| + |b_k|).
-frozen_potential is the general path for arbitrary callables; it certifies
-dv_sup as 1.05 times the max of |dV| over 4096 nodes (the margin is
-overridable).
+coefficients, with the exact dv_sup = sum_k k (|a_k| + |b_k|) and
+ddv_sup = sum_k k^2 (|a_k| + |b_k|). frozen_potential is the general path for
+arbitrary callables; it certifies dv_sup as 1.05 times the max of |dV|
+over 4096 nodes (the margin is overridable) and leaves ddv_sup infinite,
+so the simulators keep its global envelope.
 
 Potentials carry both vectorized callables (for quadrature work) and plain
 scalar callables (for the per-proposal evaluations inside the event loops,
@@ -43,6 +45,8 @@ class FrozenPotential:
     v and dv are vectorized over arrays of angles; v_scalar and dv_scalar
     are their float->float counterparts. dv_sup must dominate sup|dV|: it
     is exact for trig_potential and certified on a grid by frozen_potential.
+    ddv_sup must dominate sup|V''|; inf (no bound) keeps the simulators on
+    their global envelope.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
@@ -51,6 +55,7 @@ class FrozenPotential:
     v_scalar: Callable[[float], float]
     dv_scalar: Callable[[float], float]
     name: str = "custom"
+    ddv_sup: float = math.inf
 
 
 def certify_dv_sup(dv: Callable, grid: PeriodicGrid = THRESHOLD_GRID,
@@ -119,7 +124,8 @@ def trig_potential(cos_coef, sin_coef=(), const: float = 0.0,
 
     Only nonzero terms are evaluated: the cosine terms first, then the sine
     terms, each in ascending k. dv_sup is the exact bound
-    sum_k k (|a_k| + |b_k|) on |U'| (2 for -cos 2z). Non-finite
+    sum_k k (|a_k| + |b_k|) on |U'| (2 for -cos 2z), and ddv_sup the exact
+    bound sum_k k^2 (|a_k| + |b_k|) on |U''| (4 for -cos 2z). Non-finite
     coefficients raise ConfigError.
     """
     a, b = (np.asarray(coef, dtype=float).ravel() for coef in (cos_coef, sin_coef))
@@ -132,8 +138,10 @@ def trig_potential(cos_coef, sin_coef=(), const: float = 0.0,
     # U' = sum_k (k b_k cos kz - k a_k sin kz)
     dv, dv_scalar = _trig_forms(0.0, [(k, k * c, np.cos, math.cos) for k, c in sin_terms]
                                 + [(k, -k * c, np.sin, math.sin) for k, c in cos_terms])
+    terms = cos_terms + sin_terms
     return FrozenPotential(v=v, dv=dv, v_scalar=v_scalar, dv_scalar=dv_scalar, name=name,
-                           dv_sup=sum((k * abs(c) for k, c in cos_terms + sin_terms), 0.0))
+                           dv_sup=sum((k * abs(c) for k, c in terms), 0.0),
+                           ddv_sup=sum((k * k * abs(c) for k, c in terms), 0.0))
 
 
 def zero_potential() -> FrozenPotential:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from sivjp import (OccupationStats, PeriodicGrid, SIVJPConfig, SeedSpec,
                    TelegraphState, advect_occupation, drift_vprime,
                    quadratic_kernel_grids, run_sitp, run_sitp_general,
                    simulate_telegraph)
-from sivjp.errors import ConfigError, DomainError
+from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import TWO_PI
+from sivjp.markov import envelope_slope, local_clock
 from sivjp.model import ModelSpec
 from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
 
@@ -85,18 +87,20 @@ class TestOccupationStats:
 
 class TestRunSitp:
     def test_rho_zero_matches_telegraph_exactly(self):
-        # same envelope, same draw consumption: identical jump skeletons
+        # same envelope, same draw consumption: identical jump skeletons,
+        # under the constant envelope (lambda_min 1) and the local one (0.25)
         pot = cos2_potential()
-        model = ModelSpec(potential=pot, rho=0.0, lambda_min=1.0)
         seed = SeedSpec(606, 0)
-        cfg = SIVJPConfig(model=model, t_end=500.0, seed=seed,
-                          z0=TelegraphState(1.0, 1), record_stride=100.0)
-        trace = run_sitp(cfg)
-        log = simulate_telegraph(pot, 1.0, TelegraphState(1.0, 1), 500.0, seed)
-        assert trace.n_events == log.jump_times.size
-        assert trace.n_proposals == log.n_proposals
-        assert trace.final_state.x == log.x_final
-        assert trace.final_state.y == log.y_final
+        for lam_min in (1.0, 0.25):
+            model = ModelSpec(potential=pot, rho=0.0, lambda_min=lam_min)
+            cfg = SIVJPConfig(model=model, t_end=500.0, seed=seed,
+                              z0=TelegraphState(1.0, 1), record_stride=100.0)
+            trace = run_sitp(cfg)
+            log = simulate_telegraph(pot, lam_min, TelegraphState(1.0, 1), 500.0, seed)
+            assert trace.n_events == log.jump_times.size
+            assert trace.n_proposals == log.n_proposals
+            assert trace.final_state.x == log.x_final
+            assert trace.final_state.y == log.y_final
 
     def test_no_interaction_gaps_exponential(self):
         model = ModelSpec(potential=zero_potential(), rho=0.0, lambda_min=1.0)
@@ -150,29 +154,39 @@ class TestRunSitp:
         assert abs(radius - R_OF_RHO_4) < 0.08
 
     def test_converged_runs_end_near_fixed_point_set(self):
-        # limit-set surrogate: any run whose moment trace went Cauchy over
-        # its last decade sits within 0.05 of the fixed-point set. With no
+        # limit-set surrogate: a run whose moment trace went Cauchy over its
+        # last decade sits within 0.05 of the fixed-point set. With no
         # exterior potential that set is the full circle of radius r(rho)
         # plus the origin, so the distance is radial there; for the double
-        # well the census points are isolated.
+        # well the census points are isolated. At T = 5e3 a converged cos2
+        # run still ends beyond 0.05 now and then, so the gate is a count
+        # over a fixed stream set: the allowance is the 0.999 binomial
+        # quantile of the rate measured with the constant-envelope engine,
+        # 18 of 299 converged runs (masters 14 and 6000, 150 streams each).
+        # U = 0 had none in 300 and is allowed none.
         from sivjp import find_fixed_points, solve_r_of_rho
-        for pot, rho in ((zero_potential(), 4.0), (cos2_potential(), 2.765)):
+        for pot, rho, allowed in ((zero_potential(), 4.0, 0), (cos2_potential(), 2.765, 19)):
             model = ModelSpec(potential=pot, rho=rho)
             census = find_fixed_points(model)
-            for k in range(3):
+            n_converged, far = 0, []
+            for k in range(150):
                 trace = sitp(model, 5e3, master=14, stream=k, record_stride=50.0)
                 tail = trace.times >= 0.9 * trace.times[-1]
                 spread = math.hypot(np.ptp(trace.a_vals[tail]),
                                     np.ptp(trace.b_vals[tail]))
                 if spread >= 0.02:  # not converged by the Cauchy-tail test
                     continue
+                n_converged += 1
                 radius = math.hypot(trace.final.a, trace.final.b)
                 if pot.name == "zero":
                     dist = min(abs(radius - solve_r_of_rho(rho)), radius)
                 else:
                     dist = min(math.hypot(trace.final.a - r.a, trace.final.b - r.b)
                                for r in census)
-                assert dist < 0.05
+                if dist >= 0.05:
+                    far.append((k, round(dist, 4)))
+            assert n_converged >= 140, pot.name
+            assert len(far) <= allowed, (pot.name, far)
 
     def test_log_stride_schedule(self):
         model = ModelSpec(potential=zero_potential(), rho=0.0)
@@ -243,20 +257,39 @@ class TestRunSitp:
 class TestDrawConsumption:
     """Pinned counts and final states of the thinning loops on fixed seeds.
 
-    The values were recorded before the loops read their uniforms as
-    Python floats; the loops must consume the same draws in the same
-    order, so any change to draw consumption fails here.
+    The pinned-envelope values were recorded before the loops read their
+    uniforms as Python floats, and before the local envelope: a run with
+    lambda_bar_override equal to the certified envelope proposes under the
+    constant envelope, as every run did then, so it must still reproduce
+    them bit for bit. The local-envelope values pin the default path; any
+    change to draw consumption fails here.
     """
 
-    @pytest.mark.parametrize("pot, rho, t_end, events, proposals, a, b, x, y", [
-        (zero_potential(), 4.0, 2e4, 33925, 100086,
-         -0.6500187499874148, 0.5256642178708055, 0.9836846534166979, -1),
-        (cos2_potential(), 1.8, 1e4, 17763, 48193,
-         -0.7358379856398659, -0.003609354503368994, 3.2765068204773806, -1),
-        (two_well_potential(), 30.0, 4000.0, 12908, 128801,
-         -0.9834105271928092, 0.024548946877660353, 2.6578262741271157, 1),
+    CASES = [(zero_potential(), 4.0, 2e4), (cos2_potential(), 1.8, 1e4),
+             (two_well_potential(), 30.0, 4000.0)]
+
+    @pytest.mark.parametrize("case, events, proposals, a, b, x, y", [
+        (0, 33925, 100086, -0.6500187499874148, 0.5256642178708055, 0.9836846534166979, -1),
+        (1, 17763, 48193, -0.7358379856398659, -0.003609354503368994, 3.2765068204773806, -1),
+        (2, 12908, 128801, -0.9834105271928092, 0.024548946877660353, 2.6578262741271157, 1),
     ], ids=["zero", "cos2", "two_well"])
-    def test_run_sitp_golden(self, pot, rho, t_end, events, proposals, a, b, x, y):
+    def test_run_sitp_golden(self, case, events, proposals, a, b, x, y):
+        pot, rho, t_end = self.CASES[case]
+        model = ModelSpec(potential=pot, rho=rho)
+        trace = sitp(model, t_end, master=7, stream=3, record_stride=200.0,
+                     lambda_bar_override=model.thinning_bound)
+        assert (trace.n_events, trace.n_proposals) == (events, proposals)
+        assert (trace.final.a, trace.final.b) == (a, b)
+        assert (trace.final_state.x, trace.final_state.y) == (x, y)
+
+    @pytest.mark.parametrize("case, events, proposals, a, b, x, y", [
+        (0, 33861, 39702, -0.6694038837523631, -0.4905673636800188, 4.625984192368459, -1),
+        (1, 17649, 22437, -0.7096126013599223, -0.0074063918835860455,
+         0.40859723359343736, -1),
+        (2, 12884, 13703, -0.9491332406638116, 0.2571256676750152, 3.0499411441035225, 1),
+    ], ids=["zero", "cos2", "two_well"])
+    def test_run_sitp_local_golden(self, case, events, proposals, a, b, x, y):
+        pot, rho, t_end = self.CASES[case]
         trace = sitp(ModelSpec(potential=pot, rho=rho), t_end, master=7, stream=3,
                      record_stride=200.0)
         assert (trace.n_events, trace.n_proposals) == (events, proposals)
@@ -265,9 +298,102 @@ class TestDrawConsumption:
 
     def test_simulate_telegraph_golden(self):
         log = simulate_telegraph(cos2_potential(), 1.0, TelegraphState(1.0, 1), 1e4,
-                                 SeedSpec(7, 3))
+                                 SeedSpec(7, 3), lambda_bar_override=3.0)
         assert (log.jump_times.size, log.n_proposals) == (15801, 29914)
         assert (log.x_final, log.y_final) == (5.313493724985484, -1)
+
+    def test_simulate_telegraph_local_golden(self):
+        # lambda_min 0.25: low enough under cos2 for the local envelope to pay
+        log = simulate_telegraph(cos2_potential(), 0.25, TelegraphState(1.0, 1), 1e4,
+                                 SeedSpec(7, 3))
+        assert (log.jump_times.size, log.n_proposals) == (8506, 12252)
+        assert (log.x_final, log.y_final) == (0.6627408838076967, 1)
+
+
+class TestLocalEnvelope:
+    """The local envelope changes which draws are proposals, not the law."""
+
+    @pytest.mark.parametrize("pot, rho, t_end", [
+        (two_well_potential(), 30.0, 200.0), (cos2_potential(), 2.765, 300.0)],
+        ids=["two_well", "cos2"])
+    def test_law_matches_pinned_envelope(self, pot, rho, t_end):
+        # two-sample KS on independent streams: event counts and final
+        # moments under the local envelope against the constant one. The
+        # seeds are fixed, so the test is deterministic; a bound that does
+        # not dominate the rate, or a wrong clock, drives p to ~0.
+        model = ModelSpec(potential=pot, rho=rho)
+        samples = []
+        for master, lam in ((41, model.thinning_bound), (42, None)):
+            rows = []
+            for k in range(300):
+                tr = sitp(model, t_end, master=master, stream=k, record_stride=t_end,
+                          lambda_bar_override=lam)
+                rows.append((tr.n_events, tr.final.a, tr.final.b))
+            samples.append(np.array(rows))
+        pinned, local = samples
+        assert local[:, 0].sum() > 0
+        for i in range(3):
+            assert scipy.stats.ks_2samp(pinned[:, i], local[:, i]).pvalue > 1e-3
+
+    def test_fewer_proposals_same_events(self):
+        model = ModelSpec(potential=two_well_potential(), rho=30.0)
+        pinned = sitp(model, 500.0, master=43, lambda_bar_override=model.thinning_bound)
+        local = sitp(model, 500.0, master=43)
+        assert local.n_proposals < 0.2 * pinned.n_proposals
+        assert local.n_events == pytest.approx(pinned.n_events, rel=0.1)
+
+    @pytest.mark.parametrize("slope", [0.05, 2.2, 40.0])
+    def test_clock_inverts_the_bound_integral(self, slope):
+        # int_0^tau bound = -log(1 - u), by exact quadrature of the
+        # piecewise-linear bound, and the returned bound is bound(tau)
+        lam_min, lam_bar = 1.0, 33.2
+        for u in (0.0, 1e-9, 0.1, 0.5, 0.9, 0.999999):
+            for g0 in (-40.0, -3.0, -0.5, 0.0, 0.5, 3.0, 40.0):
+                tau, lam = local_clock(u, g0, slope, lam_min, lam_bar)
+
+                def bound(s):
+                    return min(lam_min + max(g0 + slope * s, 0.0), lam_bar)
+
+                kinks = [s for s in (-g0 / slope, (lam_bar - lam_min - g0) / slope)
+                         if 0.0 < s < tau]
+                nodes = sorted({0.0, tau, *kinks})
+                area = sum(0.5 * (bound(s0) + bound(s1)) * (s1 - s0)
+                           for s0, s1 in zip(nodes[:-1], nodes[1:]))
+                assert area == pytest.approx(-math.log1p(-u), rel=1e-12, abs=1e-15)
+                assert lam == pytest.approx(bound(tau), rel=1e-12)
+
+    @pytest.mark.parametrize("slope", [0.0, math.inf, math.nan])
+    def test_clock_without_a_finite_slope_is_constant(self, slope):
+        for u in (0.0, 0.3, 0.99):
+            for g0 in (-2.0, 0.0, 5.0):
+                assert local_clock(u, g0, slope, 1.0, 7.5) == (-math.log1p(-u) / 7.5, 7.5)
+
+    def test_envelope_chosen_where_it_pays(self):
+        # weak interaction under a high floor keeps the constant envelope,
+        # so those runs consume their draws as the pinned ones do
+        for lam_min, lam_bar, slope in ((1.0, 1.5, 0.5), (1.0, 2.0, 1.0), (1.0, 3.0, 4.0),
+                                        (1.0, 2.0, 0.0), (1.0, 2.0, math.inf)):
+            assert envelope_slope(lam_min, lam_bar, slope) == math.inf
+        for lam_min, lam_bar, slope in ((1.0, 5.0, 4.0), (1.0, 33.2, 32.2), (1.0, 5.765, 6.765),
+                                        (0.25, 2.25, 4.0)):
+            assert envelope_slope(lam_min, lam_bar, slope) == slope
+        for rho in (0.5, 1.0):
+            model = ModelSpec(potential=zero_potential(), rho=rho)
+            default = sitp(model, 2000.0, master=45)
+            pinned = sitp(model, 2000.0, master=45, lambda_bar_override=model.thinning_bound)
+            assert (default.n_proposals, default.n_events) == (pinned.n_proposals,
+                                                                pinned.n_events)
+            assert (default.final.a, default.final.b) == (pinned.final.a, pinned.final.b)
+
+    def test_understated_curvature_bound_raises(self):
+        # the runaway guard checks the rate against the local bound
+        for pot in (cos2_potential(), two_well_potential()):
+            low = dataclasses.replace(pot, ddv_sup=0.05 * pot.ddv_sup)
+            with pytest.raises(RunawayRateError, match="envelope"):
+                sitp(ModelSpec(potential=low, rho=0.5), 2000.0, master=44)
+            with pytest.raises(RunawayRateError, match="envelope"):
+                simulate_telegraph(low, 1.0, TelegraphState(0.0, 1), 2000.0,
+                                   SeedSpec(44, 0))
 
 
 class TestRunSitpGeneral:

@@ -6,7 +6,7 @@ import pytest
 from sivjp import SeedSpec, SIVJPConfig, TelegraphState, run_sitp, simulate_telegraph
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
-from sivjp.markov import TorusVJPState, simulate_torus_vjp
+from sivjp.markov import TorusVJPState, proposal_budget, simulate_torus_vjp
 from sivjp.model import ModelSpec
 from sivjp.potentials import (certify_dv_sup, check_derivative, cos_potential,
                               cos2_potential, frozen_potential, grid_potential,
@@ -39,6 +39,25 @@ class TestFrozenPotential:
             grid_max = float(np.max(np.abs(pot.dv(z))))
             assert grid_max == pytest.approx(true_max, abs=1e-4)
             assert pot.dv_sup >= grid_max
+
+    def test_ddv_sup_dominates_grid_max(self):
+        # registry kinds: ddv_sup is the exact bound sum_k k^2(|a_k| + |b_k|)
+        # on |U''|; frozen_potential has none
+        z = np.linspace(0.0, TWO_PI, 200_001)
+        h = 1e-4
+        z_grid = TWO_PI * np.arange(64) / 64
+        custom = grid_potential(0.3 * np.cos(z_grid) - 0.5 * np.cos(2 * z_grid)
+                                + 0.1 * np.sin(3 * z_grid))
+        for pot, bound, true_max in (
+                (cos_potential(), 1.0, 1.0), (cos2_potential(), 4.0, 4.0),
+                (two_well_potential(), 2.2, 2.2), (zero_potential(), 0.0, 0.0),
+                (custom, 0.3 + 4 * 0.5 + 9 * 0.1, 2.9028)):
+            assert pot.ddv_sup == pytest.approx(bound, rel=1e-12)
+            ddv = (pot.dv(z + h) - pot.dv(z - h)) / (2.0 * h)
+            grid_max = float(np.max(np.abs(ddv)))
+            assert grid_max == pytest.approx(true_max, abs=1e-3)
+            assert pot.ddv_sup >= grid_max - 1e-6
+        assert frozen_potential(np.cos, lambda z: -np.sin(z)).ddv_sup == math.inf
 
     def test_scalar_matches_vectorized(self):
         z = TWO_PI * np.arange(64) / 64
@@ -142,19 +161,39 @@ class TestLocalMinima:
 
 
 class TestRunawayGuard:
-    def test_telegraph_guard(self, monkeypatch):
+    # the proposal budget sits BUDGET_SIGMAS standard deviations above the
+    # mean of the Poisson(lam_bar * T) count; under a constant envelope the
+    # count is that Poisson variable, so a budget 10 deviations below the
+    # mean must trip the guard
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
         import sivjp.markov as markov
-        monkeypatch.setattr(markov, "MAX_PROPOSALS", 10)
-        with pytest.raises(RunawayRateError):
+        monkeypatch.setattr(markov, "BUDGET_SIGMAS", -10.0)
+        monkeypatch.setattr(markov, "BUDGET_SLACK", 0.0)
+
+    def test_telegraph_guard(self, small_budget):
+        with pytest.raises(RunawayRateError, match="budget"):
             simulate_telegraph(cos_potential(), 1.0, TelegraphState(0.0, 1),
+                               1e4, SeedSpec(0, 0), lambda_bar_override=2.0)
+
+    def test_engine_guard(self, small_budget):
+        model = ModelSpec(potential=zero_potential(), rho=1.0)
+        with pytest.raises(RunawayRateError, match="budget"):
+            run_sitp(SIVJPConfig(model=model, t_end=1e4, seed=SeedSpec(0, 0),
+                                 lambda_bar_override=model.thinning_bound))
+
+    def test_torus_guard(self, small_budget):
+        with pytest.raises(RunawayRateError, match="budget"):
+            simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), 0.0,
+                               lambda gen: np.array([1.0, 0.0]), 1.0, 1.0,
+                               TorusVJPState(np.zeros(2), np.array([1.0, 0.0])),
                                1e4, SeedSpec(0, 0))
 
-    def test_engine_guard(self, monkeypatch):
-        import sivjp.engine as engine
-        monkeypatch.setattr(engine, "MAX_PROPOSALS", 10)
-        model = ModelSpec(potential=zero_potential(), rho=1.0)
-        with pytest.raises(RunawayRateError):
-            run_sitp(SIVJPConfig(model=model, t_end=1e4, seed=SeedSpec(0, 0)))
+    def test_default_budget_holds(self):
+        # the same runs complete under the real budget
+        run_sitp(SIVJPConfig(model=ModelSpec(potential=zero_potential(), rho=1.0),
+                             t_end=1e4, seed=SeedSpec(0, 0), lambda_bar_override=2.0))
+        assert proposal_budget(2.0, 1e4) == int(2e4 + 10.0 * math.sqrt(2e4) + 100.0)
 
     # a rate above the envelope breaks thinning's exactness; every loop
     # raises instead of silently biasing the law
