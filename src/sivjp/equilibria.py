@@ -21,11 +21,13 @@ Fbar_b(0, b).
 
 The census, the flow integrator (flow.integrate_flow) and solve_r_of_rho
 evaluate Fbar thousands of times for one model on one grid, so each builds
-a _NodeTables once: cos z, sin z, their products and -U(z) on the nodes.
-Its evaluations do the arithmetic of pibar, moments and jacobian_fbar in
-the same order, with pibar's checks, so they are bit-equal to fbar() and
-jacobian_fbar() and raise the same exception types. The public pibar ->
-GridDensity -> moments path stays as the validated reference.
+a _NodeTables once: cos z, sin z, their products and -U(z) on the nodes,
+plus work buffers that every evaluation reuses, so a table serves one
+caller at a time. Its evaluations do the arithmetic of pibar, moments and
+jacobian_fbar in the same order, with pibar's checks, so they are
+bit-equal to fbar() and jacobian_fbar() and raise the same exception
+types. The public pibar -> GridDensity -> moments path stays as the
+validated reference.
 
 Sign convention for the free energy: J(g) = 0.5*int int W g g + int g ln g
 with W(x,z) = U(x) - rho cos(x - z) + U(z). With this convention J is
@@ -131,13 +133,23 @@ def jacobian_fbar(model: ModelSpec, a: float, b: float,
 class _NodeTables:
     """Fbar and its Jacobian for one model on one grid, from node tables.
 
-    cos z, sin z, their products and -U(z) are computed once; each
-    evaluation then does pibar's, moments()' and jacobian_fbar's
-    arithmetic in the same order, with pibar's checks (non-finite
-    log-density, non-positive density, mass off 1), so results and
-    exceptions are those of fbar() and jacobian_fbar(). The quadrature
-    finiteness checks are dropped: a finite log-density makes every
-    quadrature integrand finite.
+    -U(z) and the stacked rows 1, cos z, sin z, cos^2 z, sin^2 z and
+    cos z sin z are computed once; each evaluation then does pibar's,
+    moments()' and jacobian_fbar's arithmetic in the same order, with
+    pibar's checks (non-finite log-density, non-positive density, mass off
+    1), so results and exceptions are those of fbar() and jacobian_fbar().
+    The mass and the moments come from one product of the first 3 (fbar)
+    or all 6 (fbar_jacobian) rows with the density and one row sum: each
+    row sums as the 1-D array would, and the row of ones leaves the density
+    as it is. The quadrature finiteness checks are dropped: a finite
+    log-density makes every quadrature integrand finite.
+
+    Every evaluation writes into work buffers the table owns, so a table
+    is not reentrant: one table serves one caller at a time. _density
+    returns its density buffer, which the next evaluation overwrites; only
+    the table's own methods hold it, and they are done with it before they
+    return. fbar and fbar_jacobian return fresh Python floats and a fresh
+    Jacobian array.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid) -> None:
@@ -145,39 +157,57 @@ class _NodeTables:
         self.rho = model.rho
         self.h = grid.h
         self.neg_u = -np.asarray(model.u(z), dtype=float)
-        self.c, self.s = np.cos(z), np.sin(z)
-        self.cc, self.ss, self.cs = self.c * self.c, self.s * self.s, self.c * self.s
+        c, s = np.cos(z), np.sin(z)
+        rows = np.stack([np.ones(grid.n), c, s, c * c, s * s, c * s])
+        prod, sums = np.empty_like(rows), np.empty(6)
+        self.c, self.s = rows[1], rows[2]
+        self._jacobian_bufs = (rows, prod, sums)
+        self._fbar_bufs = (rows[:3], prod[:3], sums[:3])
+        self._logw = np.empty(grid.n)  # kept apart from the density for the -inf check
+        self._vals = np.empty(grid.n)
 
     def _density(self, a: float, b: float) -> np.ndarray:
-        logw = self.neg_u + self.rho * (a * self.c + b * self.s)
-        shift = float(logw.max())  # a nan or +inf value propagates here
+        logw, vals = self._logw, self._vals
+        np.multiply(self.c, a, out=logw)
+        np.multiply(self.s, b, out=vals)
+        np.add(logw, vals, out=logw)
+        np.multiply(logw, self.rho, out=logw)
+        np.add(self.neg_u, logw, out=logw)
+        shift = float(np.maximum.reduce(logw))  # a nan or +inf value propagates here
         if not math.isfinite(shift):
             raise NumericError("density_from_log: non-finite log-density value")
-        w = np.exp(logw - shift)
-        vals = w / (self.h * float(w.sum()))
-        if not vals.min() > 0.0:
+        np.subtract(logw, shift, out=vals)
+        np.exp(vals, out=vals)
+        np.divide(vals, self.h * float(np.add.reduce(vals)), out=vals)
+        if not np.minimum.reduce(vals) > 0.0:
             if not np.isfinite(logw).all():  # a -inf value, which exp took to 0
                 raise NumericError("density_from_log: non-finite log-density value")
             raise DomainError("GridDensity: density values must be strictly positive")
-        mass = self.h * float(vals.sum())
-        if abs(mass - 1.0) > 1e-12:
-            raise DomainError(f"GridDensity: not normalized (mass {mass!r})")
         return vals
 
+    def _moments(self, bufs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 a: float, b: float) -> list[float]:
+        """h * (row sums of rows * density), after the mass check."""
+        rows, prod, sums = bufs
+        np.multiply(rows, self._density(a, b), out=prod)
+        h = self.h
+        out = [h * v for v in np.add.reduce(prod, axis=1, out=sums).tolist()]
+        if abs(out[0] - 1.0) > 1e-12:
+            raise DomainError(f"GridDensity: not normalized (mass {out[0]!r})")
+        return out
+
     def fbar(self, a: float, b: float) -> tuple[float, float]:
-        vals = self._density(a, b)
-        return (self.h * float((self.c * vals).sum()) - a,
-                self.h * float((self.s * vals).sum()) - b)
+        _, ma, mb = self._moments(self._fbar_bufs, a, b)
+        return ma - a, mb - b
 
     def fbar_jacobian(self, a: float, b: float) -> tuple[tuple[float, float], np.ndarray]:
-        vals = self._density(a, b)
-        h = self.h
-        ma = h * float((self.c * vals).sum())
-        mb = h * float((self.s * vals).sum())
-        cc = h * float((self.cc * vals).sum()) - ma * ma
-        ss = h * float((self.ss * vals).sum()) - mb * mb
-        cs = h * float((self.cs * vals).sum()) - ma * mb
-        return (ma - a, mb - b), self.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
+        _, ma, mb, mcc, mss, mcs = self._moments(self._jacobian_bufs, a, b)
+        rho = self.rho
+        cc = rho * (mcc - ma * ma)
+        ss = rho * (mss - mb * mb)
+        cs = rho * (mcs - ma * mb)
+        # rho * Cov - I entry by entry: x - 0.0 is x, bit for bit
+        return (ma - a, mb - b), np.array([[cc - 1.0, cs], [cs, ss - 1.0]])
 
 
 # ---------------------------------------------------------------------------

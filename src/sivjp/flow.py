@@ -46,33 +46,37 @@ class FlowTrace:
 
 def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
               dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 on Python floats, component by component.
+
+    Each stage does the arithmetic of the array form p + (0.5*h)*k,
+    p + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the same order, so the path is bit
+    for bit the one of the array form; np.hypot, not math.hypot, takes the
+    norm, since the two can differ in the last ulp.
+    """
     n_steps = int(math.ceil(t_flow / dt - 1e-12))
-    times = np.empty(n_steps + 1)
-    points = np.empty((n_steps + 1, 2))
-    times[0] = 0.0
-    points[0] = start
-
-    def field(p: np.ndarray) -> np.ndarray:
-        return np.array(tables.fbar(p[0], p[1]))
-
-    p = start.astype(float).copy()
+    field = tables.fbar
+    pa, pb = float(start[0]), float(start[1])
+    times, points = [0.0], [(pa, pb)]
     s = 0.0
-    for k in range(n_steps):
+    for _ in range(n_steps):
         h = min(dt, t_flow - s)
-        k1 = field(p)
-        k2 = field(p + 0.5 * h * k1)
-        k3 = field(p + 0.5 * h * k2)
-        k4 = field(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = float(np.hypot(p[0], p[1]))
+        hh = 0.5 * h
+        k1a, k1b = field(pa, pb)
+        k2a, k2b = field(pa + hh * k1a, pb + hh * k1b)
+        k3a, k3b = field(pa + hh * k2a, pb + hh * k2b)
+        k4a, k4b = field(pa + h * k3a, pb + h * k3b)
+        h6 = h / 6.0
+        pa = pa + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        pb = pb + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        norm = float(np.hypot(pa, pb))
         if norm > 1.0 + 1e-6:
             raise NumericError(f"integrate_flow: trajectory left the unit disk ({norm})")
         if norm > 1.0:  # round-off overshoot: project back
-            p = p / norm
+            pa, pb = pa / norm, pb / norm
         s += h
-        times[k + 1] = s
-        points[k + 1] = p
-    return times, points
+        times.append(s)
+        points.append((pa, pb))
+    return np.array(times), np.array(points)
 
 
 def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,

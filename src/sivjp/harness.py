@@ -32,11 +32,7 @@ from .markov import TelegraphState
 from .model import ModelSpec
 from .potentials import local_minima, make_potential
 from .rng import SeedSpec
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - declared dependency
-    jsonschema = None
+from .schemacheck import schema_error
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +72,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        if jsonschema is not None:
-            try:
-                jsonschema.validate(raw, config_schema())
-            except jsonschema.ValidationError as exc:
-                raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+        message = schema_error(raw, config_schema())
+        if message is not None:
+            raise ConfigError(f"config rejected by schema: {message}")
         model = {"potential": "zero", "params": {}, "rho": 0.0, "lambda_min": 1.0}
         model.update(raw.get("model", {}))
         sivjp = dict(_SIVJP_DEFAULTS)
