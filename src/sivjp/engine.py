@@ -30,9 +30,10 @@ keeps the constant lam_bar.
 
 One thinning loop, _drive, serves both modes; only the drift differs.
 run_sitp is the exact moment mode: the drift U'(x) + rho*(a sin x - b cos x)
-is computed inline, and a run that asks for a histogram (hist_grid) gets it
-binned once at the end from the recorded flight legs. run_sitp_general is
-the general-kernel mode: its drift callback deposits each flight leg into an
+is computed inline, and the two moments are the whole occupation state, so
+it keeps no histogram and rejects a hist_grid (occupation_histogram bins a
+plain telegraph log where one is wanted). run_sitp_general is the
+general-kernel mode: its drift callback deposits each flight leg into an
 occupation histogram and convolves the kernel derivative against it; it is
 approximate (bias of the order of the grid spacing) and exists for kernels
 that do not reduce to two moments, and proposes under the constant lam_bar,
@@ -52,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
-from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, segments_sojourn, wrap
+from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, wrap
 from .model import ModelSpec
 from .markov import (ROUNDOFF_TOL, TelegraphState, envelope_slope, local_clock,
                      proposal_budget, thinning_envelope)
@@ -116,9 +117,10 @@ class SIVJPConfig:
     """One self-interacting run.
 
     z0 = None draws the initial position uniformly (the first stream draw)
-    with velocity +1. mu0 gives the initial occupation moments; a run with
-    a histogram grid starts from the uniform measure, so its mu0 must be
-    (0, 0).
+    with velocity +1. mu0 gives the initial occupation moments. hist_grid
+    is the occupation histogram of run_sitp_general, which run_sitp
+    rejects; a histogram starts from the uniform measure, so with one set
+    mu0 must be (0, 0).
 
     record_stride is the snapshot interval; with log_stride=True it is a
     multiplicative ratio and snapshots sit at record_t0 * stride^k, which
@@ -138,18 +140,18 @@ class SIVJPConfig:
     lambda_bar_override: float | None = None
 
     def validate(self) -> None:
-        if not self.r > 0.0:
-            raise ConfigError("SIVJPConfig: r must be > 0")
-        if not self.t_end > 0.0:
-            raise ConfigError("SIVJPConfig: T must be > 0")
+        if not 0.0 < self.r < math.inf:
+            raise ConfigError("SIVJPConfig: r must be finite and > 0")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError("SIVJPConfig: T must be finite and > 0")
         if not self.record_stride > 0.0:
             raise ConfigError("SIVJPConfig: record_stride must be > 0")
         if self.log_stride and self.record_stride <= 1.0:
             raise ConfigError("SIVJPConfig: multiplicative record_stride must be > 1")
-        if self.log_stride and not self.record_t0 > 0.0:
-            raise ConfigError("SIVJPConfig: record_t0 must be > 0")
+        if self.log_stride and not 0.0 < self.record_t0 < math.inf:
+            raise ConfigError("SIVJPConfig: record_t0 must be finite and > 0")
         a0, b0 = self.mu0
-        if a0 * a0 + b0 * b0 > 1.0 + ROUNDOFF_TOL:
+        if not a0 * a0 + b0 * b0 <= 1.0 + ROUNDOFF_TOL:  # NaN fails too
             raise ConfigError("SIVJPConfig: mu0 moments must lie in the closed unit disk")
         if self.hist_grid is not None and (a0 != 0.0 or b0 != 0.0):
             raise ConfigError("SIVJPConfig: a histogram run starts uniform, "
@@ -173,7 +175,7 @@ class SIVJPConfig:
 class MomentTrace:
     """Snapshots of the occupation moments along one run; hist holds the
     final occupation measure on cfg.hist_grid (cell masses summing to 1)
-    when the run asked for one."""
+    for a run_sitp_general run."""
 
     times: np.ndarray
     a_vals: np.ndarray
@@ -243,8 +245,7 @@ def _finalize(cfg: SIVJPConfig, rec, hist_raw, n_events, n_proposals,
 
 
 def _drive(cfg: SIVJPConfig, lam_bar: float,
-           drift: Callable[[float, int, float, float, float], float] | None = None,
-           legs: list | None = None):
+           drift: Callable[[float, int, float, float, float], float] | None = None):
     """The thinning loop of both modes, capped at the envelope lam_bar.
 
     With drift None the drift is the moment mode's
@@ -253,8 +254,7 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     cfg.lambda_bar_override pins the constant lam_bar; otherwise it is
     drift(x_prev, y, tau, x, t), called once per proposal after the flight
     leg of length tau from x_prev to x (now at time t), under the constant
-    lam_bar. With legs a list, each flight leg between flips, the last one
-    included, is appended as (start, direction, length).
+    lam_bar.
 
     Returns (rec, x, y, t, n_events, n_proposals), where rec holds the
     snapshot columns and (x, y, t) is the state at the last proposal.
@@ -284,7 +284,6 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     r = cfg.r
     t = 0.0
     t_end = cfg.t_end
-    seg_x, seg_t = x, 0.0
 
     snaps = cfg.snapshot_times().tolist()
     snap_idx = 0
@@ -339,14 +338,9 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
             if rate > lam * tol:  # always accepted, so checking here is enough
                 raise RunawayRateError(f"self-interacting engine: jump rate {rate!r} "
                                        f"exceeds the envelope {lam!r}")
-            if legs is not None:
-                legs.append((seg_x, y, t - seg_t))
-                seg_x, seg_t = x, t
             y = -y
             n_events += 1
 
-    if legs is not None:
-        legs.append((seg_x, y, t_end - seg_t))
     return rec, x, y, t, n_events, n_prop
 
 
@@ -355,20 +349,17 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
 
     With rho = 0 the interaction vanishes and this is the plain telegraph
     engine with the same draw consumption, so matched seeds reproduce
-    simulate_telegraph exactly. With cfg.hist_grid set, the flight legs
-    between flips are recorded and binned once at the end into
-    MomentTrace.hist; the draws and moments are the same as without.
+    simulate_telegraph exactly. The moments are the whole occupation state,
+    so a cfg.hist_grid is a ConfigError and MomentTrace.hist stays None.
     """
     cfg.validate()
+    if cfg.hist_grid is not None:
+        raise ConfigError("run_sitp: the exact engine keeps no histogram; "
+                          "hist_grid is for run_sitp_general")
     t_start = time.perf_counter()
     lam_bar = thinning_envelope(cfg.model.thinning_bound, cfg.lambda_bar_override)
-    grid = cfg.hist_grid
-    legs = [] if grid is not None else None  # (start, direction, length)
-    rec, _, _, _, n_events, n_prop = _drive(cfg, lam_bar, legs=legs)
-    hist_raw = None
-    if legs is not None:
-        hist_raw = segments_sojourn(*np.array(legs).T, grid) + cfg.r / grid.n
-    return _finalize(cfg, rec, hist_raw, n_events, n_prop, t_start)
+    rec, _, _, _, n_events, n_prop = _drive(cfg, lam_bar)
+    return _finalize(cfg, rec, None, n_events, n_prop, t_start)
 
 
 def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,

@@ -301,6 +301,11 @@ def _axis_root(residual: Callable[[float], float]) -> float | None:
 # fixed-point census
 
 STABILITY_TOL = 1e-7
+SWEEP_TICKS = 17  # Newton starts per axis of the census's square sweep
+DEDUP_DIST = 1e-6  # census roots closer than this are one root
+RESIDUAL_TOL = 1e-10  # largest |Fbar| a census root may keep
+NEWTON_MAX_ITER = 60  # Newton steps before a start is given up
+NEWTON_TOL = 1e-13  # |Fbar| at which a Newton iterate is a root
 
 
 @dataclass(frozen=True)
@@ -345,13 +350,12 @@ def _record(tables: _NodeTables, a: float, b: float) -> FixedPointRecord:
                             stability=classify(eig))
 
 
-def _newton(tables: _NodeTables, a: float, b: float,
-            max_iter: int = 60, tol: float = 1e-13) -> tuple[float, float] | None:
+def _newton(tables: _NodeTables, a: float, b: float) -> tuple[float, float] | None:
     x = np.array([a, b], dtype=float)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, jac = tables.fbar_jacobian(x[0], x[1])
         f = np.array(f)
-        if np.hypot(f[0], f[1]) < tol:
+        if np.hypot(f[0], f[1]) < NEWTON_TOL:
             return float(x[0]), float(x[1])
         try:
             step = np.linalg.solve(jac, -f)
@@ -366,9 +370,8 @@ def _newton(tables: _NodeTables, a: float, b: float,
     return None
 
 
-def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
-                      sweep: int = 17, dedup: float = 1e-6,
-                      residual_tol: float = 1e-10) -> list[FixedPointRecord]:
+def find_fixed_points(model: ModelSpec,
+                      grid: PeriodicGrid = DENSITY_GRID) -> list[FixedPointRecord]:
     """All roots of Fbar in the closed unit disk, with stability classes.
 
     Two stages: when the exterior potential is even about 0 and about pi/2
@@ -376,15 +379,16 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
     root and the components Fbar_a(a, 0) and Fbar_b(0, b) are odd, so
     their positive roots are found by a sign scan plus bisection (robust
     near the bifurcation thresholds, where Newton's basins shrink) and
-    mirrored; then Newton iterations started from a sweep x sweep grid
-    over the disk look for anything off-axis. Results are deduplicated
-    within `dedup` and sorted by (a, b) so the census is deterministic.
+    mirrored; then Newton iterations started from a SWEEP_TICKS x
+    SWEEP_TICKS grid over the disk look for anything off-axis. Results are
+    deduplicated within DEDUP_DIST, kept if their residual is below
+    RESIDUAL_TOL, and sorted by (a, b) so the census is deterministic.
     """
     roots: list[tuple[float, float]] = []
 
     def push(a: float, b: float) -> None:
         for (pa, pb) in roots:
-            if math.hypot(a - pa, b - pb) < dedup:
+            if math.hypot(a - pa, b - pb) < DEDUP_DIST:
                 return
         roots.append((a, b))
 
@@ -410,7 +414,7 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
             push(0.0, -b_star)
 
     # stage 2: global Newton sweep over the disk
-    ticks = np.linspace(-1.0, 1.0, sweep)
+    ticks = np.linspace(-1.0, 1.0, SWEEP_TICKS)
     for a0 in ticks:
         for b0 in ticks:
             if math.hypot(a0, b0) > 1.0 + 1e-12:
@@ -421,7 +425,7 @@ def find_fixed_points(model: ModelSpec, grid: PeriodicGrid = DENSITY_GRID,
 
     roots.sort()
     records = [_record(tables, a, b) for (a, b) in roots]
-    records = [r for r in records if r.residual < residual_tol]
+    records = [r for r in records if r.residual < RESIDUAL_TOL]
     if not records:
         raise NumericError("find_fixed_points: no roots found (centred models "
                            "always have the Gibbs fixed point)")
@@ -438,12 +442,13 @@ def census_signature(records: Sequence[FixedPointRecord]) -> str:
 
 # ---------------------------------------------------------------------------
 # free energy and Laplace check
+FREE_ENERGY_TOL = 1e-8  # largest gap allowed between the two free-energy routes
 
 def _entropy(vals: np.ndarray, grid: PeriodicGrid) -> float:
     return quad_periodic(vals * np.log(vals), grid)
 
 
-def free_energy(model: ModelSpec, d: GridDensity, check_tol: float = 1e-8) -> float:
+def free_energy(model: ModelSpec, d: GridDensity) -> float:
     """Free energy of a density under the model's quadratic interaction.
 
     Two routes are computed: the generic double quadrature
@@ -451,8 +456,9 @@ def free_energy(model: ModelSpec, d: GridDensity, check_tol: float = 1e-8) -> fl
     form int U d - (rho/2)(a^2 + b^2) + entropy. The closed form's
     additive constant is pinned against the double route on the uniform
     density (algebraically it is zero; the calibration guards the
-    implementation rather than the math), the two routes are asserted to
-    agree on the supplied density, and the closed-form value is returned.
+    implementation rather than the math), the two routes must agree to
+    FREE_ENERGY_TOL on the supplied density, and the closed-form value is
+    returned.
     """
     if not np.all(np.asarray(d.values) > 0.0):
         raise DomainError("free_energy: density must be strictly positive")
@@ -474,7 +480,7 @@ def free_energy(model: ModelSpec, d: GridDensity, check_tol: float = 1e-8) -> fl
     const = double_route(uniform) - closed_route(uniform)
     closed = closed_route(d.values) + const
     double = double_route(d.values)
-    if abs(closed - double) > check_tol:
+    if abs(closed - double) > FREE_ENERGY_TOL:
         raise NumericError(
             f"free_energy: closed form {closed!r} and double quadrature {double!r} disagree")
     return closed

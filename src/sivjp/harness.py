@@ -27,7 +27,7 @@ from . import equilibria, flow as flow_mod
 from .engine import MomentTrace, SIVJPConfig, run_sitp
 from .equilibria import FixedPointRecord, STABILITY_TOL
 from .errors import ConfigError, DomainError
-from .geometry import TWO_PI, PeriodicGrid
+from .geometry import TWO_PI
 from .markov import TelegraphState
 from .model import ModelSpec
 from .potentials import local_minima, make_potential
@@ -113,8 +113,7 @@ class ExperimentConfig:
                          rho=self.model["rho"] if rho is None else rho,
                          lambda_min=self.model["lambda_min"])
 
-    def build_sivjp(self, rho: float, stream_index: int,
-                    hist_n: int | None = None) -> SIVJPConfig:
+    def build_sivjp(self, rho: float, stream_index: int) -> SIVJPConfig:
         s = self.sivjp
         z0 = None
         if s["x0"] is not None:
@@ -129,7 +128,6 @@ class ExperimentConfig:
             record_stride=float(s["record_stride"]),
             log_stride=bool(s["log_stride"]),
             record_t0=float(s["record_t0"]),
-            hist_grid=PeriodicGrid(hist_n) if hist_n else None,
         )
 
     def model_hash(self, rho: float | None = None) -> str:
@@ -313,13 +311,13 @@ def cmd_fixed_points(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) ->
 
 def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
     """Integrate the reduced flow from flow.start and write its CSV."""
-    ensure_outdir(out_dir)
     spec = cfg.flow
     if "start" not in spec or "T_flow" not in spec:
         raise ConfigError("cmd_flow: config needs flow.start and flow.T_flow")
     model = cfg.build_model()
     trace = flow_mod.integrate_flow(model, (spec["start"][0], spec["start"][1]),
                                     spec["T_flow"], dt=spec.get("dt", 0.01))
+    ensure_outdir(out_dir)
     path = os.path.join(out_dir, f"{cfg.name}_flow.csv")
     write_text(path, trace.to_csv())
     if not quiet:

@@ -29,6 +29,7 @@ from .errors import ConfigError, DomainError
 from .geometry import PeriodicGrid, THRESHOLD_GRID, wrap
 
 CERTIFY_MARGIN = 1.05
+MIN_CURVATURE = 1e-6  # smallest V'' at which local_minima keeps a minimum
 
 
 def _vectorize(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -211,12 +212,12 @@ def make_potential(kind: str, params: dict | None = None) -> FrozenPotential:
     return build(**params)
 
 
-def local_minima(pot: FrozenPotential, grid: PeriodicGrid = THRESHOLD_GRID,
-                 curvature_tol: float = 1e-6) -> list[float]:
+def local_minima(pot: FrozenPotential,
+                 grid: PeriodicGrid = THRESHOLD_GRID) -> list[float]:
     """Locations of the non-degenerate local minima of the potential.
 
-    Grid-detected minima are polished by bisection on dV and filtered by a
-    second-difference curvature test.
+    Grid-detected minima are polished by bisection on dV and kept where the
+    second-difference curvature exceeds MIN_CURVATURE.
     """
     z = grid.nodes
     vals = np.asarray(pot.v(z), dtype=float)
@@ -234,6 +235,6 @@ def local_minima(pot: FrozenPotential, grid: PeriodicGrid = THRESHOLD_GRID,
         x0 = 0.5 * (lo + hi)
         h = 1e-4
         curv = (pot.v_scalar(x0 + h) - 2.0 * pot.v_scalar(x0) + pot.v_scalar(x0 - h)) / h ** 2
-        if curv > curvature_tol:
+        if curv > MIN_CURVATURE:
             minima.append(wrap(x0))
     return sorted(minima)

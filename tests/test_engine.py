@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from helpers import R_OF_RHO_4
 from sivjp import (OccupationStats, PeriodicGrid, SIVJPConfig, SeedSpec,
                    TelegraphState, advect_occupation, drift_vprime,
-                   quadratic_kernel_grids, run_sitp, run_sitp_general,
-                   simulate_telegraph)
+                   occupation_histogram, quadratic_kernel_grids, run_sitp,
+                   run_sitp_general, simulate_telegraph)
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import TWO_PI
 from sivjp.markov import envelope_slope, local_clock
@@ -212,6 +212,17 @@ class TestRunSitp:
         with pytest.raises(ConfigError, match="uniform"):
             SIVJPConfig(model=model, t_end=1.0, seed=SeedSpec(0, 0),
                         mu0=(0.1, 0.0), hist_grid=PeriodicGrid(8)).validate()
+        # non-finite values: an infinite T or r, an infinite log-schedule
+        # start, and NaN moments
+        for bad in (dict(t_end=math.inf), dict(r=math.inf),
+                    dict(record_t0=math.inf, record_stride=2.0, log_stride=True),
+                    dict(mu0=(math.nan, 0.0)), dict(mu0=(0.0, math.nan))):
+            kw = dict(model=model, t_end=1.0, seed=SeedSpec(0, 0)) | bad
+            with pytest.raises(ConfigError):
+                SIVJPConfig(**kw).validate()
+        # the exact engine keeps no histogram
+        with pytest.raises(ConfigError, match="hist_grid"):
+            sitp(model, 1.0, master=0, hist_grid=PeriodicGrid(8))
 
     @pytest.mark.parametrize("lam", [math.inf, math.nan])
     def test_non_finite_envelope_rejected(self, lam):
@@ -222,24 +233,6 @@ class TestRunSitp:
         with pytest.raises(ConfigError, match="finite"):
             simulate_telegraph(cos2_potential(), 1.0, TelegraphState(0.0, 1), 10.0,
                                SeedSpec(1, 0), lambda_bar_override=lam)
-
-    def test_hist_built_at_end(self):
-        # the histogram is binned from the recorded flight legs after the
-        # run: unit mass, moments within a cell of the exact (a, b), and
-        # the same draws and moments as the run without it
-        grid = PeriodicGrid(64)
-        model = ModelSpec(potential=cos2_potential(), rho=3.0)
-        plain = sitp(model, 500.0, master=15)
-        binned = sitp(model, 500.0, master=15, hist_grid=grid)
-        h = binned.hist
-        assert plain.hist is None
-        assert h.shape == (64,) and np.all(h >= 0.0)
-        assert h.sum() == pytest.approx(1.0, abs=1e-12)
-        assert abs(float(h @ np.cos(grid.nodes)) - binned.final.a) <= grid.h
-        assert abs(float(h @ np.sin(grid.nodes)) - binned.final.b) <= grid.h
-        assert binned.final == plain.final
-        assert binned.n_events == plain.n_events
-        assert binned.n_proposals == plain.n_proposals
 
     def test_trace_csv_and_summary(self):
         model = ModelSpec(potential=zero_potential(), rho=1.0)
@@ -457,20 +450,25 @@ class TestRunSitpGeneral:
     def test_zero_kernel_shares_the_moment_driver(self):
         # both modes run one thinning loop; with no drift in either (zero
         # kernel, zero potential at rho = 0) and one envelope they consume
-        # the same draws and record the same snapshots bit for bit
+        # the same draws and record the same snapshots bit for bit; the
+        # general mode's histogram is the plain telegraph log's, binned
         grid = PeriodicGrid(64)
+        z0 = TelegraphState(0.0, 1)
         cfg = SIVJPConfig(model=ZERO, t_end=300.0, seed=SeedSpec(74, 0),
-                          record_stride=25.0, hist_grid=grid,
+                          record_stride=25.0, z0=z0, hist_grid=grid,
                           lambda_bar_override=2.0)
         zeros = np.zeros((64, 64))
         gen = run_sitp_general(zeros, zeros, cfg)
-        mom = run_sitp(cfg)
+        mom = run_sitp(dataclasses.replace(cfg, hist_grid=None))
         for name in ("times", "a_vals", "b_vals", "x_vals", "y_vals"):
             assert np.array_equal(getattr(gen, name), getattr(mom, name)), name
         assert (gen.n_events, gen.n_proposals) == (mom.n_events, mom.n_proposals)
         assert gen.n_events < gen.n_proposals  # the override thins proposals
         assert gen.final == mom.final
-        assert np.max(np.abs(gen.hist - mom.hist)) <= 1e-12
+        log = simulate_telegraph(zero_potential(), 1.0, z0, 300.0, SeedSpec(74, 0),
+                                 lambda_bar_override=2.0)
+        binned = occupation_histogram(log, grid) + cfg.r / grid.n
+        assert np.max(np.abs(gen.hist - binned / binned.sum())) <= 1e-12
 
     def test_hist_required(self):
         with pytest.raises(ConfigError):

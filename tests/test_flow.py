@@ -93,6 +93,11 @@ class TestIntegrateFlow:
             integrate_flow(model_zero(1.0), (1.2, 0.0), 1.0)
         with pytest.raises(ConfigError):
             integrate_flow(model_zero(1.0), (0.0, 0.0), 1.0, dt=0.5)
+        # non-finite inputs: an infinite horizon and a NaN start
+        with pytest.raises(ConfigError):
+            integrate_flow(model_zero(1.0), (0.0, 0.0), math.inf)
+        with pytest.raises(ConfigError):
+            integrate_flow(model_zero(1.0), (math.nan, 0.0), 1.0)
 
     def test_csv(self):
         trace = integrate_flow(model_zero(1.0), (0.2, 0.0), 1.0, dt=0.1)

@@ -143,12 +143,25 @@ class TestCLI:
         assert main(["--config", path, "--out", out, "--quiet", "simulate"]) == 0
         assert os.path.exists(os.path.join(out, "summary.json"))
 
-    def test_invalid_config_exit_two_no_files(self, tmp_path):
+    @pytest.mark.parametrize("section, patch, command", [
+        ("sivjp", {"T": -1.0}, "simulate"),
+        # json reads the Infinity and NaN literals; the checks must not
+        ("sivjp", {"T": math.inf}, "simulate"),
+        ("sivjp", {"r": math.inf}, "simulate"),
+        ("sivjp", {"record_t0": math.inf, "log_stride": True, "record_stride": 2.0},
+         "simulate"),
+        ("sivjp", {"mu0": [math.nan, 0.0]}, "simulate"),
+        ("flow", {"start": [0.1, 0.0], "T_flow": math.inf}, "flow"),
+    ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
+            "infinite_T_flow"])
+    def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
+                                              command):
         bad = copy.deepcopy(BASE)
-        bad["sivjp"]["T"] = -1.0
+        bad.setdefault(section, {}).update(patch)
         path = write_config(tmp_path, bad)
         out = str(tmp_path / "out")
-        assert main(["--config", path, "--out", out, "--quiet", "simulate"]) == 2
+        assert main(["--config", path, "--out", out, "--quiet", command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
     def test_missing_config_exit_two(self, tmp_path):
@@ -358,9 +371,10 @@ class TestLocalize:
 
     def test_gibbs_occupancy_at_rho_zero(self, tmp_path):
         # with no interaction the occupation near each well matches the
-        # Gibbs weights of exp(-U)
-        from sivjp import PeriodicGrid, SIVJPConfig, SeedSpec, run_sitp
-        from sivjp.model import ModelSpec
+        # Gibbs weights of exp(-U); at rho = 0 the engine is exactly the
+        # telegraph process, whose log is binned here
+        from sivjp import (PeriodicGrid, SeedSpec, occupation_histogram,
+                           simulate_telegraph)
         from sivjp.potentials import two_well_potential, local_minima
         from sivjp.geometry import TWO_PI
         pot = two_well_potential()
@@ -377,10 +391,9 @@ class TestLocalize:
             want.append(float(gibbs[mask].sum()))
         n_runs = 4
         for k in range(n_runs):
-            cfg = SIVJPConfig(model=ModelSpec(potential=pot, rho=0.0),
-                              t_end=20000.0, seed=SeedSpec(777, k),
-                              record_stride=5000.0, hist_grid=grid)
-            hist = run_sitp(cfg).hist
+            log = simulate_telegraph(pot, 1.0, TelegraphState(0.0, 1), 20000.0,
+                                     SeedSpec(777, k))
+            hist = occupation_histogram(log, grid) / log.t_final
             for i, x0 in enumerate(minima):
                 mask = np.abs(np.mod(nodes - x0 + np.pi, TWO_PI) - np.pi) < phi
                 got[i] += float(hist[mask].sum()) / n_runs
