@@ -31,13 +31,14 @@ keeps the constant lam_bar.
 One thinning loop, _drive, serves both modes; only the drift differs.
 run_sitp is the exact moment mode: the drift U'(x) + rho*(a sin x - b cos x)
 is computed inline, and the two moments are the whole occupation state, so
-it keeps no histogram and rejects a hist_grid (occupation_histogram bins a
-plain telegraph log where one is wanted). run_sitp_general is the
-general-kernel mode: its drift callback deposits each flight leg into an
-occupation histogram and convolves the kernel derivative against it; it is
-approximate (bias of the order of the grid spacing) and exists for kernels
-that do not reduce to two moments, and proposes under the constant lam_bar,
-as does a run with lambda_bar_override. The envelope is chosen by
+a run is a pure function of its config and seed (occupation_histogram bins
+a plain telegraph log where a histogram is wanted). run_sitp_general is the
+general-kernel mode: it owns an occupation histogram on the kernel's grid,
+its drift callback deposits each flight leg there and convolves the kernel
+derivative against it, and it returns the histogram beside the trace; it
+is approximate (bias of the order of the grid spacing) and exists for
+kernels that do not reduce to two moments, and proposes under the constant
+lam_bar, as does a run with lambda_bar_override. The envelope is chosen by
 markov.thinning_envelope and checked on every accepted proposal.
 """
 
@@ -46,7 +47,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -117,10 +117,8 @@ class SIVJPConfig:
     """One self-interacting run.
 
     z0 = None draws the initial position uniformly (the first stream draw)
-    with velocity +1. mu0 gives the initial occupation moments. hist_grid
-    is the occupation histogram of run_sitp_general, which run_sitp
-    rejects; a histogram starts from the uniform measure, so with one set
-    mu0 must be (0, 0).
+    with velocity +1. mu0 gives the initial occupation moments; a
+    run_sitp_general run starts uniform, so it needs mu0 = (0, 0).
 
     record_stride is the snapshot interval; with log_stride=True it is a
     multiplicative ratio and snapshots sit at record_t0 * stride^k, which
@@ -136,7 +134,6 @@ class SIVJPConfig:
     record_stride: float = 10.0
     log_stride: bool = False
     record_t0: float = 1.0
-    hist_grid: PeriodicGrid | None = None
     lambda_bar_override: float | None = None
 
     def validate(self) -> None:
@@ -153,9 +150,6 @@ class SIVJPConfig:
         a0, b0 = self.mu0
         if not a0 * a0 + b0 * b0 <= 1.0 + ROUNDOFF_TOL:  # NaN fails too
             raise ConfigError("SIVJPConfig: mu0 moments must lie in the closed unit disk")
-        if self.hist_grid is not None and (a0 != 0.0 or b0 != 0.0):
-            raise ConfigError("SIVJPConfig: a histogram run starts uniform, "
-                              "so mu0 must be (0, 0)")
 
     def snapshot_times(self) -> np.ndarray:
         if self.log_stride:
@@ -173,9 +167,8 @@ class SIVJPConfig:
 
 @dataclass
 class MomentTrace:
-    """Snapshots of the occupation moments along one run; hist holds the
-    final occupation measure on cfg.hist_grid (cell masses summing to 1)
-    for a run_sitp_general run."""
+    """Snapshots of the occupation moments along one run, with its final
+    state and counts: everything here is a function of the config and seed."""
 
     times: np.ndarray
     a_vals: np.ndarray
@@ -186,8 +179,6 @@ class MomentTrace:
     final_state: TelegraphState
     n_events: int
     n_proposals: int
-    wall_time_s: float
-    hist: np.ndarray | None = None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -205,7 +196,6 @@ class MomentTrace:
             "final_theta": math.atan2(self.final.b, self.final.a) % TWO_PI,
             "n_events": self.n_events,
             "n_proposals": self.n_proposals,
-            "wall_time_s": self.wall_time_s,
         }
 
 
@@ -230,8 +220,7 @@ def _record_due(rec, snaps: list, k: int, t_next: float, r: float, t: float,
     return k
 
 
-def _finalize(cfg: SIVJPConfig, rec, hist_raw, n_events, n_proposals,
-              t0) -> MomentTrace:
+def _finalize(cfg: SIVJPConfig, rec, n_events, n_proposals) -> MomentTrace:
     times, a_vals, b_vals, x_vals, y_vals = rec
     return MomentTrace(times=np.array(times), a_vals=np.array(a_vals),
                        b_vals=np.array(b_vals), x_vals=np.array(x_vals),
@@ -239,9 +228,7 @@ def _finalize(cfg: SIVJPConfig, rec, hist_raw, n_events, n_proposals,
                        final=OccupationStats(r=cfg.r, t=cfg.t_end,
                                              a=a_vals[-1], b=b_vals[-1]),
                        final_state=TelegraphState(x=x_vals[-1], y=y_vals[-1]),
-                       n_events=n_events, n_proposals=n_proposals,
-                       wall_time_s=time.perf_counter() - t0,
-                       hist=None if hist_raw is None else hist_raw / hist_raw.sum())
+                       n_events=n_events, n_proposals=n_proposals)
 
 
 def _drive(cfg: SIVJPConfig, lam_bar: float,
@@ -350,43 +337,43 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
     With rho = 0 the interaction vanishes and this is the plain telegraph
     engine with the same draw consumption, so matched seeds reproduce
     simulate_telegraph exactly. The moments are the whole occupation state,
-    so a cfg.hist_grid is a ConfigError and MomentTrace.hist stays None.
+    so the trace is the whole result.
     """
     cfg.validate()
-    if cfg.hist_grid is not None:
-        raise ConfigError("run_sitp: the exact engine keeps no histogram; "
-                          "hist_grid is for run_sitp_general")
-    t_start = time.perf_counter()
     lam_bar = thinning_envelope(cfg.model.thinning_bound, cfg.lambda_bar_override)
     rec, _, _, _, n_events, n_prop = _drive(cfg, lam_bar)
-    return _finalize(cfg, rec, None, n_events, n_prop, t_start)
+    return _finalize(cfg, rec, n_events, n_prop)
 
 
 def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
-                     cfg: SIVJPConfig) -> MomentTrace:
+                     cfg: SIVJPConfig) -> tuple[MomentTrace, np.ndarray]:
     """Histogram-mode simulation for a general symmetric interaction kernel.
 
-    w_grid and dw_grid sample W(x, z) and its x-derivative on
-    hist_grid x hist_grid; the drift at x is the grid convolution of
-    dw_grid against the occupation histogram, with piecewise-linear
-    interpolation in x. The histogram carries the uniform initial mass r
-    plus the exact sojourn masses of the trajectory, so the only bias is
-    the cell-width smearing of the kernel, of the order of the grid spacing.
+    w_grid and dw_grid sample W(x, z) and its x-derivative on the n x n
+    nodes of PeriodicGrid(n), n = len(w_grid); the drift at x is the grid
+    convolution of dw_grid against the occupation histogram on that grid,
+    with piecewise-linear interpolation in x. The histogram carries the
+    uniform initial mass r plus the exact sojourn masses of the trajectory,
+    so the only bias is the cell-width smearing of the kernel, of the order
+    of the grid spacing. A run starts uniform, so cfg.mu0 must be (0, 0).
 
     The exterior potential must be baked into the kernel
     (W = U(x) + Wint(x, z) + U(z)); cfg.model contributes lambda_min and
     rho is ignored here.
+
+    Returns (trace, hist), where hist holds the final occupation measure
+    as cell masses summing to 1.
     """
     cfg.validate()
-    if cfg.hist_grid is None:
-        raise ConfigError("run_sitp_general: hist_grid is required")
-    t_start = time.perf_counter()
-    grid = cfg.hist_grid
+    if any(cfg.mu0):
+        raise ConfigError("run_sitp_general: a general-mode run starts uniform, "
+                          "so mu0 must be (0, 0)")
+    grid = PeriodicGrid(len(w_grid))
     n = grid.n
     w_grid = np.asarray(w_grid, dtype=float)
     dw_grid = np.asarray(dw_grid, dtype=float)
     if w_grid.shape != (n, n) or dw_grid.shape != (n, n):
-        raise ConfigError("run_sitp_general: kernel grids must be n x n on hist_grid")
+        raise ConfigError("run_sitp_general: kernel grids must both be n x n")
     asym = float(np.max(np.abs(w_grid - w_grid.T)))
     if asym > 1e-12:
         raise ConfigError(f"run_sitp_general: kernel is not symmetric (max {asym:.2e})")
@@ -413,7 +400,7 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
 
     rec, x, y, t, n_events, n_prop = _drive(cfg, lam_bar, drift=drift)
     arc_sojourn(x, y, cfg.t_end - t, grid, out=hist_raw)
-    return _finalize(cfg, rec, hist_raw, n_events, n_prop, t_start)
+    return _finalize(cfg, rec, n_events, n_prop), hist_raw / hist_raw.sum()
 
 
 def quadratic_kernel_grids(model: ModelSpec,

@@ -453,12 +453,9 @@ def free_energy(model: ModelSpec, d: GridDensity) -> float:
 
     Two routes are computed: the generic double quadrature
     0.5*sum_jk W_jk d_j d_k h^2 + entropy, and the quadratic-kernel closed
-    form int U d - (rho/2)(a^2 + b^2) + entropy. The closed form's
-    additive constant is pinned against the double route on the uniform
-    density (algebraically it is zero; the calibration guards the
-    implementation rather than the math), the two routes must agree to
-    FREE_ENERGY_TOL on the supplied density, and the closed-form value is
-    returned.
+    form int U d - (rho/2)(a^2 + b^2) + entropy. The two routes must agree
+    to FREE_ENERGY_TOL on the supplied density, so a constant offset in
+    either one is caught, and the closed-form value is returned.
     """
     if not np.all(np.asarray(d.values) > 0.0):
         raise DomainError("free_energy: density must be strictly positive")
@@ -467,19 +464,13 @@ def free_energy(model: ModelSpec, d: GridDensity) -> float:
     u_vals = np.asarray(model.u(z), dtype=float)
     w_mat = u_vals[:, None] + u_vals[None, :] - model.rho * np.cos(z[:, None] - z[None, :])
 
-    def double_route(vals: np.ndarray) -> float:
-        return 0.5 * float(vals @ w_mat @ vals) * h * h + _entropy(vals, d.grid)
-
-    def closed_route(vals: np.ndarray) -> float:
-        a = quad_periodic(np.cos(z) * vals, d.grid)
-        b = quad_periodic(np.sin(z) * vals, d.grid)
-        ext = quad_periodic(u_vals * vals, d.grid)
-        return ext - 0.5 * model.rho * (a * a + b * b) + _entropy(vals, d.grid)
-
-    uniform = np.full(d.grid.n, 1.0 / (2.0 * math.pi))
-    const = double_route(uniform) - closed_route(uniform)
-    closed = closed_route(d.values) + const
-    double = double_route(d.values)
+    vals = d.values
+    entropy = _entropy(vals, d.grid)
+    a = quad_periodic(np.cos(z) * vals, d.grid)
+    b = quad_periodic(np.sin(z) * vals, d.grid)
+    ext = quad_periodic(u_vals * vals, d.grid)
+    closed = ext - 0.5 * model.rho * (a * a + b * b) + entropy
+    double = 0.5 * float(vals @ w_mat @ vals) * h * h + entropy
     if abs(closed - double) > FREE_ENERGY_TOL:
         raise NumericError(
             f"free_energy: closed form {closed!r} and double quadrature {double!r} disagree")

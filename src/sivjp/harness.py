@@ -94,8 +94,10 @@ class ExperimentConfig:
             master_seed=int(raw.get("master_seed", 0)),
             output_dir=raw.get("output_dir"),
         )
-        cfg.build_model()  # surfaces bad potentials/params eagerly
+        # builds the model too, so bad potentials and params surface here
         cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0).validate()
+        if not all(math.isfinite(rho) for rho in cfg.sweep.get("rhos", ())):
+            raise ConfigError("sweep.rhos entries must be finite")
         return cfg
 
     @staticmethod

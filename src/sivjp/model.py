@@ -13,6 +13,7 @@ so the whole self-interaction is carried by the two moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -26,8 +27,11 @@ class ModelSpec:
     lambda_min: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.lambda_min > 0.0:
-            raise ConfigError(f"ModelSpec: lambda_min must be > 0, got {self.lambda_min}")
+        if not math.isfinite(self.rho):
+            raise ConfigError(f"ModelSpec: rho must be finite, got {self.rho}")
+        if not 0.0 < self.lambda_min < math.inf:
+            raise ConfigError(f"ModelSpec: lambda_min must be finite and > 0, "
+                              f"got {self.lambda_min}")
 
     @property
     def u(self):

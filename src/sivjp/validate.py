@@ -13,7 +13,7 @@ import numpy as np
 
 from . import equilibria
 from .engine import OccupationStats, SIVJPConfig, advect_occupation, drift_vprime, run_sitp
-from .geometry import PeriodicGrid, TWO_PI, quad_periodic, wrap
+from .geometry import PeriodicGrid, TWO_PI, dist_t, quad_periodic, wrap
 from .markov import TelegraphState, simulate_telegraph
 from .model import ModelSpec
 from .potentials import cos2_potential, zero_potential
@@ -41,10 +41,7 @@ def check_wrap(master_seed: int) -> str:
 def check_triangle(master_seed: int) -> str:
     gen = derive_stream(SeedSpec(master_seed, 902))
     pts = gen.random((10000, 3)) * TWO_PI
-    d_xy = 2.0 * np.abs(np.sin(0.5 * (pts[:, 0] - pts[:, 1])))
-    d_yz = 2.0 * np.abs(np.sin(0.5 * (pts[:, 1] - pts[:, 2])))
-    d_xz = 2.0 * np.abs(np.sin(0.5 * (pts[:, 0] - pts[:, 2])))
-    slack = float(np.min(d_xy + d_yz - d_xz))
+    slack = min(dist_t(x, y) + dist_t(y, z) - dist_t(x, z) for x, y, z in pts.tolist())
     if slack < -1e-12:
         raise AssertionError(f"triangle inequality violated by {slack:.3e}")
     return f"min slack {_fmt(max(slack, 0.0))}"

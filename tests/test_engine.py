@@ -209,9 +209,6 @@ class TestRunSitp:
         with pytest.raises(ConfigError):
             SIVJPConfig(model=model, t_end=1.0, seed=SeedSpec(0, 0),
                         record_stride=1.0, log_stride=True).validate()
-        with pytest.raises(ConfigError, match="uniform"):
-            SIVJPConfig(model=model, t_end=1.0, seed=SeedSpec(0, 0),
-                        mu0=(0.1, 0.0), hist_grid=PeriodicGrid(8)).validate()
         # non-finite values: an infinite T or r, an infinite log-schedule
         # start, and NaN moments
         for bad in (dict(t_end=math.inf), dict(r=math.inf),
@@ -220,9 +217,11 @@ class TestRunSitp:
             kw = dict(model=model, t_end=1.0, seed=SeedSpec(0, 0)) | bad
             with pytest.raises(ConfigError):
                 SIVJPConfig(**kw).validate()
-        # the exact engine keeps no histogram
-        with pytest.raises(ConfigError, match="hist_grid"):
-            sitp(model, 1.0, master=0, hist_grid=PeriodicGrid(8))
+        # the general mode's histogram starts uniform
+        with pytest.raises(ConfigError, match="uniform"):
+            run_sitp_general(np.zeros((8, 8)), np.zeros((8, 8)),
+                             SIVJPConfig(model=model, t_end=1.0, seed=SeedSpec(0, 0),
+                                         mu0=(0.1, 0.0)))
 
     @pytest.mark.parametrize("lam", [math.inf, math.nan])
     def test_non_finite_envelope_rejected(self, lam):
@@ -242,7 +241,7 @@ class TestRunSitp:
         assert len(lines) == trace.times.size + 1
         summ = trace.summary()
         assert set(summ) == {"final_a", "final_b", "final_r_polar", "final_theta",
-                             "n_events", "n_proposals", "wall_time_s"}
+                             "n_events", "n_proposals"}
         assert summ["final_r_polar"] == pytest.approx(
             math.hypot(summ["final_a"], summ["final_b"]))
 
@@ -391,25 +390,25 @@ class TestLocalEnvelope:
 
 class TestRunSitpGeneral:
     def test_constant_kernel_rate_floor(self):
-        grid = PeriodicGrid(128)
         w = np.full((128, 128), 3.0)
         dw = np.zeros((128, 128))
         cfg = SIVJPConfig(model=ZERO, t_end=2e4, seed=SeedSpec(71, 0),
-                          record_stride=1e4, hist_grid=grid)
-        trace = run_sitp_general(w, dw, cfg)
+                          record_stride=1e4)
+        trace, _ = run_sitp_general(w, dw, cfg)
         # zero derivative: every proposal accepted at rate lambda_min
         assert trace.n_events == trace.n_proposals
         rate = trace.n_events / cfg.t_end
         assert abs(rate - 1.0) < 0.05
 
     def test_asymmetric_kernel_rejected(self):
-        grid = PeriodicGrid(16)
-        w = np.zeros((16, 16))
-        w[0, 1] = 1e-6
-        cfg = SIVJPConfig(model=ZERO, t_end=1.0, seed=SeedSpec(0, 0),
-                          hist_grid=grid)
-        with pytest.raises(ConfigError, match="symmetric"):
-            run_sitp_general(w, np.zeros((16, 16)), cfg)
+        cfg = SIVJPConfig(model=ZERO, t_end=1.0, seed=SeedSpec(0, 0))
+        # the grid is PeriodicGrid(len(w)), which needs an even n
+        for shape, match in (((16, 16), "symmetric"), ((15, 15), "even"),
+                             ((16, 8), "n x n")):
+            w = np.zeros(shape)
+            w[0, 1] = 1e-6
+            with pytest.raises(ConfigError, match=match):
+                run_sitp_general(w, np.zeros(shape), cfg)
 
     def test_quadratic_kernel_matches_exact_mode(self):
         grid = PeriodicGrid(512)
@@ -420,7 +419,7 @@ class TestRunSitpGeneral:
         kw = dict(model=model, t_end=1000.0, seed=SeedSpec(72, 0),
                   record_stride=10.0, lambda_bar_override=lam)
         exact = run_sitp(SIVJPConfig(**kw))
-        gridm = run_sitp_general(w, dw, SIVJPConfig(hist_grid=grid, **kw))
+        gridm, _ = run_sitp_general(w, dw, SIVJPConfig(**kw))
         sup = float(np.max(np.hypot(exact.a_vals - gridm.a_vals,
                                     exact.b_vals - gridm.b_vals)))
         assert sup < 0.02
@@ -439,9 +438,8 @@ class TestRunSitpGeneral:
         m2, a_signs = [], []
         for k in range(8):
             cfg = SIVJPConfig(model=ZERO, t_end=3e3, seed=SeedSpec(73, k),
-                              record_stride=1e3, hist_grid=grid)
-            tr = run_sitp_general(w, dw, cfg)
-            h = tr.hist
+                              record_stride=1e3)
+            tr, h = run_sitp_general(w, dw, cfg)
             m2.append(math.hypot(float(h @ np.cos(2 * z)), float(h @ np.sin(2 * z))))
             a_signs.append(math.copysign(1.0, tr.final.a))
         assert all(m > 0.7 for m in m2)
@@ -455,11 +453,10 @@ class TestRunSitpGeneral:
         grid = PeriodicGrid(64)
         z0 = TelegraphState(0.0, 1)
         cfg = SIVJPConfig(model=ZERO, t_end=300.0, seed=SeedSpec(74, 0),
-                          record_stride=25.0, z0=z0, hist_grid=grid,
-                          lambda_bar_override=2.0)
+                          record_stride=25.0, z0=z0, lambda_bar_override=2.0)
         zeros = np.zeros((64, 64))
-        gen = run_sitp_general(zeros, zeros, cfg)
-        mom = run_sitp(dataclasses.replace(cfg, hist_grid=None))
+        gen, hist = run_sitp_general(zeros, zeros, cfg)
+        mom = run_sitp(cfg)
         for name in ("times", "a_vals", "b_vals", "x_vals", "y_vals"):
             assert np.array_equal(getattr(gen, name), getattr(mom, name)), name
         assert (gen.n_events, gen.n_proposals) == (mom.n_events, mom.n_proposals)
@@ -468,9 +465,4 @@ class TestRunSitpGeneral:
         log = simulate_telegraph(zero_potential(), 1.0, z0, 300.0, SeedSpec(74, 0),
                                  lambda_bar_override=2.0)
         binned = occupation_histogram(log, grid) + cfg.r / grid.n
-        assert np.max(np.abs(gen.hist - binned / binned.sum())) <= 1e-12
-
-    def test_hist_required(self):
-        with pytest.raises(ConfigError):
-            run_sitp_general(np.zeros((16, 16)), np.zeros((16, 16)),
-                             SIVJPConfig(model=ZERO, t_end=1.0, seed=SeedSpec(0, 0)))
+        assert np.max(np.abs(hist - binned / binned.sum())) <= 1e-12

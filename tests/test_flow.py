@@ -139,7 +139,7 @@ class TestPseudotrajectory:
                                                  a=float(flow.points[-1, 0]),
                                                  b=float(flow.points[-1, 1])),
                            final_state=TelegraphState(0.0, 1),
-                           n_events=0, n_proposals=0, wall_time_s=0.0)
+                           n_events=0, n_proposals=0)
         err = pseudotrajectory_error(fake, model, 2.0, 3.0, dt=0.005)
         assert err < 1e-7
 

@@ -36,14 +36,6 @@ def write_config(tmp_path, cfg_dict, fname="config.json"):
     return str(path)
 
 
-def _strip_wall_time(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_wall_time(v) for k, v in obj.items() if k != "wall_time_s"}
-    if isinstance(obj, list):
-        return [_strip_wall_time(v) for v in obj]
-    return obj
-
-
 class TestConfig:
     def test_schema_accepts_base(self):
         ExperimentConfig.from_dict(BASE)
@@ -121,9 +113,9 @@ class TestSimulate:
             fa = (tmp_path / "a" / f"smoke_seed{k:04d}.csv").read_bytes()
             fb = (tmp_path / "b" / f"smoke_seed{k:04d}.csv").read_bytes()
             assert fa == fb
-        sa = json.loads((tmp_path / "a" / "summary.json").read_text())
-        sb = json.loads((tmp_path / "b" / "summary.json").read_text())
-        assert _strip_wall_time(sa) == _strip_wall_time(sb)
+        sa = (tmp_path / "a" / "summary.json").read_bytes()
+        sb = (tmp_path / "b" / "summary.json").read_bytes()
+        assert sa == sb
 
     def test_thread_count_invariance(self, tmp_path):
         outputs = []
@@ -152,8 +144,15 @@ class TestCLI:
          "simulate"),
         ("sivjp", {"mu0": [math.nan, 0.0]}, "simulate"),
         ("flow", {"start": [0.1, 0.0], "T_flow": math.inf}, "flow"),
+        ("model", {"rho": math.inf}, "fixed-points"),
+        ("model", {"rho": math.inf}, "simulate"),
+        ("sweep", {"rhos": [1.0, math.nan]}, "scan"),
+        ("model", {"lambda_min": math.inf}, "fixed-points"),
+        ("model", {"lambda_min": math.inf}, "simulate"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
-            "infinite_T_flow"])
+            "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
+            "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
+            "infinite_lambda_min_simulate"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
                                               command):
         bad = copy.deepcopy(BASE)
@@ -433,7 +432,7 @@ def _fake_trace(a_vals, b_vals):
                        b_vals=np.asarray(b_vals), x_vals=np.zeros(n), y_vals=np.ones(n),
                        final=OccupationStats(r=1.0, t=1000.0, a=a_vals[-1], b=b_vals[-1]),
                        final_state=TelegraphState(0.0, 1),
-                       n_events=0, n_proposals=0, wall_time_s=0.0)
+                       n_events=0, n_proposals=0)
 
 
 class TestClassification:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sivjp import SeedSpec, SIVJPConfig, TelegraphState, run_sitp, simulate_telegraph
+from sivjp import potentials
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
+from sivjp.harness import config_schema
 from sivjp.markov import TorusVJPState, proposal_budget, simulate_torus_vjp
 from sivjp.model import ModelSpec
 from sivjp.potentials import (certify_dv_sup, check_derivative, cos_potential,
@@ -139,6 +141,14 @@ class TestRegistry:
     def test_custom_grid_needs_values(self):
         with pytest.raises(ConfigError):
             make_potential("custom_grid")
+
+    def test_schema_matches_registry(self):
+        # the config schema and the registry list the kinds and their
+        # parameters in two files; they must agree
+        model = config_schema()["properties"]["model"]["properties"]
+        assert model["potential"]["enum"] == list(potentials.POTENTIAL_KINDS)
+        takes = {name for _, names in potentials._REGISTRY.values() for name in names}
+        assert set(model["params"]["properties"]) == takes
 
 
 class TestLocalMinima:
