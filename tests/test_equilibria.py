@@ -18,6 +18,83 @@ from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
 
 ZERO = ModelSpec(potential=zero_potential(), rho=0.0)
 COS2 = lambda rho: ModelSpec(potential=cos2_potential(), rho=rho)
+TABLE_MODELS = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
+                ModelSpec(potential=zero_potential(), rho=4.0),
+                ModelSpec(potential=grid_potential([0.3, -0.1, 0.5, 0.2, -0.4, 0.0]),
+                          rho=-3.0))
+
+
+def reference_newton(model, grid, a, b):
+    """The census's Newton iteration from one start, on the public path."""
+    x = np.array([a, b], dtype=float)
+    for _ in range(equilibria.NEWTON_MAX_ITER):
+        f = np.array(fbar(model, x[0], x[1], grid))
+        if np.hypot(f[0], f[1]) < equilibria.NEWTON_TOL:
+            return float(x[0]), float(x[1])
+        try:
+            step = np.linalg.solve(jacobian_fbar(model, x[0], x[1], grid), -f)
+        except np.linalg.LinAlgError:
+            return None
+        norm = float(np.hypot(step[0], step[1]))
+        if norm > 0.5:
+            step *= 0.5 / norm
+        x = x + step
+        if np.hypot(x[0], x[1]) > 1.5:
+            return None
+    return None
+
+
+def reference_census(model, grid):
+    """find_fixed_points one point at a time on the public path: a scalar
+    axis scan, Newton start by start, one record per root."""
+    roots = []
+
+    def push(a, b):
+        if all(math.hypot(a - pa, b - pb) >= equilibria.DEDUP_DIST for pa, pb in roots):
+            roots.append((a, b))
+
+    z = grid.nodes
+    u_vals = np.asarray(model.u(z), dtype=float)
+    if (np.max(np.abs(u_vals - model.u(-z))) <= 1e-10
+            and np.max(np.abs(u_vals - model.u(np.pi - z))) <= 1e-10):
+        push(0.0, 0.0)
+        for axis in (0, 1):
+            def residual(x):
+                return fbar(model, *((x, 0.0) if axis == 0 else (0.0, x)), grid)[axis]
+            xs = np.linspace(1e-9, 1.0 - 1e-9, 512)
+            vals = [residual(x) for x in xs]
+            root = None
+            for i in range(len(xs) - 1):
+                if vals[i] > 0.0 >= vals[i + 1]:
+                    lo, hi = xs[i], xs[i + 1]
+                    for _ in range(100):
+                        mid = 0.5 * (lo + hi)
+                        if mid == lo or mid == hi:
+                            break
+                        lo, hi = (mid, hi) if residual(mid) > 0.0 else (lo, mid)
+                    root = 0.5 * (lo + hi)
+                    break
+            if root is not None:
+                push(*((root, 0.0) if axis == 0 else (0.0, root)))
+                push(*((-root, 0.0) if axis == 0 else (0.0, -root)))
+    ticks = np.linspace(-1.0, 1.0, equilibria.SWEEP_TICKS)
+    for a0 in ticks:
+        for b0 in ticks:
+            if math.hypot(a0, b0) <= 1.0 + 1e-12:
+                res = reference_newton(model, grid, a0, b0)
+                if res is not None:
+                    push(*res)
+    records = []
+    for a, b in sorted(roots):
+        jac = jacobian_fbar(model, a, b, grid)
+        eig = np.linalg.eigvals(jac)
+        eig = eig[np.lexsort((eig.imag, eig.real))]
+        rec = equilibria.FixedPointRecord(a=a, b=b, residual=math.hypot(*fbar(model, a, b, grid)),
+                                          jacobian=jac, eigenvalues=eig,
+                                          stability=classify(eig))
+        if rec.residual < equilibria.RESIDUAL_TOL:
+            records.append(rec)
+    return records
 
 
 class TestPibar:
@@ -240,6 +317,41 @@ class TestAxisStage:
                     evaluate()
 
 
+    def test_batched_field_and_jacobian_bit_equal(self):
+        # every point of a batch, whatever its size and position, against the public path
+        rng = np.random.default_rng(20261018)
+        for grid in (DENSITY_GRID, THRESHOLD_GRID, PeriodicGrid(64)):
+            for model in TABLE_MODELS:
+                tables = equilibria._NodeTables(model, grid)
+                for k in (1, 7, 4096 // grid.n + 1):
+                    points = rng.uniform(-1.2, 1.2, size=(k, 2))
+                    points[0] = (0.9, 0.8)  # outside the disk
+                    if k > 1:
+                        points[1] = (0.1, -0.2)  # inside
+                    f, jac = tables.fbar_jacobian_many(points[:, 0], points[:, 1])
+                    assert f.shape == (k, 2) and jac.shape == (k, 2, 2)
+                    for (a, b), fi, ji in zip(points, f, jac):
+                        assert tuple(fi.tolist()) == fbar(model, a, b, grid)
+                        assert np.array_equal(ji, jacobian_fbar(model, a, b, grid))
+
+    def test_batched_raises_like_scalar_loop(self):
+        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
+                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
+        cases = [(COS2(40.0), 20.0, DomainError),  # density underflows to 0
+                 (COS2(40.0), 1e308, NumericError),  # log-density overflows
+                 (COS2(40.0), math.nan, NumericError),
+                 (ModelSpec(potential=spike, rho=1.0), 0.1, NumericError)]  # -inf entry
+        for model, a, exc in cases:
+            tables = equilibria._NodeTables(model, DENSITY_GRID)
+            for a_vals in ([a], [0.2, -0.4, 0.05, a]):  # alone and last in a batch
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc):
+                    tables.fbar_jacobian_many(np.array(a_vals), np.full(len(a_vals), 0.3))
+        # two failing points: the first one's error, as in a loop over the points
+        tables = equilibria._NodeTables(COS2(40.0), DENSITY_GRID)
+        for a_vals, exc in (([20.0, math.nan], DomainError), ([math.nan, 20.0], NumericError)):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc):
+                tables.fbar_jacobian_many(np.array(a_vals), np.full(2, 0.3))
+
 class TestCensus:
     def test_single_sink_uniform_subcritical(self):
         recs = find_fixed_points(ModelSpec(potential=zero_potential(), rho=1.0))
@@ -276,6 +388,33 @@ class TestCensus:
     def test_residuals_small(self):
         for rec in find_fixed_points(COS2(3.0)):
             assert rec.residual < 1e-10
+
+    def test_lockstep_census_equals_sequential(self):
+        for model in TABLE_MODELS:
+            got = [r.as_dict() for r in find_fixed_points(model, DENSITY_GRID)]
+            assert got == [r.as_dict() for r in reference_census(model, DENSITY_GRID)]
+
+    def test_singular_start_dropped(self, monkeypatch):
+        model = COS2(2.5)
+        tables = equilibria._NodeTables(model, DENSITY_GRID)
+        ticks = np.linspace(-1.0, 1.0, equilibria.SWEEP_TICKS)
+        starts = np.array([(a, b) for a in ticks for b in ticks if math.hypot(a, b) <= 1.0])
+        want = [reference_newton(model, DENSITY_GRID, a, b) for a, b in starts]
+        assert equilibria._newton_lockstep(tables, starts) == want
+        bad = 40
+        assert want[bad] is not None
+        evaluate = equilibria._NodeTables.fbar_jacobian_many
+
+        def singular_at_bad_start(self, a, b):
+            f, jac = evaluate(self, a, b)
+            jac[(a == starts[bad, 0]) & (b == starts[bad, 1])] = 0.0
+            return f, jac
+
+        monkeypatch.setattr(equilibria._NodeTables, "fbar_jacobian_many",
+                            singular_at_bad_start)
+        got = equilibria._newton_lockstep(tables, starts)
+        assert got[bad] is None
+        assert got[:bad] + got[bad + 1:] == want[:bad] + want[bad + 1:]
 
     def test_census_transitions_at_thresholds(self):
         # 50-point scan across each threshold; census changes exactly once,
