@@ -26,8 +26,18 @@ plus work buffers that every evaluation reuses, so a table serves one
 caller at a time. Its evaluations do the arithmetic of pibar, moments and
 jacobian_fbar in the same order, with pibar's checks, so they are
 bit-equal to fbar() and jacobian_fbar() and raise the same exception
-types. The public pibar -> GridDensity -> moments path stays as the
-validated reference.
+types, one point at a time or many per call. The census evaluates in
+batches: its Newton sweep runs in lockstep over all starts, its axis scans
+and its records take one batched call each. The public pibar ->
+GridDensity -> moments path stays as the validated reference.
+
+The census and the flow default to field_grid(model) nodes: the fewest of
+64, 128 and 256 for which a closed-form bound on the trapezoid rule's
+error (Trefethen & Weideman), from the potential's harmonic amplitudes and
+rho, stays below FIELD_TOL = 1e-17; 512 (DENSITY_GRID) when none does or
+the potential records no amplitudes. An explicit grid is used as given.
+pibar, fbar and jacobian_fbar keep DENSITY_GRID, and the thresholds
+(solve_r_of_rho, rho_c, rho_2) THRESHOLD_GRID.
 
 Sign convention for the free energy: J(g) = 0.5*int int W g g + int g ln g
 with W(x,z) = U(x) - rho cos(x - z) + U(z). With this convention J is
@@ -272,6 +282,57 @@ class _NodeTables:
         raise error
 
 
+FIELD_TOL = 1e-17  # quadrature error bound the census and flow grids must meet
+FIELD_NODES = (64, 128, 256)  # node counts field_grid tries below DENSITY_GRID's
+STRIP_WIDTHS = tuple(0.1 * i for i in range(1, 41))  # half-widths sigma the bound is minimized over
+NEWTON_RADIUS = 1.5  # census Newton iterates and flow stages stay within this radius
+
+
+def field_grid(model: ModelSpec) -> PeriodicGrid:
+    """Grid for the census and the flow: the fewest nodes whose quadrature
+    error provably stays below FIELD_TOL.
+
+    The integrands g(z) exp(phi(z)) of Fbar and its Jacobian, with
+    phi = -U + rho (a cos + b sin) and g one of 1, cos, sin and their
+    products, are entire, so the n-node trapezoid rule errs by at most
+    4 pi M / (exp(sigma n) - 1) for M a bound on |g e^phi| in the strip
+    |Im z| < sigma (Trefethen & Weideman, SIAM Review 2014). With A_k the
+    amplitude of harmonic k of phi, where A_1 <= |U_1| + NEWTON_RADIUS |rho|
+    since every evaluated point lies within NEWTON_RADIUS, the strip raises
+    phi by at most G(sigma) = sum_k A_k (cosh k sigma - 1) and |g| by
+    cosh^2 sigma. Dividing by Z_lb, a lower bound on int exp(phi - max phi)
+    from |phi''| <= sum_k k^2 A_k, bounds the error of the moments, and
+    max(1, |rho|) times that bounds the Jacobian's. field_grid returns the
+    first n in FIELD_NODES for which the bound, minimized over
+    STRIP_WIDTHS, is at most FIELD_TOL; DENSITY_GRID when none is, or
+    when the potential records no amplitudes.
+    """
+    if model.potential.amplitudes is None:
+        return DENSITY_GRID
+    amp = list(model.potential.amplitudes) or [0.0]
+    amp[0] += NEWTON_RADIUS * abs(model.rho)
+    terms = [(k, a) for k, a in enumerate(amp, 1) if a > 0.0]
+    curvature = sum(k * k * a for k, a in terms)
+    z_lb = 2.0 * math.pi
+    if curvature > 0.0:
+        z_lb = math.sqrt(2.0 * math.pi / curvature) * math.erf(math.pi * math.sqrt(0.5 * curvature))
+    log_scale = math.log(4.0 * math.pi * max(1.0, abs(model.rho)) / z_lb)
+    # log of the bound's numerator over Z_lb at each strip width
+    log_num = []
+    for sigma in STRIP_WIDTHS:
+        try:
+            g = sum(a * (math.cosh(k * sigma) - 1.0) for k, a in terms)
+        except OverflowError:  # cosh beyond the float range: no bound at this width
+            continue
+        log_num.append((sigma, log_scale + 2.0 * math.log(math.cosh(sigma)) + g))
+    for n in FIELD_NODES:
+        # log(FIELD_TOL (exp(sigma n) - 1)), written to stay finite for large sigma n
+        if any(num <= math.log(FIELD_TOL) + sigma * n + math.log1p(-math.exp(-sigma * n))
+               for sigma, num in log_num):
+            return PeriodicGrid(n)
+    return DENSITY_GRID
+
+
 # ---------------------------------------------------------------------------
 # thresholds and axis fixed points
 
@@ -427,7 +488,7 @@ def _newton_lockstep(tables: _NodeTables,
                      starts: np.ndarray) -> list[tuple[float, float] | None]:
     """Newton from every start of `starts` (shape (m, 2)) in lockstep.
 
-    Entry i is start i's root, or None when its iterate left the radius 1.5,
+    Entry i is start i's root, or None when its iterate left NEWTON_RADIUS,
     met a singular Jacobian or did not converge in NEWTON_MAX_ITER steps.
     Each round evaluates the live starts in one batch and solves their
     steps in one stacked np.linalg.solve, which gives every matrix the
@@ -460,14 +521,15 @@ def _newton_lockstep(tables: _NodeTables,
         long = norm > 0.5  # keep iterates from shooting across the disk
         step[long] *= (0.5 / norm[long])[:, None]
         x = x + step
-        inside = ~(np.hypot(x[:, 0], x[:, 1]) > 1.5)
+        inside = ~(np.hypot(x[:, 0], x[:, 1]) > NEWTON_RADIUS)
         x, live = x[inside], live[inside]
     return out
 
 
 def find_fixed_points(model: ModelSpec,
-                      grid: PeriodicGrid = DENSITY_GRID) -> list[FixedPointRecord]:
-    """All roots of Fbar in the closed unit disk, with stability classes.
+                      grid: PeriodicGrid | None = None) -> list[FixedPointRecord]:
+    """All roots of Fbar in the closed unit disk, with stability classes,
+    on `grid` (default field_grid(model)).
 
     Two stages: when the exterior potential is even about 0 and about pi/2
     (U(z) = U(-z) = U(pi - z), checked once on the grid), the origin is a
@@ -488,6 +550,8 @@ def find_fixed_points(model: ModelSpec,
                 return
         roots.append((a, b))
 
+    if grid is None:
+        grid = field_grid(model)
     tables = _NodeTables(model, grid)
 
     # stage 1: axis roots under symmetry

@@ -6,6 +6,9 @@ flow d(a,b)/ds = Fbar(a,b) on the trigonometric moments. integrate_flow
 solves that ODE with a classical 4th-order scheme (self-checked by step
 halving); pseudotrajectory_error measures how far a simulated moment trace,
 reparametrized to logarithmic time, strays from the flow started on it.
+Both evaluate Fbar on equilibria.field_grid(model) unless given a grid:
+the fewest nodes (64 to 512) whose quadrature error bound, from the
+potential's harmonic amplitudes and rho, stays below 1e-17.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 from .engine import MomentTrace
 # fbar is not called here; it stays a module attribute because the
 # benchmark's tracer (perfbench/traced.py) wraps flow.fbar.
-from .equilibria import _NodeTables, fbar  # noqa: F401
+from .equilibria import _NodeTables, fbar, field_grid  # noqa: F401
 from .errors import ConfigError, DomainError, NumericError
-from .geometry import DENSITY_GRID, PeriodicGrid
+from .geometry import PeriodicGrid
 from .model import ModelSpec
 
 DISK_TOL = 1e-9
@@ -81,9 +84,10 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
 
 
 def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
-                   dt: float = 0.01, grid: PeriodicGrid = DENSITY_GRID,
+                   dt: float = 0.01, grid: PeriodicGrid | None = None,
                    self_check: bool = True) -> FlowTrace:
-    """Integrate d(a,b)/ds = Fbar(a,b) from a point of the closed unit disk.
+    """Integrate d(a,b)/ds = Fbar(a,b) from a point of the closed unit disk,
+    with Fbar on `grid` (default equilibria.field_grid(model)).
 
     The default step keeps the scheme far inside its stability region for
     every |rho| <= 40. With self_check on, the trace is recomputed at half
@@ -97,7 +101,7 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     if not 0.0 < t_flow < math.inf:
         raise ConfigError("integrate_flow: T_flow must be finite and > 0")
     p0 = np.array([a0, b0], dtype=float)
-    tables = _NodeTables(model, grid)
+    tables = _NodeTables(model, field_grid(model) if grid is None else grid)
     times, points = _rk4_path(tables, p0, t_flow, dt)
     if self_check:
         _, fine = _rk4_path(tables, p0, t_flow, 0.5 * dt)
@@ -110,7 +114,7 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
 
 def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
                            t_window: float, dt: float = 0.01,
-                           grid: PeriodicGrid = DENSITY_GRID,
+                           grid: PeriodicGrid | None = None,
                            min_snapshots: int = 50) -> float:
     """Sup distance between a simulated moment path and the flow over one
     logarithmic-time window.

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -291,7 +292,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
         summaries.append(run_summary(k, trace, census, ring))
         if not quiet:
             s = summaries[-1]
-            print(f"seed {k}: |m| = {s['final_r_polar']:.4f} {s['classification']}")
+            print(f"seed {k}: |m| = {s['final_r_polar']:.4f} {s['classification']}",
+                  file=sys.stderr)
     write_json(os.path.join(out_dir, "summary.json"),
                {"name": cfg.name, "model_hash": cfg.model_hash(rho=rho),
                 "master_seed": cfg.master_seed, "runs": summaries})
@@ -307,7 +309,8 @@ def cmd_fixed_points(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) ->
     payload = fixed_point_payload(cfg, model, records, cfg.model["rho"])
     write_json(os.path.join(out_dir, "fixed_points.json"), payload)
     if not quiet:
-        print(f"{len(records)} fixed points: {equilibria.census_signature(records)}")
+        print(f"{len(records)} fixed points: {equilibria.census_signature(records)}",
+              file=sys.stderr)
     return payload
 
 
@@ -323,7 +326,7 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
     path = os.path.join(out_dir, f"{cfg.name}_flow.csv")
     write_text(path, trace.to_csv())
     if not quiet:
-        print(f"flow: {trace.times.size} steps -> {path}")
+        print(f"flow: {trace.times.size} steps -> {path}", file=sys.stderr)
     return path
 
 
@@ -378,7 +381,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
                {"theta_ks_uniform": _ks_uniform_angle(theta_finals),
                 "n_rows": len(rows), "n_failed": n_failed})
     if not quiet:
-        print(f"scan: {len(rows)} rows, {n_failed} failed -> {csv_path}")
+        print(f"scan: {len(rows)} rows, {n_failed} failed -> {csv_path}", file=sys.stderr)
     code = 0 if n_failed <= 0.1 * len(rows) else 4
     return code, csv_path
 
@@ -418,8 +421,9 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
         raise ConfigError(
             f"cmd_localize: |rho| = {abs(model.rho)} below configured floor "
             f"{loc['rho_min']} (localization needs strong attraction)")
-    ensure_outdir(out_dir)
     run_cfg = replace(cfg, sivjp={**cfg.sivjp, "T": loc["T"]})
+    run_cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0).validate()
+    ensure_outdir(out_dir)
     traces = _traces(_map_ordered(
         _simulate_worker, [(run_cfg, cfg.model["rho"], k) for k in range(int(loc["N"]))],
         threads))
@@ -438,7 +442,8 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
                "master_seed": cfg.master_seed, "runs": per_run}
     write_json(os.path.join(out_dir, f"{cfg.name}_localize.json"), payload)
     if not quiet:
-        print(f"localize: counts per minimum {counts} (minima at {minima})")
+        print(f"localize: counts per minimum {counts} (minima at {minima})",
+              file=sys.stderr)
     return payload
 
 
@@ -487,5 +492,6 @@ def cmd_validate(out_dir: str | None = None, master_seed: int = 0,
         write_json(os.path.join(out_dir, "validate_report.json"), report)
     if not quiet:
         for c in report["checks"]:
-            print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}")
+            print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}",
+                  file=sys.stderr)
     return report

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -47,7 +48,9 @@ class FrozenPotential:
     are their float->float counterparts. dv_sup must dominate sup|dV|: it
     is exact for trig_potential and certified on a grid by frozen_potential.
     ddv_sup must dominate sup|V''|; inf (no bound) keeps the simulators on
-    their global envelope.
+    their global envelope. amplitudes[k - 1] is the amplitude
+    sqrt(a_k^2 + b_k^2) of harmonic k, recorded by trig_potential; None
+    (frozen_potential) means the harmonic content is unknown.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
@@ -57,6 +60,7 @@ class FrozenPotential:
     dv_scalar: Callable[[float], float]
     name: str = "custom"
     ddv_sup: float = math.inf
+    amplitudes: tuple[float, ...] | None = None
 
 
 def certify_dv_sup(dv: Callable, grid: PeriodicGrid = THRESHOLD_GRID,
@@ -126,7 +130,8 @@ def trig_potential(cos_coef, sin_coef=(), const: float = 0.0,
     Only nonzero terms are evaluated: the cosine terms first, then the sine
     terms, each in ascending k. dv_sup is the exact bound
     sum_k k (|a_k| + |b_k|) on |U'| (2 for -cos 2z), and ddv_sup the exact
-    bound sum_k k^2 (|a_k| + |b_k|) on |U''| (4 for -cos 2z). Non-finite
+    bound sum_k k^2 (|a_k| + |b_k|) on |U''| (4 for -cos 2z), and
+    amplitudes the per-harmonic amplitudes sqrt(a_k^2 + b_k^2). Non-finite
     coefficients raise ConfigError.
     """
     a, b = (np.asarray(coef, dtype=float).ravel() for coef in (cos_coef, sin_coef))
@@ -140,9 +145,11 @@ def trig_potential(cos_coef, sin_coef=(), const: float = 0.0,
     dv, dv_scalar = _trig_forms(0.0, [(k, k * c, np.cos, math.cos) for k, c in sin_terms]
                                 + [(k, -k * c, np.sin, math.sin) for k, c in cos_terms])
     terms = cos_terms + sin_terms
+    amplitudes = [math.hypot(x, y) for x, y in zip_longest(a.tolist(), b.tolist(), fillvalue=0.0)]
     return FrozenPotential(v=v, dv=dv, v_scalar=v_scalar, dv_scalar=dv_scalar, name=name,
                            dv_sup=sum((k * abs(c) for k, c in terms), 0.0),
-                           ddv_sup=sum((k * k * abs(c) for k, c in terms), 0.0))
+                           ddv_sup=sum((k * k * abs(c) for k, c in terms), 0.0),
+                           amplitudes=tuple(amplitudes))
 
 
 def zero_potential() -> FrozenPotential:

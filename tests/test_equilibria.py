@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from sivjp import (PeriodicGrid, fbar, find_fixed_points, free_energy,
                    integrate_flow, jacobian_fbar, laplace_check, moments,
                    pibar, quad_periodic, rho_2, rho_c, solve_r_of_rho)
 from sivjp import equilibria
-from sivjp.equilibria import GridDensity, census_signature, classify
+from sivjp.equilibria import GridDensity, census_signature, classify, field_grid
 from sivjp.errors import DomainError, NumericError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
+from sivjp.harness import ExperimentConfig
 from sivjp.model import ModelSpec
 from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
                               grid_potential, two_well_potential, zero_potential)
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ZERO = ModelSpec(potential=zero_potential(), rho=0.0)
 COS2 = lambda rho: ModelSpec(potential=cos2_potential(), rho=rho)
 TABLE_MODELS = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
@@ -446,6 +449,63 @@ class TestCensus:
         assert classify(np.array([-0.5 + 0j, -1e-3 + 0j])) == "Sink"
         assert classify(np.array([0.2 + 0j, -1e-3 + 0j])) == "Saddle"
         assert classify(np.array([0.2 + 0j, 1e-3 + 0j])) == "Source"
+
+
+class TestFieldGrid:
+    POTENTIALS = (zero_potential(), cos_potential(), cos2_potential(), two_well_potential())
+    RHOS = (-3.0, 0.5, 1.2, 4.0, 10.0, 40.0)
+
+    def test_node_counts(self):
+        for pot in self.POTENTIALS:
+            for rho in self.RHOS + (1e4,):
+                assert field_grid(ModelSpec(potential=pot, rho=rho)).n <= DENSITY_GRID.n
+            assert field_grid(ModelSpec(potential=pot, rho=4.0)).n == 64
+        assert field_grid(COS2(40.0)).n == 128
+        assert field_grid(ModelSpec(potential=two_well_potential(), rho=30.0)).n == 128
+        frozen = frozen_potential(lambda z: -np.cos(2 * z), lambda z: 2 * np.sin(2 * z))
+        for rho in (0.0, 4.0):
+            assert field_grid(ModelSpec(potential=frozen, rho=rho)).n == DENSITY_GRID.n
+
+    def test_field_matches_finest_grid(self):
+        # within radius 1.5, where the census's Newton iterates stay
+        rng = np.random.default_rng(20261019)
+        radius = 1.5 * np.sqrt(rng.random(200))
+        angle = rng.uniform(0.0, TWO_PI, 200)
+        points = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        for pot in self.POTENTIALS:
+            for rho in self.RHOS:
+                model = ModelSpec(potential=pot, rho=rho)
+                f, jac = equilibria._NodeTables(model, field_grid(model)).fbar_jacobian_many(
+                    points[:, 0], points[:, 1])
+                # the Jacobian is rho * Cov, so its round-off grows with |rho|:
+                # 512 nodes are 4e-14 off the 4096-node values at rho = 40
+                jac_tol = 1e-14 * max(1.0, abs(rho))
+                for (a, b), fi, ji in zip(points, f, jac):
+                    assert np.max(np.abs(fi - fbar(model, a, b, THRESHOLD_GRID))) <= 1e-14
+                    assert np.max(np.abs(ji - jacobian_fbar(model, a, b, THRESHOLD_GRID))) <= jac_tol
+
+    def test_census_matches_density_grid_on_shipped_configs(self):
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            cfg = ExperimentConfig.from_file(str(path))
+            for rho in [cfg.model["rho"], *cfg.sweep.get("rhos", ())]:
+                model = cfg.build_model(rho=rho)
+                got, want = find_fixed_points(model), find_fixed_points(model, DENSITY_GRID)
+                if model.du_sup == 0.0 and rho > 2.0:
+                    # U = 0: a ring of degenerate points, whose samples Newton
+                    # places by round-off, around the Gibbs source
+                    radius = [math.hypot(r.a, r.b) for r in want if r.stability == "Degenerate"]
+                    for rec in got:
+                        if math.hypot(rec.a, rec.b) < 1e-10:
+                            assert rec.stability == "Source"
+                        else:
+                            assert rec.stability == "Degenerate"
+                            assert abs(math.hypot(rec.a, rec.b) - radius[0]) <= 1e-10
+                    continue
+                assert len(got) == len(want)
+                for rec in got:
+                    match = min(want, key=lambda r: math.hypot(r.a - rec.a, r.b - rec.b))
+                    assert math.hypot(match.a - rec.a, match.b - rec.b) <= 1e-10
+                    assert match.stability == rec.stability
 
 
 class TestFreeEnergy:

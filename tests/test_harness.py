@@ -163,6 +163,13 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
+    def test_progress_on_stderr(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE)
+        assert main(["--config", path, "--out", str(tmp_path / "out"), "fixed-points"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "1 fixed points: 1 Sink\n"
+
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["--quiet", "simulate"]) == 2
 
@@ -360,6 +367,18 @@ class TestLocalize:
             assert run["seed"] == k
             assert run["w"] == [2.0 - 2.0 * (a * math.cos(x0) + b * math.sin(x0))
                                 for x0 in payload["minima"]]
+
+    def test_infinite_horizon_exit_two_no_files(self, tmp_path, capsys):
+        # the schema passes an Infinity literal; the run config must reject it
+        raw = copy.deepcopy(BASE)
+        raw["model"] = {"potential": "two_well", "params": {"a1": 0.2, "a2": -0.5},
+                        "rho": 30.0, "lambda_min": 1.0}
+        raw["localize"] = {"N": 2, "T": math.inf}
+        path = write_config(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert main(["--config", path, "--out", out, "--quiet", "localize"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
 
     def test_weak_attraction_rejected(self, tmp_path):
         raw = copy.deepcopy(BASE)
