@@ -184,8 +184,9 @@ class _NodeTables:
         self._logw = np.empty(n)  # kept apart from the density for the -inf check
         self._vals = np.empty(n)
         self.batch = max(1, BATCH_VALUES // n)
-        self._batch_bufs = (np.empty((self.batch, n)), np.empty((self.batch, n)),
-                            np.empty((self.batch, 6, n)), np.empty((self.batch, 6)))
+        # made by the first batched call: the flow, which makes none, would pay
+        # for them in resident memory
+        self._batch_bufs: tuple[np.ndarray, ...] | None = None
 
     def _density(self, a: float, b: float) -> np.ndarray:
         logw, vals = self._logw, self._vals
@@ -231,6 +232,10 @@ class _NodeTables:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         f, jac = np.empty((a.size, 2)), np.empty((a.size, 2, 2))
+        if self._batch_bufs is None:
+            k, n = self.batch, self.neg_u.size
+            self._batch_bufs = (np.empty((k, n)), np.empty((k, n)),
+                                np.empty((k, 6, n)), np.empty((k, 6)))
         for lo in range(0, a.size, self.batch):
             hi = lo + self.batch
             self._batch(a[lo:hi], b[lo:hi], f[lo:hi], jac[lo:hi])
