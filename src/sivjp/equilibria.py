@@ -210,9 +210,10 @@ class _NodeTables:
     def fbar(self, a: float, b: float) -> tuple[float, float]:
         """Fbar at one point, on 1-D buffers.
 
-        The flow and the bisections evaluate one point at a time; a 2-D
-        fbar_jacobian_many call with k = 1 measured 32 us against 23 us for
-        this path at 512 nodes.
+        The flow and the bisections evaluate one point at a time, and one
+        point costs this path 18 us against 55 us for fbar_jacobian_many
+        with k = 1 at 512 nodes (14 against 40 us at 64 nodes; best of 7
+        on a 2-vCPU Xeon VM).
         """
         rows, prod, sums = self._fbar_bufs
         np.multiply(rows, self._density(a, b), out=prod)
