@@ -67,6 +67,8 @@ def _out_dir(args, cfg: ExperimentConfig | None) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "validate":
             master = args.seed if args.seed is not None else 0
             report = cmd_validate(out_dir=args.out, master_seed=master,

@@ -59,6 +59,8 @@ from .markov import (ROUNDOFF_TOL, TelegraphState, envelope_slope, local_clock,
                      proposal_budget, thinning_envelope)
 from .rng import SeedSpec, derive_stream, uniform_pairs
 
+MAX_SNAPSHOTS = 2_000_000  # longest snapshot schedule a run may record
+
 
 @dataclass(frozen=True)
 class OccupationStats:
@@ -150,6 +152,14 @@ class SIVJPConfig:
         a0, b0 = self.mu0
         if not a0 * a0 + b0 * b0 <= 1.0 + ROUNDOFF_TOL:  # NaN fails too
             raise ConfigError("SIVJPConfig: mu0 moments must lie in the closed unit disk")
+        if self.z0 is not None and not math.isfinite(self.z0.x):
+            raise ConfigError("SIVJPConfig: x0 must be finite")
+        # off snapshot_times' exact count by about one at most, and computed
+        # without building the schedule: refuses only what that count refuses
+        estimate = (math.log(self.t_end / self.record_t0) / math.log(self.record_stride)
+                    if self.log_stride else self.t_end / self.record_stride)
+        if estimate > MAX_SNAPSHOTS + 2:
+            raise ConfigError("SIVJPConfig: snapshot schedule too dense")
 
     def snapshot_times(self) -> np.ndarray:
         if self.log_stride:
@@ -160,7 +170,7 @@ class SIVJPConfig:
         else:
             ts = np.arange(1, int(self.t_end / self.record_stride) + 1) * self.record_stride
             ts = ts[ts < self.t_end]
-        if ts.size > 2_000_000:
+        if ts.size > MAX_SNAPSHOTS:
             raise ConfigError("SIVJPConfig: snapshot schedule too dense")
         return np.concatenate([ts, [self.t_end]])
 

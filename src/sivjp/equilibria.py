@@ -31,11 +31,11 @@ batches: its Newton sweep runs in lockstep over all starts, its axis scans
 and its records take one batched call each. The public pibar ->
 GridDensity -> moments path stays as the validated reference.
 
-The census and the flow default to field_grid(model) nodes: the fewest of
-64, 128 and 256 for which a closed-form bound on the trapezoid rule's
-error (Trefethen & Weideman), from the potential's harmonic amplitudes and
-rho, stays below FIELD_TOL = 1e-17; 512 (DENSITY_GRID) when none does or
-the potential records no amplitudes. An explicit grid is used as given.
+The flow and, unless given a grid, the census use field_grid(model) nodes:
+the fewest of 64, 128 and 256 for which a closed-form bound on the
+trapezoid rule's error (Trefethen & Weideman), from the potential's
+harmonic amplitudes and rho, stays below FIELD_TOL = 1e-17; 512
+(DENSITY_GRID) when none does or the potential records no amplitudes.
 pibar, fbar and jacobian_fbar keep DENSITY_GRID, and the thresholds
 (solve_r_of_rho, rho_c, rho_2) THRESHOLD_GRID.
 
@@ -223,10 +223,6 @@ class _NodeTables:
             raise DomainError(f"GridDensity: not normalized (mass {mass!r})")
         return ma - a, mb - b
 
-    def fbar_jacobian(self, a: float, b: float) -> tuple[tuple[float, float], np.ndarray]:
-        f, jac = self.fbar_jacobian_many(np.array([a]), np.array([b]))
-        return (float(f[0, 0]), float(f[0, 1])), jac[0]
-
     def fbar_jacobian_many(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fbar, shape (k, 2), and its Jacobian, shape (k, 2, 2), at the
         points (a[i], b[i])."""
@@ -292,6 +288,7 @@ FIELD_TOL = 1e-17  # quadrature error bound the census and flow grids must meet
 FIELD_NODES = (64, 128, 256)  # node counts field_grid tries below DENSITY_GRID's
 STRIP_WIDTHS = tuple(0.1 * i for i in range(1, 41))  # half-widths sigma the bound is minimized over
 NEWTON_RADIUS = 1.5  # census Newton iterates and flow stages stay within this radius
+SYMMETRY_TOL = 1e-10  # largest Gibbs moment of a centred U, and largest asymmetry of U
 
 
 def field_grid(model: ModelSpec) -> PeriodicGrid:
@@ -342,13 +339,12 @@ def field_grid(model: ModelSpec) -> PeriodicGrid:
 # ---------------------------------------------------------------------------
 # thresholds and axis fixed points
 
-def solve_r_of_rho(rho: float, tol: float = 1e-10,
-                   grid: PeriodicGrid = THRESHOLD_GRID) -> float:
+def solve_r_of_rho(rho: float, tol: float = 1e-10) -> float:
     """Positive root of int cos d pibar_rho(r, 0) = r, for zero exterior
     potential. Exists iff rho > 2; located by bisection on [tol, 1]."""
     if not rho > 2.0:
         raise DomainError(f"solve_r_of_rho: no positive root for rho = {rho} <= 2")
-    tables = _NodeTables(ModelSpec(rho=rho), grid)
+    tables = _NodeTables(ModelSpec(rho=rho), THRESHOLD_GRID)
 
     def g(r: float) -> float:
         return tables.fbar(r, 0.0)[0]
@@ -369,37 +365,36 @@ def solve_r_of_rho(rho: float, tol: float = 1e-10,
     return r
 
 
-def _require_centered(model: ModelSpec, grid: PeriodicGrid, tol: float = 1e-10) -> GridDensity:
-    m_u = pibar(model, 0.0, 0.0, grid)
+def _require_centered(model: ModelSpec) -> GridDensity:
+    m_u = pibar(model, 0.0, 0.0, THRESHOLD_GRID)
     ma, mb = moments(m_u)
-    if abs(ma) > tol or abs(mb) > tol:
+    if abs(ma) > SYMMETRY_TOL or abs(mb) > SYMMETRY_TOL:
         raise DomainError(
             f"exterior potential is not centred: Gibbs moments ({ma:.2e}, {mb:.2e})")
     return m_u
 
 
-def rho_c(model: ModelSpec, grid: PeriodicGrid = THRESHOLD_GRID) -> float:
+def rho_c(model: ModelSpec) -> float:
     """First bifurcation threshold 1 / int cos^2 dm_U.
 
     Requires the Gibbs measure of U to have vanishing first trigonometric
     moments (automatic for U even around 0 and pi, e.g. U = -cos 2z).
     """
-    m_u = _require_centered(model, grid)
-    z = grid.nodes
-    return 1.0 / quad_periodic(np.cos(z) ** 2 * m_u.values, grid)
+    m_u = _require_centered(model)
+    z = THRESHOLD_GRID.nodes
+    return 1.0 / quad_periodic(np.cos(z) ** 2 * m_u.values, THRESHOLD_GRID)
 
 
-def rho_2(model: ModelSpec, grid: PeriodicGrid = THRESHOLD_GRID) -> float:
+def rho_2(model: ModelSpec) -> float:
     """Second threshold 1 / int sin^2 dm_U (vertical-axis analogue)."""
-    m_u = _require_centered(model, grid)
-    z = grid.nodes
-    return 1.0 / quad_periodic(np.sin(z) ** 2 * m_u.values, grid)
+    m_u = _require_centered(model)
+    z = THRESHOLD_GRID.nodes
+    return 1.0 / quad_periodic(np.sin(z) ** 2 * m_u.values, THRESHOLD_GRID)
 
 
-def _check_symmetry(u_vals: np.ndarray, flipped: np.ndarray, what: str,
-                    tol: float = 1e-10) -> None:
+def _check_symmetry(u_vals: np.ndarray, flipped: np.ndarray, what: str) -> None:
     err = float(np.max(np.abs(u_vals - flipped)))
-    if err > tol:
+    if err > SYMMETRY_TOL:
         raise DomainError(f"exterior potential lacks {what} symmetry (max deviation {err:.2e})")
 
 
@@ -466,9 +461,9 @@ class FixedPointRecord:
         }
 
 
-def classify(eigenvalues: np.ndarray, tol: float = STABILITY_TOL) -> str:
+def classify(eigenvalues: np.ndarray) -> str:
     re = np.sort(eigenvalues.real)
-    if np.any(np.abs(re) <= tol):
+    if np.any(np.abs(re) <= STABILITY_TOL):
         return "Degenerate"
     if re[-1] < 0.0:
         return "Sink"
@@ -640,19 +635,18 @@ def free_energy(model: ModelSpec, d: GridDensity) -> float:
 
 
 def laplace_check(f: Callable[[np.ndarray], np.ndarray],
-                  f2_at_theta: float, theta: float, rho_r: float,
-                  grid: PeriodicGrid = THRESHOLD_GRID) -> tuple[float, float]:
+                  f2_at_theta: float, theta: float, rho_r: float) -> tuple[float, float]:
     """Sharp-tilt integral against its Laplace asymptotic.
 
     For f vanishing at theta, int f(z) exp(rho_r*(cos(z - theta) - 1)) dz
     approaches f''(theta) * sqrt(pi / (2 rho_r^3)). Returns the pair
-    (quadrature value, asymptotic value); callers compare them.
+    (quadrature on THRESHOLD_GRID, asymptotic value); callers compare them.
     """
-    z = grid.nodes
+    z = THRESHOLD_GRID.nodes
     f_theta = float(np.asarray(f(np.array([theta])), dtype=float)[0])
     if abs(f_theta) > 1e-12:
         raise DomainError(f"laplace_check: f(theta) = {f_theta!r} must vanish")
     vals = np.asarray(f(z), dtype=float) * np.exp(rho_r * (np.cos(z - theta) - 1.0))
-    quad = quad_periodic(vals, grid)
+    quad = quad_periodic(vals, THRESHOLD_GRID)
     asym = f2_at_theta * math.sqrt(math.pi / (2.0 * rho_r ** 3))
     return quad, asym

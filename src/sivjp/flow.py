@@ -6,9 +6,9 @@ flow d(a,b)/ds = Fbar(a,b) on the trigonometric moments. integrate_flow
 solves that ODE with a classical 4th-order scheme (self-checked by step
 halving); pseudotrajectory_error measures how far a simulated moment trace,
 reparametrized to logarithmic time, strays from the flow started on it.
-Both evaluate Fbar on equilibria.field_grid(model) unless given a grid:
-the fewest nodes (64 to 512) whose quadrature error bound, from the
-potential's harmonic amplitudes and rho, stays below 1e-17.
+Both evaluate Fbar on equilibria.field_grid(model): the fewest nodes
+(64 to 512) whose quadrature error bound, from the potential's harmonic
+amplitudes and rho, stays below 1e-17.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .engine import MomentTrace
 # benchmark's tracer (perfbench/traced.py) wraps flow.fbar.
 from .equilibria import _NodeTables, fbar, field_grid  # noqa: F401
 from .errors import ConfigError, DomainError, NumericError
-from .geometry import PeriodicGrid
 from .model import ModelSpec
 
 DISK_TOL = 1e-9
 HALVING_TOL = 1e-8  # sup-norm gap allowed between the dt and dt/2 paths
+MIN_SNAPSHOTS = 50  # simulation snapshots pseudotrajectory_error needs in its window
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,9 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
 
 
 def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
-                   dt: float = 0.01, grid: PeriodicGrid | None = None,
-                   self_check: bool = True) -> FlowTrace:
+                   dt: float = 0.01, self_check: bool = True) -> FlowTrace:
     """Integrate d(a,b)/ds = Fbar(a,b) from a point of the closed unit disk,
-    with Fbar on `grid` (default equilibria.field_grid(model)).
+    with Fbar on equilibria.field_grid(model).
 
     The default step keeps the scheme far inside its stability region for
     every |rho| <= 40. With self_check on, the trace is recomputed at half
@@ -101,7 +100,7 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     if not 0.0 < t_flow < math.inf:
         raise ConfigError("integrate_flow: T_flow must be finite and > 0")
     p0 = np.array([a0, b0], dtype=float)
-    tables = _NodeTables(model, field_grid(model) if grid is None else grid)
+    tables = _NodeTables(model, field_grid(model))
     times, points = _rk4_path(tables, p0, t_flow, dt)
     if self_check:
         _, fine = _rk4_path(tables, p0, t_flow, 0.5 * dt)
@@ -113,17 +112,16 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
 
 
 def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
-                           t_window: float, dt: float = 0.01,
-                           grid: PeriodicGrid | None = None,
-                           min_snapshots: int = 50) -> float:
+                           t_window: float, dt: float = 0.01) -> float:
     """Sup distance between a simulated moment path and the flow over one
     logarithmic-time window.
 
-    The simulation snapshots are reparametrized to flow time s = ln(t) and
-    interpolated linearly; the flow is integrated from the interpolated
-    anchor point; the result is sup over the window of the Euclidean
-    distance between the two moment curves. Euclidean distance on (a, b)
-    is the weak-topology test-function metric restricted to cos and sin.
+    The simulation snapshots, MIN_SNAPSHOTS or more in the window, are
+    reparametrized to flow time s = ln(t) and interpolated linearly; the
+    flow is integrated with step dt from the interpolated anchor point;
+    the result is sup over the window of the Euclidean distance between
+    the two moment curves. Euclidean distance on (a, b) is the
+    weak-topology test-function metric restricted to cos and sin.
     """
     if not t_window > 0.0:
         raise ConfigError("pseudotrajectory_error: window must be > 0")
@@ -134,10 +132,10 @@ def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
         raise DomainError(
             f"pseudotrajectory_error: simulation does not cover [{t_lo:.3g}, {t_hi:.3g}]")
     inside = (times >= t_lo) & (times <= t_hi)
-    if int(inside.sum()) < min_snapshots:
+    if int(inside.sum()) < MIN_SNAPSHOTS:
         raise DomainError(
             f"pseudotrajectory_error: only {int(inside.sum())} snapshots in the window "
-            f"(need >= {min_snapshots})")
+            f"(need >= {MIN_SNAPSHOTS})")
     s_sim = np.log(times)
     sim_a = np.asarray(sim.a_vals, dtype=float)
     sim_b = np.asarray(sim.b_vals, dtype=float)
@@ -145,7 +143,7 @@ def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
     anchor = np.array([np.interp(t_anchor, s_sim, sim_a),
                        np.interp(t_anchor, s_sim, sim_b)])
     flow = integrate_flow(model, (float(anchor[0]), float(anchor[1])), t_window,
-                          dt=dt, grid=grid, self_check=False)
+                          dt=dt, self_check=False)
     s_eval = t_anchor + flow.times
     sim_pts = np.stack([np.interp(s_eval, s_sim, sim_a),
                         np.interp(s_eval, s_sim, sim_b)], axis=-1)

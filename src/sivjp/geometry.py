@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -76,18 +75,13 @@ DENSITY_GRID = PeriodicGrid(512)
 THRESHOLD_GRID = PeriodicGrid(4096)
 
 
-def quad_periodic(f: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-                  grid: PeriodicGrid) -> float:
-    """Uniform-node quadrature (2*pi/n) * sum f(node_k).
+def quad_periodic(vals: np.ndarray, grid: PeriodicGrid) -> float:
+    """Uniform-node quadrature (2*pi/n) * sum vals[k], vals[k] = f(node_k).
 
-    f may be a vectorized callable on angles or an array of node values.
     Spectrally accurate for smooth periodic integrands; exact to round-off
     for trigonometric polynomials of degree < n/2.
     """
-    if callable(f):
-        vals = np.asarray(f(grid.nodes), dtype=float)
-    else:
-        vals = np.asarray(f, dtype=float)
+    vals = np.asarray(vals, dtype=float)
     if vals.shape != (grid.n,):
         raise DomainError(f"quad_periodic: expected {grid.n} node values, got shape {vals.shape}")
     bad = np.flatnonzero(~np.isfinite(vals))

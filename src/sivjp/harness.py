@@ -99,6 +99,8 @@ class ExperimentConfig:
         cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0).validate()
         if not all(math.isfinite(rho) for rho in cfg.sweep.get("rhos", ())):
             raise ConfigError("sweep.rhos entries must be finite")
+        if not all(math.isfinite(cfg.localize[key]) for key in ("delta", "rho_min")):
+            raise ConfigError("localize.delta and localize.rho_min must be finite")
         return cfg
 
     @staticmethod
@@ -148,14 +150,14 @@ LIMIT_RADIUS = 0.05
 TAIL_FRACTION = 0.1
 
 
-def is_attracting(rec: FixedPointRecord, tol: float = STABILITY_TOL) -> bool:
-    """No eigenvalue with real part beyond +tol.
+def is_attracting(rec: FixedPointRecord) -> bool:
+    """No eigenvalue with real part beyond +STABILITY_TOL.
 
     Sinks qualify, and so do degenerate points whose only marginal
     direction is neutral (the supercritical circle of fixed points with no
     exterior potential): trajectories do settle on those.
     """
-    return bool(np.max(rec.eigenvalues.real) <= tol)
+    return bool(np.max(rec.eigenvalues.real) <= STABILITY_TOL)
 
 
 def classify_limit(trace: MomentTrace, census: list[FixedPointRecord],
@@ -212,6 +214,7 @@ def _simulate_worker(cfg: ExperimentConfig, rho: float,
 
 
 def _map_ordered(worker, jobs: list[tuple], threads: int) -> list:
+    threads = min(threads, len(jobs))  # a pool starts all its workers at the first submit
     if threads <= 1:
         return [worker(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -414,8 +414,8 @@ def empirical_tv(log: EventLog, target: GridDensity) -> float:
     return 0.5 * float(np.abs(empirical - cell_mass).sum())
 
 
-def velocity_fraction(log: EventLog, value: int = 1) -> float:
-    """Fraction of time spent with velocity equal to value (telegraph)."""
+def velocity_fraction(log: EventLog) -> float:
+    """Fraction of time spent with velocity y = +1 (telegraph)."""
     _, ys, durations = log.segments()
     ys = np.asarray(ys, dtype=float).reshape(len(durations), -1)[:, 0]
-    return float(durations[ys == value].sum() / log.t_final)
+    return float(durations[ys == 1].sum() / log.t_final)

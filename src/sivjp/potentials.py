@@ -9,8 +9,8 @@ is a trigonometric polynomial built by trig_potential from its
 coefficients, with the exact dv_sup = sum_k k (|a_k| + |b_k|) and
 ddv_sup = sum_k k^2 (|a_k| + |b_k|). frozen_potential is the general path for
 arbitrary callables; it certifies dv_sup as 1.05 times the max of |dV|
-over 4096 nodes (the margin is overridable) and leaves ddv_sup infinite,
-so the simulators keep its global envelope.
+over 4096 nodes and leaves ddv_sup infinite, so the simulators keep its
+global envelope.
 
 Potentials carry both vectorized callables (for quadrature work) and plain
 scalar callables (for the per-proposal evaluations inside the event loops,
@@ -27,9 +27,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import PeriodicGrid, THRESHOLD_GRID, wrap
+from .geometry import THRESHOLD_GRID, wrap
 
 CERTIFY_MARGIN = 1.05
+FD_STEP = 1e-5  # step of check_derivative's central differences
+FD_TOL = 1e-6  # largest gap check_derivative allows between dV and the differences
 MIN_CURVATURE = 1e-6  # smallest V'' at which local_minima keeps a minimum
 
 
@@ -63,21 +65,19 @@ class FrozenPotential:
     amplitudes: tuple[float, ...] | None = None
 
 
-def certify_dv_sup(dv: Callable, grid: PeriodicGrid = THRESHOLD_GRID,
-                   margin: float = CERTIFY_MARGIN) -> float:
-    """margin * max over the grid of |dV|."""
-    if margin < 1.0:
-        raise ConfigError("certify_dv_sup: margin must be >= 1.0")
-    return margin * float(np.max(np.abs(np.asarray(dv(grid.nodes), dtype=float))))
+def certify_dv_sup(dv: Callable) -> float:
+    """CERTIFY_MARGIN * max over THRESHOLD_GRID of |dV|."""
+    dv_vals = np.asarray(dv(THRESHOLD_GRID.nodes), dtype=float)
+    return CERTIFY_MARGIN * float(np.max(np.abs(dv_vals)))
 
 
-def check_derivative(v: Callable, dv: Callable, grid: PeriodicGrid = THRESHOLD_GRID,
-                     h: float = 1e-5, tol: float = 1e-6) -> None:
-    """Central finite-difference consistency check of dV against V."""
-    z = grid.nodes
+def check_derivative(v: Callable, dv: Callable) -> None:
+    """Central finite-difference check of dV against V on THRESHOLD_GRID."""
+    z = THRESHOLD_GRID.nodes
+    h = FD_STEP
     fd = (np.asarray(v(z + h), dtype=float) - np.asarray(v(z - h), dtype=float)) / (2.0 * h)
     err = float(np.max(np.abs(np.asarray(dv(z), dtype=float) - fd)))
-    if err > tol:
+    if err > FD_TOL:
         raise DomainError(f"potential derivative inconsistent with value: max fd error {err:.3e}")
 
 
@@ -177,7 +177,7 @@ def two_well_potential(a1: float = 0.2, a2: float = -0.5) -> FrozenPotential:
     return trig_potential((a1, a2), name=f"two_well({a1},{a2})")
 
 
-def grid_potential(values: np.ndarray, name: str = "custom-grid") -> FrozenPotential:
+def grid_potential(values: np.ndarray) -> FrozenPotential:
     """Potential sampled on a uniform periodic grid.
 
     The continuous potential is *defined* as the trigonometric interpolant
@@ -190,12 +190,12 @@ def grid_potential(values: np.ndarray, name: str = "custom-grid") -> FrozenPoten
     if n < 4 or n % 2 != 0:
         raise ConfigError("grid_potential: need an even number >= 4 of samples")
     if not np.isfinite(values).all():
-        raise ConfigError(f"potential {name!r}: samples must be finite")
+        raise ConfigError("potential 'custom-grid': samples must be finite")
     spec = np.fft.rfft(values) / n
     a_cos = 2.0 * spec[1:].real
     a_cos[-1] *= 0.5  # Nyquist mode appears once
     b_sin = -2.0 * spec[1:-1].imag
-    return trig_potential(a_cos, b_sin, const=spec[0].real, name=name)
+    return trig_potential(a_cos, b_sin, const=spec[0].real, name="custom-grid")
 
 
 # each registry kind: its builder and the parameters it takes
@@ -219,20 +219,19 @@ def make_potential(kind: str, params: dict | None = None) -> FrozenPotential:
     return build(**params)
 
 
-def local_minima(pot: FrozenPotential,
-                 grid: PeriodicGrid = THRESHOLD_GRID) -> list[float]:
+def local_minima(pot: FrozenPotential) -> list[float]:
     """Locations of the non-degenerate local minima of the potential.
 
-    Grid-detected minima are polished by bisection on dV and kept where the
-    second-difference curvature exceeds MIN_CURVATURE.
+    Minima detected on THRESHOLD_GRID are polished by bisection on dV and
+    kept where the second-difference curvature exceeds MIN_CURVATURE.
     """
-    z = grid.nodes
+    z = THRESHOLD_GRID.nodes
     vals = np.asarray(pot.v(z), dtype=float)
     idx = np.flatnonzero((vals < np.roll(vals, 1)) & (vals < np.roll(vals, -1)))
     minima = []
     for kk in idx:
-        lo = z[kk] - grid.h
-        hi = z[kk] + grid.h
+        lo = z[kk] - THRESHOLD_GRID.h
+        hi = z[kk] + THRESHOLD_GRID.h
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if pot.dv_scalar(mid) < 0.0:

@@ -301,9 +301,9 @@ class TestAxisStage:
                 points = rng.uniform(-1.2, 1.2, size=(8, 2))
                 assert np.any(np.hypot(*points.T) < 1.0) and np.any(np.hypot(*points.T) > 1.0)
                 for a, b in points:
-                    f, jac = tables.fbar_jacobian(a, b)
-                    assert f == fbar(model, a, b, grid) == tables.fbar(a, b)
-                    assert np.array_equal(jac, jacobian_fbar(model, a, b, grid))
+                    f, jac = tables.fbar_jacobian_many(np.array([a]), np.array([b]))
+                    assert tuple(f[0].tolist()) == fbar(model, a, b, grid) == tables.fbar(a, b)
+                    assert np.array_equal(jac[0], jacobian_fbar(model, a, b, grid))
 
     def test_tables_raise_like_public_path(self):
         spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
@@ -315,7 +315,8 @@ class TestAxisStage:
         for model, a, exc in cases:
             tables = equilibria._NodeTables(model, DENSITY_GRID)
             for evaluate in (lambda: fbar(model, a, 0.3), lambda: jacobian_fbar(model, a, 0.3),
-                             lambda: tables.fbar(a, 0.3), lambda: tables.fbar_jacobian(a, 0.3)):
+                             lambda: tables.fbar(a, 0.3),
+                             lambda: tables.fbar_jacobian_many(np.array([a]), np.array([0.3]))):
                 with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc):
                     evaluate()
 

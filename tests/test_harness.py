@@ -149,10 +149,19 @@ class TestCLI:
         ("sweep", {"rhos": [1.0, math.nan]}, "scan"),
         ("model", {"lambda_min": math.inf}, "fixed-points"),
         ("model", {"lambda_min": math.inf}, "simulate"),
+        ("sivjp", {"x0": math.inf}, "simulate"),
+        ("localize", {"delta": math.nan}, "fixed-points"),
+        ("localize", {"rho_min": math.nan}, "fixed-points"),
+        # schedules of ~1e13 snapshots, refused before they are built
+        ("sivjp", {"T": 1e13, "record_stride": 1.0}, "simulate"),
+        ("sivjp", {"T": 1e13, "log_stride": True, "record_stride": 1.000000000001},
+         "simulate"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
             "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
             "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
-            "infinite_lambda_min_simulate"])
+            "infinite_lambda_min_simulate", "infinite_x0_simulate",
+            "nan_localize_delta_fixed_points", "nan_localize_rho_min_fixed_points",
+            "dense_linear_schedule_simulate", "dense_log_schedule_simulate"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
                                               command):
         bad = copy.deepcopy(BASE)
@@ -162,6 +171,36 @@ class TestCLI:
         assert main(["--config", path, "--out", out, "--quiet", command]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
+
+    def test_zero_threads_exit_two_no_files(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, BASE), "--out", out,
+                     "--threads", "0", "--quiet", "simulate"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    def test_pool_no_larger_than_the_jobs(self, monkeypatch):
+        # a stand-in that records the pool size and maps in process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        assert harness._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], threads=8) == [2, 4, 8]
+        assert harness._map_ordered(pow, [(3, k) for k in range(60)], threads=2) \
+            == [3 ** k for k in range(60)]
+        assert sizes == [3, 2]
 
     def test_progress_on_stderr(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)

@@ -10,7 +10,7 @@ from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.harness import config_schema
 from sivjp.markov import TorusVJPState, proposal_budget, simulate_torus_vjp
 from sivjp.model import ModelSpec
-from sivjp.potentials import (certify_dv_sup, check_derivative, cos_potential,
+from sivjp.potentials import (check_derivative, cos_potential,
                               cos2_potential, frozen_potential, grid_potential,
                               local_minima, make_potential, trig_potential,
                               two_well_potential, zero_potential)
@@ -24,10 +24,6 @@ class TestFrozenPotential:
     def test_consistent_pair_accepted(self):
         pot = frozen_potential(lambda z: np.cos(3 * z), lambda z: -3 * np.sin(3 * z))
         assert pot.dv_sup == pytest.approx(1.05 * 3.0, rel=1e-4)
-
-    def test_certify_margin_validated(self):
-        with pytest.raises(ConfigError):
-            certify_dv_sup(lambda z: np.sin(z), margin=0.9)
 
     def test_dv_sup_dominates_grid_max(self):
         # registry kinds: dv_sup is the exact bound sum_k k(|a_k| + |b_k|)
