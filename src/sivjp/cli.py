@@ -70,6 +70,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "validate":
+            if args.quad_n < 4 or args.quad_n % 2:
+                raise ConfigError(f"--quad-n must be even and >= 4, got {args.quad_n}")
             master = args.seed if args.seed is not None else 0
             report = cmd_validate(out_dir=args.out, master_seed=master,
                                   quad_n=args.quad_n, quiet=args.quiet)

@@ -30,6 +30,7 @@ from .model import ModelSpec
 DISK_TOL = 1e-9
 HALVING_TOL = 1e-8  # sup-norm gap allowed between the dt and dt/2 paths
 MIN_SNAPSHOTS = 50  # simulation snapshots pseudotrajectory_error needs in its window
+MAX_FLOW_STEPS = 1_000_000  # steps of the dt path; the halving check runs twice as many
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
 
     The default step keeps the scheme far inside its stability region for
     every |rho| <= 40. With self_check on, the trace is recomputed at half
-    the step and the two must agree to HALVING_TOL in sup norm.
+    the step and the two must agree to HALVING_TOL in sup norm. A horizon of
+    more than MAX_FLOW_STEPS steps is refused before any path is built.
     """
     a0, b0 = start
     if not math.hypot(a0, b0) <= 1.0 + DISK_TOL:  # NaN fails too
@@ -99,6 +101,9 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
         raise ConfigError("integrate_flow: dt must lie in (0, 0.1]")
     if not 0.0 < t_flow < math.inf:
         raise ConfigError("integrate_flow: T_flow must be finite and > 0")
+    if t_flow / dt > MAX_FLOW_STEPS:
+        raise ConfigError(f"integrate_flow: T_flow / dt = {t_flow / dt:.3g} exceeds "
+                          f"the {MAX_FLOW_STEPS} steps allowed")
     p0 = np.array([a0, b0], dtype=float)
     tables = _NodeTables(model, field_grid(model))
     times, points = _rk4_path(tables, p0, t_flow, dt)

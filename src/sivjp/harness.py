@@ -7,6 +7,18 @@ keys). Runs are keyed by (master_seed, stream_index), so sweeps are
 reproducible bit-for-bit and independent of how work is scheduled across
 workers. Summaries and fixed-point files cross-reference each other by a
 hash of the model configuration.
+
+Each command imports only the modules it runs: the fixed-point atlas
+(equilibria) is imported by the commands that take a census and by
+is_attracting, the flow by cmd_flow, the self-checks by validation_report,
+and ProcessPoolExecutor by _map_ordered when it first starts a pool, so
+`localize` at --threads 1 loads none of them. Those calls go through the
+module objects (equilibria.find_fixed_points, flow.integrate_flow), so
+that replacements made on those modules apply.
+ProcessPoolExecutor, run_sitp, _simulate_worker, classify_limit and
+ExperimentConfig.from_dict stay module attributes that are looked up at
+call time, because the benchmark's tracer (perfbench/traced.py) and the
+tests replace them.
 """
 
 from __future__ import annotations
@@ -19,14 +31,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import equilibria, flow as flow_mod
 from .engine import MomentTrace, SIVJPConfig, run_sitp
-from .equilibria import FixedPointRecord, STABILITY_TOL
 from .errors import ConfigError, DomainError
 from .geometry import TWO_PI
 from .markov import TelegraphState
@@ -34,6 +44,9 @@ from .model import ModelSpec
 from .potentials import local_minima, make_potential
 from .rng import SeedSpec
 from .schemacheck import schema_error
+
+if TYPE_CHECKING:
+    from .equilibria import FixedPointRecord
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,8 @@ def is_attracting(rec: FixedPointRecord) -> bool:
     direction is neutral (the supercritical circle of fixed points with no
     exterior potential): trajectories do settle on those.
     """
-    return bool(np.max(rec.eigenvalues.real) <= STABILITY_TOL)
+    from . import equilibria
+    return bool(np.max(rec.eigenvalues.real) <= equilibria.STABILITY_TOL)
 
 
 def classify_limit(trace: MomentTrace, census: list[FixedPointRecord],
@@ -213,10 +227,16 @@ def _simulate_worker(cfg: ExperimentConfig, rho: float,
         return exc
 
 
+ProcessPoolExecutor = None  # imported when _map_ordered first starts a pool
+
+
 def _map_ordered(worker, jobs: list[tuple], threads: int) -> list:
+    global ProcessPoolExecutor
     threads = min(threads, len(jobs))  # a pool starts all its workers at the first submit
     if threads <= 1:
         return [worker(*job) for job in jobs]
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, *zip(*jobs)))
 
@@ -251,6 +271,7 @@ def ensure_outdir(out_dir: str) -> None:
 
 def fixed_point_payload(cfg: ExperimentConfig, model: ModelSpec,
                         records: list[FixedPointRecord], rho: float) -> dict:
+    from . import equilibria
     payload = {"model_hash": cfg.model_hash(rho=rho),
                "rho": rho,
                "census": [r.as_dict() for r in records],
@@ -279,6 +300,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
                  quiet: bool = True) -> dict:
     """Run sweep.seeds independent runs at the model's rho; write per-seed
     moment CSVs plus summary.json and fixed_points.json."""
+    from . import equilibria
     ensure_outdir(out_dir)
     n_seeds = int(cfg.sweep.get("seeds", 1))
     rho = cfg.model["rho"]
@@ -306,6 +328,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
 
 def cmd_fixed_points(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> dict:
     """Fixed-point census plus threshold constants for the configured model."""
+    from . import equilibria
     ensure_outdir(out_dir)
     model = cfg.build_model()
     records = equilibria.find_fixed_points(model)
@@ -319,12 +342,13 @@ def cmd_fixed_points(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) ->
 
 def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
     """Integrate the reduced flow from flow.start and write its CSV."""
+    from . import flow
     spec = cfg.flow
     if "start" not in spec or "T_flow" not in spec:
         raise ConfigError("cmd_flow: config needs flow.start and flow.T_flow")
     model = cfg.build_model()
-    trace = flow_mod.integrate_flow(model, (spec["start"][0], spec["start"][1]),
-                                    spec["T_flow"], dt=spec.get("dt", 0.01))
+    trace = flow.integrate_flow(model, (spec["start"][0], spec["start"][1]),
+                                spec["T_flow"], dt=spec.get("dt", 0.01))
     ensure_outdir(out_dir)
     path = os.path.join(out_dir, f"{cfg.name}_flow.csv")
     write_text(path, trace.to_csv())
@@ -340,6 +364,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     through one ordered map (one pool). A run that fails, in the engine or
     in classification, becomes an "error:<Type>: <message>" row. Returns
     (exit_code, csv_path); exit 4 when more than 10% of the rows failed."""
+    from . import equilibria
     rhos = cfg.sweep.get("rhos") or []
     if not rhos:
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")

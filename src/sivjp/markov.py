@@ -44,16 +44,18 @@ import io
 import math
 from math import inf, log1p, sqrt
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import (DENSITY_GRID, TWO_PI, PeriodicGrid,
                        segments_sojourn, wrap)
-from .equilibria import GridDensity, density_from_log
 from .potentials import FrozenPotential
 from .rng import SeedSpec, derive_stream, uniform_pairs
+
+if TYPE_CHECKING:
+    from .equilibria import GridDensity
 
 # the proposal budget: BUDGET_SIGMAS standard deviations and BUDGET_SLACK
 # proposals above the mean of the dominating Poisson(lam_bar * T) count
@@ -369,6 +371,7 @@ def simulate_torus_vjp(v: Callable[[np.ndarray], float],
 def invariant_density(pot: FrozenPotential,
                       grid: PeriodicGrid = DENSITY_GRID) -> GridDensity:
     """exp(-V)/Z on the grid; V is min-shifted before exponentiation."""
+    from .equilibria import density_from_log
     return density_from_log(-np.asarray(pot.v(grid.nodes), dtype=float), grid)
 
 

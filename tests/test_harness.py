@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import R_OF_RHO_4
-from sivjp import harness
+from sivjp import flow, harness
 from sivjp.cli import main
 from sivjp.errors import ConfigError, NumericError, RunawayRateError
 from sivjp.harness import (ExperimentConfig, classify_limit, cmd_fixed_points,
@@ -156,12 +156,16 @@ class TestCLI:
         ("sivjp", {"T": 1e13, "record_stride": 1.0}, "simulate"),
         ("sivjp", {"T": 1e13, "log_stride": True, "record_stride": 1.000000000001},
          "simulate"),
+        # flow horizons of ~1e300 steps, refused before they are integrated
+        ("flow", {"start": [0.1, 0.0], "T_flow": 1e300, "dt": 0.1}, "flow"),
+        ("flow", {"start": [0.1, 0.0], "T_flow": 5.0, "dt": 1e-300}, "flow"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
             "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
             "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
             "infinite_lambda_min_simulate", "infinite_x0_simulate",
             "nan_localize_delta_fixed_points", "nan_localize_rho_min_fixed_points",
-            "dense_linear_schedule_simulate", "dense_log_schedule_simulate"])
+            "dense_linear_schedule_simulate", "dense_log_schedule_simulate",
+            "long_T_flow", "tiny_dt_flow"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
                                               command):
         bad = copy.deepcopy(BASE)
@@ -176,6 +180,13 @@ class TestCLI:
         out = str(tmp_path / "out")
         assert main(["--config", write_config(tmp_path, BASE), "--out", out,
                      "--threads", "0", "--quiet", "simulate"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("quad_n", [0, 5])
+    def test_bad_quad_n_exit_two_no_files(self, tmp_path, capsys, quad_n):
+        out = str(tmp_path / "out")
+        assert main(["--out", out, "--quiet", "validate", "--quad-n", str(quad_n)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
@@ -259,7 +270,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("command, owner, attr, exc", [
         ("simulate", harness, "run_sitp", RunawayRateError("proposal budget exceeded")),
-        ("flow", harness.flow_mod, "integrate_flow", NumericError("non-finite flow state")),
+        ("flow", flow, "integrate_flow", NumericError("non-finite flow state")),
     ])
     def test_run_failure_exit_four(self, tmp_path, monkeypatch, capsys,
                                    command, owner, attr, exc):
