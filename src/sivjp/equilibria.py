@@ -17,7 +17,10 @@ with stability classification, the free energy, and a Laplace-asymptotics
 cross-check. The census takes Fbar and its Jacobian from one tilted
 density per point, and, when U is even about 0 and about pi/2, finds the
 axis fixed points as the roots of Fbar's own components Fbar_a(a, 0) and
-Fbar_b(0, b).
+Fbar_b(0, b). When U is constant Fbar commutes with rotations, so the
+census is written down rather than searched for: the origin plus
+RING_POINTS points of the circle whose radius r(rho) is the one root of
+Fbar_a(a, 0), with no b-axis scan and no Newton sweep.
 
 The census, the flow integrator (flow.integrate_flow) and solve_r_of_rho
 evaluate Fbar thousands of times for one model on one grid, so each builds
@@ -27,8 +30,8 @@ caller at a time. Its evaluations do the arithmetic of pibar, moments and
 jacobian_fbar in the same order, with pibar's checks, so they are
 bit-equal to fbar() and jacobian_fbar() and raise the same exception
 types, one point at a time or many per call. The census evaluates in
-batches: its Newton sweep runs in lockstep over all starts, its axis scans
-and its records take one batched call each. The public pibar ->
+batches: its Newton sweep (when it runs) goes in lockstep over all starts,
+its axis scans and its records take one batched call each. The public pibar ->
 GridDensity -> moments path stays as the validated reference.
 
 The flow and, unless given a grid, the census use field_grid(model) nodes:
@@ -437,6 +440,7 @@ DEDUP_DIST = 1e-6  # census roots closer than this are one root
 RESIDUAL_TOL = 1e-10  # largest |Fbar| a census root may keep
 NEWTON_MAX_ITER = 60  # Newton steps before a start is given up
 NEWTON_TOL = 1e-13  # |Fbar| at which a Newton iterate is a root
+RING_POINTS = 64  # census samples of the circle of fixed points of a constant U
 
 
 @dataclass(frozen=True)
@@ -527,22 +531,37 @@ def _newton_lockstep(tables: _NodeTables,
     return out
 
 
-def find_fixed_points(model: ModelSpec,
-                      grid: PeriodicGrid | None = None) -> list[FixedPointRecord]:
-    """All roots of Fbar in the closed unit disk, with stability classes,
-    on `grid` (default field_grid(model)).
+def _ring(radius: float) -> list[tuple[float, float]]:
+    """RING_POINTS points at the angles 2 pi k / RING_POINTS of the circle
+    of radius `radius`, counterclockwise from (radius, 0).
 
-    Two stages: when the exterior potential is even about 0 and about pi/2
-    (U(z) = U(-z) = U(pi - z), checked once on the grid), the origin is a
-    root and the components Fbar_a(a, 0) and Fbar_b(0, b) are odd, so
-    their positive roots are found by a sign scan plus bisection (robust
-    near the bifurcation thresholds, where Newton's basins shrink) and
-    mirrored; then Newton iterations started from a SWEEP_TICKS x
-    SWEEP_TICKS grid over the disk, run in lockstep, look for anything
-    off-axis. Results are deduplicated within DEDUP_DIST in sweep order,
-    kept if their residual is below RESIDUAL_TOL, and sorted by (a, b) so
-    the census is deterministic.
+    The first eighth comes from cos and sin, the rest by exact reflections
+    and quarter turns, so the points are exactly symmetric about both axes
+    and both diagonals: points of equal |a| have equal a, the sort by
+    (a, b) orders the ring the same way at every radius, and the axis
+    points are (+-radius, 0) and (0, +-radius) exactly. 0.0 - b, not -b,
+    keeps -0.0 off the axes.
     """
+    step = 2.0 * math.pi / RING_POINTS
+    eighth = [(radius * math.cos(k * step), radius * math.sin(k * step))
+              for k in range(RING_POINTS // 8)]
+    diagonal = radius * math.cos(0.25 * math.pi)
+    quarter = eighth + [(diagonal, diagonal)] + [(b, a) for a, b in reversed(eighth[1:])]
+    points = []
+    for _ in range(4):
+        points += quarter
+        quarter = [(0.0 - b, a) for a, b in quarter]
+    return points
+
+
+def _roots(model: ModelSpec, grid: PeriodicGrid,
+           tables: _NodeTables) -> list[tuple[float, float]]:
+    """The census's roots, deduplicated in the order found; see
+    find_fixed_points."""
+    if model.du_sup == 0.0:  # U constant: Fbar commutes with rotations
+        a_star = _axis_root(tables, 0)
+        return [(0.0, 0.0)] + ([] if a_star is None else _ring(a_star))
+
     roots: list[tuple[float, float]] = []
 
     def push(a: float, b: float) -> None:
@@ -550,10 +569,6 @@ def find_fixed_points(model: ModelSpec,
             if math.hypot(a - pa, b - pb) < DEDUP_DIST:
                 return
         roots.append((a, b))
-
-    if grid is None:
-        grid = field_grid(model)
-    tables = _NodeTables(model, grid)
 
     # stage 1: axis roots under symmetry
     z = grid.nodes
@@ -580,9 +595,43 @@ def find_fixed_points(model: ModelSpec,
     for res in _newton_lockstep(tables, np.array(starts)):
         if res is not None:
             push(*res)
+    return roots
 
-    roots.sort()
-    records = [r for r in _records(tables, roots) if r.residual < RESIDUAL_TOL]
+
+def find_fixed_points(model: ModelSpec,
+                      grid: PeriodicGrid | None = None) -> list[FixedPointRecord]:
+    """All roots of Fbar in the closed unit disk, with stability classes,
+    on `grid` (default field_grid(model)).
+
+    When U is constant (model.du_sup == 0), Fbar commutes with rotations,
+    so its roots are the origin and, for rho > 2, the whole circle of
+    radius r(rho) (Benaim & Raimond, Ann. Probab. 2005): the census is the
+    origin plus RING_POINTS equally spaced points of that circle, whose
+    radius is the positive root of Fbar_a(a, 0) found by the axis scan
+    below. Every other model takes two stages: when the exterior potential
+    is even about 0 and about pi/2 (U(z) = U(-z) = U(pi - z), checked once
+    on the grid), the origin is a root and the components Fbar_a(a, 0) and
+    Fbar_b(0, b) are odd, so their positive roots are found by a sign scan
+    plus bisection (robust near the bifurcation thresholds, where Newton's
+    basins shrink) and mirrored; then Newton iterations started from a
+    SWEEP_TICKS x SWEEP_TICKS grid over the disk, run in lockstep, look for
+    anything off-axis, and roots within DEDUP_DIST of an earlier one are
+    dropped. The roots are kept if their residual is below RESIDUAL_TOL
+    and sorted by (a, b), so the census is deterministic.
+
+    A tilted density that underflows at some node (rho * r beyond about
+    350) raises DomainError naming rho.
+    """
+    if grid is None:
+        grid = field_grid(model)
+    tables = _NodeTables(model, grid)
+    try:
+        roots = sorted(_roots(model, grid, tables))
+        records = [r for r in _records(tables, roots) if r.residual < RESIDUAL_TOL]
+    except DomainError as exc:  # from the tables' density checks
+        raise DomainError(f"find_fixed_points: the tilted density underflows at "
+                          f"rho = {model.rho!r} (the census needs rho * r <~ 350): "
+                          f"{exc}") from exc
     if not records:
         raise NumericError("find_fixed_points: no roots found (centred models "
                            "always have the Gibbs fixed point)")

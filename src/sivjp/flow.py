@@ -89,10 +89,15 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     """Integrate d(a,b)/ds = Fbar(a,b) from a point of the closed unit disk,
     with Fbar on equilibria.field_grid(model).
 
-    The default step keeps the scheme far inside its stability region for
-    every |rho| <= 40. With self_check on, the trace is recomputed at half
-    the step and the two must agree to HALVING_TOL in sup norm. A horizon of
-    more than MAX_FLOW_STEPS steps is refused before any path is built.
+    The default step keeps the scheme inside its stability region for
+    every |rho| <= 40, but that does not make the path accurate: the
+    guarantee is the self-check. With self_check on, the trace is
+    recomputed at half the step and the two must agree to HALVING_TOL in
+    sup norm, else NumericError. At dt = 0.01 and t_flow = 8 that check
+    refuses, e.g., rho = -40 from (0.5, 0) and from (0.01, 0.02), rho = 40
+    from (0.01, 0.02), and cos2 at rho = -10 from (0.5, 0); a smaller dt
+    may pass it. A horizon of more than MAX_FLOW_STEPS steps is refused
+    before any path is built.
     """
     a0, b0 = start
     if not math.hypot(a0, b0) <= 1.0 + DISK_TOL:  # NaN fails too

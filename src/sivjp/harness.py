@@ -109,9 +109,8 @@ class ExperimentConfig:
             output_dir=raw.get("output_dir"),
         )
         # builds the model too, so bad potentials and params surface here
-        cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0).validate()
-        if not all(math.isfinite(rho) for rho in cfg.sweep.get("rhos", ())):
-            raise ConfigError("sweep.rhos entries must be finite")
+        for rho in [cfg.model["rho"], *cfg.sweep.get("rhos", ())]:
+            cfg.build_sivjp(rho=rho, stream_index=0).validate()
         if not all(math.isfinite(cfg.localize[key]) for key in ("delta", "rho_min")):
             raise ConfigError("localize.delta and localize.rho_min must be finite")
         return cfg
@@ -277,8 +276,6 @@ def fixed_point_payload(cfg: ExperimentConfig, model: ModelSpec,
                "census": [r.as_dict() for r in records],
                "thresholds": {}}
     thr = payload["thresholds"]
-    if model.du_sup == 0.0 and rho > 2.0:  # U constant: rotation invariant
-        thr["r_of_rho"] = equilibria.solve_r_of_rho(rho)
     try:
         thr["rho_c"] = equilibria.rho_c(model)
         thr["rho_2"] = equilibria.rho_2(model)
@@ -288,6 +285,8 @@ def fixed_point_payload(cfg: ExperimentConfig, model: ModelSpec,
     b_stars = sorted(r.b for r in records if r.b > 1e-9 and abs(r.a) < 1e-9)
     if a_stars:
         thr["a_star"] = a_stars[-1]
+        if model.du_sup == 0.0:  # U constant: the radius of the census's ring
+            thr["r_of_rho"] = a_stars[-1]
     if b_stars:
         thr["b_star"] = b_stars[-1]
     return payload
@@ -301,13 +300,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     """Run sweep.seeds independent runs at the model's rho; write per-seed
     moment CSVs plus summary.json and fixed_points.json."""
     from . import equilibria
-    ensure_outdir(out_dir)
     n_seeds = int(cfg.sweep.get("seeds", 1))
     rho = cfg.model["rho"]
     model = cfg.build_model()
     census = equilibria.find_fixed_points(model)
     payload = fixed_point_payload(cfg, model, census, rho)
     ring = payload["thresholds"].get("r_of_rho")
+    ensure_outdir(out_dir)
     traces = _traces(_map_ordered(_simulate_worker,
                                   [(cfg, rho, k) for k in range(n_seeds)], threads))
     summaries = []
@@ -329,10 +328,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
 def cmd_fixed_points(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> dict:
     """Fixed-point census plus threshold constants for the configured model."""
     from . import equilibria
-    ensure_outdir(out_dir)
     model = cfg.build_model()
     records = equilibria.find_fixed_points(model)
     payload = fixed_point_payload(cfg, model, records, cfg.model["rho"])
+    ensure_outdir(out_dir)
     write_json(os.path.join(out_dir, "fixed_points.json"), payload)
     if not quiet:
         print(f"{len(records)} fixed points: {equilibria.census_signature(records)}",
@@ -369,7 +368,6 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     if not rhos:
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")
     n_seeds = int(cfg.sweep.get("seeds", 1))
-    ensure_outdir(out_dir)
     censuses, records, rings = {}, [], []
     for rho in rhos:
         model = cfg.build_model(rho=rho)
@@ -377,6 +375,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
         payload = fixed_point_payload(cfg, model, records[-1], rho)
         censuses[f"{rho:.12g}"] = payload
         rings.append(payload["thresholds"].get("r_of_rho"))
+    ensure_outdir(out_dir)
     jobs = [(cfg, rho, i * n_seeds + k) for i, rho in enumerate(rhos) for k in range(n_seeds)]
     results = _map_ordered(_simulate_worker, jobs, threads)
     rows = []

@@ -12,6 +12,7 @@ from sivjp import (OccupationStats, PeriodicGrid, SIVJPConfig, SeedSpec,
                    TelegraphState, advect_occupation, drift_vprime,
                    occupation_histogram, quadratic_kernel_grids, run_sitp,
                    run_sitp_general, simulate_telegraph)
+from sivjp.engine import MAX_PROPOSALS
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import TWO_PI
 from sivjp.markov import envelope_slope, local_clock
@@ -217,6 +218,14 @@ class TestRunSitp:
             kw = dict(model=model, t_end=1.0, seed=SeedSpec(0, 0)) | bad
             with pytest.raises(ConfigError):
                 SIVJPConfig(**kw).validate()
+        # the expected proposal count lam_bar * T may reach MAX_PROPOSALS but
+        # not pass it; lambda_min = 1e308 takes it to inf
+        few_snapshots = dict(seed=SeedSpec(0, 0), record_stride=1e8)
+        SIVJPConfig(model=model, t_end=MAX_PROPOSALS, **few_snapshots).validate()
+        for huge in (dict(model=model, t_end=math.nextafter(MAX_PROPOSALS, math.inf)),
+                     dict(model=ModelSpec(lambda_min=1e308), t_end=1.0)):
+            with pytest.raises(ConfigError, match="MAX_PROPOSALS"):
+                SIVJPConfig(**huge, **few_snapshots).validate()
         # the general mode's histogram starts uniform
         with pytest.raises(ConfigError, match="uniform"):
             run_sitp_general(np.zeros((8, 8)), np.zeros((8, 8)),

@@ -49,44 +49,51 @@ def reference_newton(model, grid, a, b):
 
 def reference_census(model, grid):
     """find_fixed_points one point at a time on the public path: a scalar
-    axis scan, Newton start by start, one record per root."""
+    axis scan, then Newton start by start or, for a constant U, the ring
+    through the a-axis root; one record per root."""
     roots = []
 
     def push(a, b):
         if all(math.hypot(a - pa, b - pb) >= equilibria.DEDUP_DIST for pa, pb in roots):
             roots.append((a, b))
 
+    def axis_root(axis):
+        def residual(x):
+            return fbar(model, *((x, 0.0) if axis == 0 else (0.0, x)), grid)[axis]
+        xs = np.linspace(1e-9, 1.0 - 1e-9, 512)
+        vals = [residual(x) for x in xs]
+        for i in range(len(xs) - 1):
+            if vals[i] > 0.0 >= vals[i + 1]:
+                lo, hi = xs[i], xs[i + 1]
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    if mid == lo or mid == hi:
+                        break
+                    lo, hi = (mid, hi) if residual(mid) > 0.0 else (lo, mid)
+                return 0.5 * (lo + hi)
+        return None
+
     z = grid.nodes
     u_vals = np.asarray(model.u(z), dtype=float)
-    if (np.max(np.abs(u_vals - model.u(-z))) <= 1e-10
-            and np.max(np.abs(u_vals - model.u(np.pi - z))) <= 1e-10):
-        push(0.0, 0.0)
-        for axis in (0, 1):
-            def residual(x):
-                return fbar(model, *((x, 0.0) if axis == 0 else (0.0, x)), grid)[axis]
-            xs = np.linspace(1e-9, 1.0 - 1e-9, 512)
-            vals = [residual(x) for x in xs]
-            root = None
-            for i in range(len(xs) - 1):
-                if vals[i] > 0.0 >= vals[i + 1]:
-                    lo, hi = xs[i], xs[i + 1]
-                    for _ in range(100):
-                        mid = 0.5 * (lo + hi)
-                        if mid == lo or mid == hi:
-                            break
-                        lo, hi = (mid, hi) if residual(mid) > 0.0 else (lo, mid)
-                    root = 0.5 * (lo + hi)
-                    break
-            if root is not None:
-                push(*((root, 0.0) if axis == 0 else (0.0, root)))
-                push(*((-root, 0.0) if axis == 0 else (0.0, -root)))
-    ticks = np.linspace(-1.0, 1.0, equilibria.SWEEP_TICKS)
-    for a0 in ticks:
-        for b0 in ticks:
-            if math.hypot(a0, b0) <= 1.0 + 1e-12:
-                res = reference_newton(model, grid, a0, b0)
-                if res is not None:
-                    push(*res)
+    if model.du_sup == 0.0:
+        root = axis_root(0)
+        roots = [(0.0, 0.0)] + ([] if root is None else equilibria._ring(root))
+    else:
+        if (np.max(np.abs(u_vals - model.u(-z))) <= 1e-10
+                and np.max(np.abs(u_vals - model.u(np.pi - z))) <= 1e-10):
+            push(0.0, 0.0)
+            for axis in (0, 1):
+                root = axis_root(axis)
+                if root is not None:
+                    push(*((root, 0.0) if axis == 0 else (0.0, root)))
+                    push(*((-root, 0.0) if axis == 0 else (0.0, -root)))
+        ticks = np.linspace(-1.0, 1.0, equilibria.SWEEP_TICKS)
+        for a0 in ticks:
+            for b0 in ticks:
+                if math.hypot(a0, b0) <= 1.0 + 1e-12:
+                    res = reference_newton(model, grid, a0, b0)
+                    if res is not None:
+                        push(*res)
     records = []
     for a, b in sorted(roots):
         jac = jacobian_fbar(model, a, b, grid)
@@ -389,6 +396,48 @@ class TestCensus:
         assert sorted(abs(r.a) for r in sinks) == pytest.approx(
             [0.9181970677, 0.9181970677], abs=1e-7)
 
+    @pytest.mark.parametrize("rho", [2.01, 4.0, 40.0])
+    def test_constant_potential_census_is_the_ring(self, monkeypatch, rho):
+        # U constant: the origin plus RING_POINTS points of the circle of
+        # radius r(rho), built from the one a-axis root with no Newton sweep
+        def no_sweep(tables, starts):
+            raise AssertionError("Newton sweep ran on a constant potential")
+
+        monkeypatch.setattr(equilibria, "_newton_lockstep", no_sweep)
+        model = ModelSpec(potential=zero_potential(), rho=rho)
+        recs = find_fixed_points(model)
+        assert len(recs) == 1 + equilibria.RING_POINTS == 65
+        points = [(r.a, r.b) for r in recs]
+        radius = max(r.a for r in recs)
+        assert abs(radius - solve_r_of_rho(rho, tol=1e-12)) <= 1e-10
+        for axis_point in ((0.0, 0.0), (radius, 0.0), (-radius, 0.0),
+                           (0.0, radius), (0.0, -radius)):
+            assert axis_point in points
+        ring = [r for r in recs if (r.a, r.b) != (0.0, 0.0)]
+        angles = sorted(math.atan2(r.b, r.a) % TWO_PI for r in ring)
+        assert np.max(np.abs(np.array(angles) - TWO_PI * np.arange(64) / 64)) <= 1e-14
+        for rec in recs:
+            assert rec.residual <= 1e-15
+            if (rec.a, rec.b) == (0.0, 0.0):
+                assert rec.stability == "Source"
+            else:
+                assert rec.stability == "Degenerate"
+                assert abs(math.hypot(rec.a, rec.b) - radius) <= 1e-15
+        # the same census, in the same order, on every grid
+        for grid in (DENSITY_GRID, THRESHOLD_GRID):
+            other = find_fixed_points(model, grid)
+            assert len(other) == len(recs)
+            for rec, alt in zip(recs, other):
+                assert abs(rec.a - alt.a) <= 1e-14 and abs(rec.b - alt.b) <= 1e-14
+                assert rec.stability == alt.stability
+                assert np.max(np.abs(rec.jacobian - alt.jacobian)) <= 1e-14 * rho
+
+    def test_underflow_names_rho(self):
+        # a tilted density underflows once rho * r passes about 350
+        with pytest.raises(DomainError, match=r"rho = 400\.0 .*rho \* r <~ 350"):
+            find_fixed_points(COS2(400.0))
+        assert find_fixed_points(COS2(300.0))
+
     def test_residuals_small(self):
         for rec in find_fixed_points(COS2(3.0)):
             assert rec.residual < 1e-10
@@ -493,17 +542,6 @@ class TestFieldGrid:
             for rho in [cfg.model["rho"], *cfg.sweep.get("rhos", ())]:
                 model = cfg.build_model(rho=rho)
                 got, want = find_fixed_points(model), find_fixed_points(model, DENSITY_GRID)
-                if model.du_sup == 0.0 and rho > 2.0:
-                    # U = 0: a ring of degenerate points, whose samples Newton
-                    # places by round-off, around the Gibbs source
-                    radius = [math.hypot(r.a, r.b) for r in want if r.stability == "Degenerate"]
-                    for rec in got:
-                        if math.hypot(rec.a, rec.b) < 1e-10:
-                            assert rec.stability == "Source"
-                        else:
-                            assert rec.stability == "Degenerate"
-                            assert abs(math.hypot(rec.a, rec.b) - radius[0]) <= 1e-10
-                    continue
                 assert len(got) == len(want)
                 for rec in got:
                     match = min(want, key=lambda r: math.hypot(r.a - rec.a, r.b - rec.b))

@@ -159,13 +159,26 @@ class TestCLI:
         # flow horizons of ~1e300 steps, refused before they are integrated
         ("flow", {"start": [0.1, 0.0], "T_flow": 1e300, "dt": 0.1}, "flow"),
         ("flow", {"start": [0.1, 0.0], "T_flow": 5.0, "dt": 1e-300}, "flow"),
+        # runs of more than MAX_PROPOSALS expected proposals, refused at load:
+        # lam_bar * T overflows, or the run would take years
+        ("model", {"lambda_min": 1e308}, "simulate"),
+        ("model", {"potential": "two_well", "rho": 30.0, "lambda_min": 1e308}, "localize"),
+        ("model", {"potential": "two_well", "rho": 1e16}, "localize"),
+        ("sweep", {"rhos": [1.0, 1e16]}, "scan"),
+        # a census whose tilted density underflows, refused before the output
+        # directory is made
+        ("model", {"potential": "cos2", "rho": 400.0}, "fixed-points"),
+        ("model", {"potential": "cos2", "rho": 400.0}, "simulate"),
+        ("sweep", {"rhos": [1.0, 400.0]}, "scan"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
             "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
             "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
             "infinite_lambda_min_simulate", "infinite_x0_simulate",
             "nan_localize_delta_fixed_points", "nan_localize_rho_min_fixed_points",
             "dense_linear_schedule_simulate", "dense_log_schedule_simulate",
-            "long_T_flow", "tiny_dt_flow"])
+            "long_T_flow", "tiny_dt_flow", "huge_lambda_min_simulate",
+            "huge_lambda_min_localize", "huge_rho_localize", "huge_sweep_rho_scan",
+            "underflow_fixed_points", "underflow_simulate", "underflow_scan"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
                                               command):
         bad = copy.deepcopy(BASE)
