@@ -60,7 +60,6 @@ from .markov import (ROUNDOFF_TOL, TelegraphState, envelope_slope, local_clock,
 from .rng import SeedSpec, derive_stream, uniform_pairs
 
 MAX_SNAPSHOTS = 2_000_000  # longest snapshot schedule a run may record
-MAX_PROPOSALS = 1e9  # largest expected proposal count lam_bar * T of a run
 
 
 @dataclass(frozen=True)
@@ -161,11 +160,7 @@ class SIVJPConfig:
                     if self.log_stride else self.t_end / self.record_stride)
         if estimate > MAX_SNAPSHOTS + 2:
             raise ConfigError("SIVJPConfig: snapshot schedule too dense")
-        # about 15 minutes at 0.9 us per proposal; also keeps proposal_budget finite
-        proposals = self.model.thinning_bound * self.t_end
-        if not proposals <= MAX_PROPOSALS:
-            raise ConfigError(f"SIVJPConfig: lam_bar * T = {proposals:.3g} expected "
-                              f"proposals, above MAX_PROPOSALS = {MAX_PROPOSALS:.0e}")
+        proposal_budget(self.model.thinning_bound, self.t_end)
 
     def snapshot_times(self) -> np.ndarray:
         if self.log_stride:

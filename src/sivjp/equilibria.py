@@ -22,17 +22,17 @@ census is written down rather than searched for: the origin plus
 RING_POINTS points of the circle whose radius r(rho) is the one root of
 Fbar_a(a, 0), with no b-axis scan and no Newton sweep.
 
-The census, the flow integrator (flow.integrate_flow) and solve_r_of_rho
-evaluate Fbar thousands of times for one model on one grid, so each builds
-a _NodeTables once: cos z, sin z, their products and -U(z) on the nodes,
-plus work buffers that every evaluation reuses, so a table serves one
-caller at a time. Its evaluations do the arithmetic of pibar, moments and
-jacobian_fbar in the same order, with pibar's checks, so they are
-bit-equal to fbar() and jacobian_fbar() and raise the same exception
-types, one point at a time or many per call. The census evaluates in
-batches: its Newton sweep (when it runs) goes in lockstep over all starts,
-its axis scans and its records take one batched call each. The public pibar ->
-GridDensity -> moments path stays as the validated reference.
+Fbar and its Jacobian have one evaluator, _NodeTables: cos z, sin z,
+their products and -U(z) on the nodes, plus work buffers that every
+evaluation reuses, so a table serves one caller at a time. The census, the
+flow integrator (flow.integrate_flow) and solve_r_of_rho build one table
+per call; the public fbar and jacobian_fbar, one per evaluation. A table
+does pibar's and moments' arithmetic in the same order, with pibar's
+checks, so its field is moments(pibar(a, b)) - (a, b) bit for bit, and
+pibar -> GridDensity -> moments is the reference the tests hold it to. The
+census evaluates in batches: its Newton sweep (when it runs) goes in
+lockstep over all starts, its axis scans and its records take one batched
+call each.
 
 The flow and, unless given a grid, the census use field_grid(model) nodes:
 the fewest of 64, 128 and 256 for which a closed-form bound on the
@@ -118,29 +118,20 @@ def moments(d: GridDensity) -> tuple[float, float]:
 
 def fbar(model: ModelSpec, a: float, b: float,
          grid: PeriodicGrid = DENSITY_GRID) -> tuple[float, float]:
-    """Reduced vector field: moments(pibar(a, b)) - (a, b)."""
-    ma, mb = moments(pibar(model, a, b, grid))
-    return ma - a, mb - b
+    """Reduced vector field moments(pibar(a, b)) - (a, b), from node tables."""
+    return _NodeTables(model, grid).fbar(a, b)
 
 
 def jacobian_fbar(model: ModelSpec, a: float, b: float,
                   grid: PeriodicGrid = DENSITY_GRID) -> np.ndarray:
-    """Analytic Jacobian of Fbar: rho * Cov - I.
+    """Analytic Jacobian of Fbar: rho * Cov - I, from node tables.
 
     Cov is the covariance matrix of (cos z, sin z) under pibar(a, b);
     differentiation under the integral gives d moments / d(a,b) = rho*Cov.
     At the origin with centred exterior potential this is the classical
     rho*M_U - I with M_U the second trigonometric moment matrix.
     """
-    d = pibar(model, a, b, grid)
-    z = grid.nodes
-    c, s = np.cos(z), np.sin(z)
-    ma = quad_periodic(c * d.values, grid)
-    mb = quad_periodic(s * d.values, grid)
-    cc = quad_periodic(c * c * d.values, grid) - ma * ma
-    ss = quad_periodic(s * s * d.values, grid) - mb * mb
-    cs = quad_periodic(c * s * d.values, grid) - ma * mb
-    return model.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
+    return _NodeTables(model, grid).fbar_jacobian_many(np.array([a]), np.array([b]))[1][0]
 
 
 BATCH_VALUES = 4096  # points x nodes per batched evaluation: ~200 KB of products
@@ -150,10 +141,10 @@ class _NodeTables:
     """Fbar and its Jacobian for one model on one grid, from node tables.
 
     -U(z) and the stacked rows 1, cos z, sin z, cos^2 z, sin^2 z and
-    cos z sin z are computed once; each evaluation then does pibar's,
-    moments()' and jacobian_fbar's arithmetic in the same order, with
-    pibar's checks (non-finite log-density, non-positive density, mass off
-    1), so results and exceptions are those of fbar() and jacobian_fbar().
+    cos z sin z are computed once; each evaluation then does the arithmetic
+    of pibar and moments() in the same order, with pibar's checks
+    (non-finite log-density, non-positive density, mass off 1), so its
+    results and exceptions are those of quadratures over pibar(a, b).
     The mass and the moments come from one product of the first 3 (fbar)
     or all 6 (fbar_jacobian_many) rows with the density and one row sum:
     each row sums as the 1-D array would, and the row of ones leaves the
@@ -672,8 +663,7 @@ def free_energy(model: ModelSpec, d: GridDensity) -> float:
 
     vals = d.values
     entropy = _entropy(vals, d.grid)
-    a = quad_periodic(np.cos(z) * vals, d.grid)
-    b = quad_periodic(np.sin(z) * vals, d.grid)
+    a, b = moments(d)
     ext = quad_periodic(u_vals * vals, d.grid)
     closed = ext - 0.5 * model.rho * (a * a + b * b) + entropy
     double = 0.5 * float(vals @ w_mat @ vals) * h * h + entropy

@@ -61,6 +61,9 @@ if TYPE_CHECKING:
 # proposals above the mean of the dominating Poisson(lam_bar * T) count
 BUDGET_SIGMAS = 10.0
 BUDGET_SLACK = 100.0
+# largest expected proposal count lam_bar * T of a run: about 15 minutes at
+# 0.9 us per proposal
+MAX_PROPOSALS = 1e9
 # the local envelope is used where it is predicted to make at most this
 # fraction of the constant envelope's proposals: its clock costs about a
 # third of a proposal more, so a smaller saving does not repay it
@@ -160,9 +163,13 @@ def proposal_budget(lam_bar: float, t_end: float) -> int:
 
     Every proposal rate is at most lam_bar, so the count is dominated by
     Poisson(lam_bar * t_end); passing its mean by BUDGET_SIGMAS standard
-    deviations means the loop does not advance.
+    deviations means the loop does not advance. A mean above MAX_PROPOSALS,
+    infinite or NaN raises ConfigError.
     """
     mean = lam_bar * t_end
+    if not mean <= MAX_PROPOSALS:
+        raise ConfigError(f"lam_bar * T = {mean:.3g} expected proposals, "
+                          f"not at most MAX_PROPOSALS = {MAX_PROPOSALS:.0e}")
     return int(mean + BUDGET_SIGMAS * sqrt(mean) + BUDGET_SLACK)  # an int compares faster
 
 

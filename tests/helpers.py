@@ -2,7 +2,10 @@
 
 The oracles here are deliberately independent of the package's quadrature
 and root-finding paths: Bessel values come from the defining power series,
-reference radii from bisection on a dense brute-force grid.
+reference radii from bisection on a dense brute-force grid. The exception
+is the reference field and Jacobian, which run the package's reference
+quadrature path (pibar, moments, quad_periodic) that the node tables
+evaluating Fbar everywhere else must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from sivjp import SIVJPConfig, SeedSpec, run_sitp
+from sivjp.equilibria import moments, pibar
+from sivjp.geometry import DENSITY_GRID, quad_periodic
 from sivjp.model import ModelSpec
 from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
 
@@ -49,6 +54,26 @@ def brute_moments(rho: float, a: float, b: float, u_fn=None, n: int = 1 << 15):
     w = np.exp(expo)
     w /= w.sum()
     return float(w @ np.cos(z)), float(w @ np.sin(z))
+
+
+def reference_fbar(model, a, b, grid=DENSITY_GRID):
+    """Fbar on the reference path: moments(pibar(a, b)) - (a, b)."""
+    ma, mb = moments(pibar(model, a, b, grid))
+    return ma - a, mb - b
+
+
+def reference_jacobian(model, a, b, grid=DENSITY_GRID):
+    """Fbar's Jacobian rho * Cov - I, each moment a quad_periodic of a
+    product of cos z and sin z with pibar's values."""
+    d = pibar(model, a, b, grid)
+    z = grid.nodes
+    c, s = np.cos(z), np.sin(z)
+    ma = quad_periodic(c * d.values, grid)
+    mb = quad_periodic(s * d.values, grid)
+    cc = quad_periodic(c * c * d.values, grid) - ma * ma
+    ss = quad_periodic(s * s * d.values, grid) - mb * mb
+    cs = quad_periodic(c * s * d.values, grid) - ma * mb
+    return model.rho * np.array([[cc, cs], [cs, ss]]) - np.eye(2)
 
 
 def brute_r_of_rho(rho: float) -> float:

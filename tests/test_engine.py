@@ -12,10 +12,9 @@ from sivjp import (OccupationStats, PeriodicGrid, SIVJPConfig, SeedSpec,
                    TelegraphState, advect_occupation, drift_vprime,
                    occupation_histogram, quadratic_kernel_grids, run_sitp,
                    run_sitp_general, simulate_telegraph)
-from sivjp.engine import MAX_PROPOSALS
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import TWO_PI
-from sivjp.markov import envelope_slope, local_clock
+from sivjp.markov import MAX_PROPOSALS, envelope_slope, local_clock
 from sivjp.model import ModelSpec
 from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
 
@@ -241,6 +240,18 @@ class TestRunSitp:
         with pytest.raises(ConfigError, match="finite"):
             simulate_telegraph(cos2_potential(), 1.0, TelegraphState(0.0, 1), 10.0,
                                SeedSpec(1, 0), lambda_bar_override=lam)
+
+    @pytest.mark.parametrize("mode", ["lambda_bar_override", "general_dw_grid"])
+    def test_run_envelope_beyond_max_proposals_refused(self, mode):
+        # validate bounds the certified envelope; these runs propose under a
+        # larger one, and lam_bar * T = 1e309 overflows to inf
+        model = ModelSpec(potential=cos2_potential(), rho=1.0)
+        with pytest.raises(ConfigError, match="MAX_PROPOSALS"):
+            if mode == "lambda_bar_override":
+                sitp(model, 10.0, master=1, lambda_bar_override=1e308)
+            else:
+                run_sitp_general(np.zeros((8, 8)), np.full((8, 8), 1e308),
+                                 SIVJPConfig(model=model, t_end=10.0, seed=SeedSpec(1, 0)))
 
     def test_trace_csv_and_summary(self):
         model = ModelSpec(potential=zero_potential(), rho=1.0)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import (A_STAR_2RHOC, B_STAR_RHO4, RHO_2_COS2, RHO_C_COS2,
-                     R_OF_RHO_4, bessel_i, brute_moments, brute_r_of_rho)
+                     R_OF_RHO_4, bessel_i, brute_moments, brute_r_of_rho,
+                     reference_fbar, reference_jacobian)
 from sivjp import (PeriodicGrid, fbar, find_fixed_points, free_energy,
                    integrate_flow, jacobian_fbar, laplace_check, moments,
                    pibar, quad_periodic, rho_2, rho_c, solve_r_of_rho)
@@ -28,14 +29,14 @@ TABLE_MODELS = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
 
 
 def reference_newton(model, grid, a, b):
-    """The census's Newton iteration from one start, on the public path."""
+    """The census's Newton iteration from one start, on the reference path."""
     x = np.array([a, b], dtype=float)
     for _ in range(equilibria.NEWTON_MAX_ITER):
-        f = np.array(fbar(model, x[0], x[1], grid))
+        f = np.array(reference_fbar(model, x[0], x[1], grid))
         if np.hypot(f[0], f[1]) < equilibria.NEWTON_TOL:
             return float(x[0]), float(x[1])
         try:
-            step = np.linalg.solve(jacobian_fbar(model, x[0], x[1], grid), -f)
+            step = np.linalg.solve(reference_jacobian(model, x[0], x[1], grid), -f)
         except np.linalg.LinAlgError:
             return None
         norm = float(np.hypot(step[0], step[1]))
@@ -48,7 +49,7 @@ def reference_newton(model, grid, a, b):
 
 
 def reference_census(model, grid):
-    """find_fixed_points one point at a time on the public path: a scalar
+    """find_fixed_points one point at a time on the reference path: a scalar
     axis scan, then Newton start by start or, for a constant U, the ring
     through the a-axis root; one record per root."""
     roots = []
@@ -59,7 +60,7 @@ def reference_census(model, grid):
 
     def axis_root(axis):
         def residual(x):
-            return fbar(model, *((x, 0.0) if axis == 0 else (0.0, x)), grid)[axis]
+            return reference_fbar(model, *((x, 0.0) if axis == 0 else (0.0, x)), grid)[axis]
         xs = np.linspace(1e-9, 1.0 - 1e-9, 512)
         vals = [residual(x) for x in xs]
         for i in range(len(xs) - 1):
@@ -96,10 +97,11 @@ def reference_census(model, grid):
                         push(*res)
     records = []
     for a, b in sorted(roots):
-        jac = jacobian_fbar(model, a, b, grid)
+        jac = reference_jacobian(model, a, b, grid)
         eig = np.linalg.eigvals(jac)
         eig = eig[np.lexsort((eig.imag, eig.real))]
-        rec = equilibria.FixedPointRecord(a=a, b=b, residual=math.hypot(*fbar(model, a, b, grid)),
+        rec = equilibria.FixedPointRecord(a=a, b=b,
+                                          residual=math.hypot(*reference_fbar(model, a, b, grid)),
                                           jacobian=jac, eigenvalues=eig,
                                           stability=classify(eig))
         if rec.residual < equilibria.RESIDUAL_TOL:
@@ -296,7 +298,7 @@ class TestAxisStage:
             assert max(abs(v) for v in fbar(model, rec.a, rec.b)) < 1e-10
 
     def test_fused_field_and_jacobian_bit_equal(self):
-        # the census, flow and threshold node tables against the public path
+        # the node tables against the reference path, pibar -> moments
         rng = np.random.default_rng(20260418)
         models = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
                   ModelSpec(potential=zero_potential(), rho=4.0),
@@ -309,8 +311,11 @@ class TestAxisStage:
                 assert np.any(np.hypot(*points.T) < 1.0) and np.any(np.hypot(*points.T) > 1.0)
                 for a, b in points:
                     f, jac = tables.fbar_jacobian_many(np.array([a]), np.array([b]))
-                    assert tuple(f[0].tolist()) == fbar(model, a, b, grid) == tables.fbar(a, b)
-                    assert np.array_equal(jac[0], jacobian_fbar(model, a, b, grid))
+                    assert (tuple(f[0].tolist()) == reference_fbar(model, a, b, grid)
+                            == tables.fbar(a, b) == fbar(model, a, b, grid))
+                    want = reference_jacobian(model, a, b, grid)
+                    assert np.array_equal(jac[0], want)
+                    assert np.array_equal(jacobian_fbar(model, a, b, grid), want)
 
     def test_tables_raise_like_public_path(self):
         spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
@@ -321,7 +326,9 @@ class TestAxisStage:
                  (ModelSpec(potential=spike, rho=1.0), 0.1, NumericError)]  # -inf entry
         for model, a, exc in cases:
             tables = equilibria._NodeTables(model, DENSITY_GRID)
-            for evaluate in (lambda: fbar(model, a, 0.3), lambda: jacobian_fbar(model, a, 0.3),
+            for evaluate in (lambda: reference_fbar(model, a, 0.3),
+                             lambda: reference_jacobian(model, a, 0.3),
+                             lambda: fbar(model, a, 0.3), lambda: jacobian_fbar(model, a, 0.3),
                              lambda: tables.fbar(a, 0.3),
                              lambda: tables.fbar_jacobian_many(np.array([a]), np.array([0.3]))):
                 with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc):
@@ -329,7 +336,7 @@ class TestAxisStage:
 
 
     def test_batched_field_and_jacobian_bit_equal(self):
-        # every point of a batch, whatever its size and position, against the public path
+        # every point of a batch, whatever its size and position, against the reference path
         rng = np.random.default_rng(20261018)
         for grid in (DENSITY_GRID, THRESHOLD_GRID, PeriodicGrid(64)):
             for model in TABLE_MODELS:
@@ -342,8 +349,8 @@ class TestAxisStage:
                     f, jac = tables.fbar_jacobian_many(points[:, 0], points[:, 1])
                     assert f.shape == (k, 2) and jac.shape == (k, 2, 2)
                     for (a, b), fi, ji in zip(points, f, jac):
-                        assert tuple(fi.tolist()) == fbar(model, a, b, grid)
-                        assert np.array_equal(ji, jacobian_fbar(model, a, b, grid))
+                        assert tuple(fi.tolist()) == reference_fbar(model, a, b, grid)
+                        assert np.array_equal(ji, reference_jacobian(model, a, b, grid))
 
     def test_batched_raises_like_scalar_loop(self):
         spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
@@ -527,7 +534,7 @@ class TestFieldGrid:
                 model = ModelSpec(potential=pot, rho=rho)
                 f, jac = equilibria._NodeTables(model, field_grid(model)).fbar_jacobian_many(
                     points[:, 0], points[:, 1])
-                # the 4096-node tables, bit-equal to the public path
+                # the 4096-node tables, bit-equal to the reference path
                 # (test_batched_field_and_jacobian_bit_equal)
                 f_ref, jac_ref = equilibria._NodeTables(model, THRESHOLD_GRID).fbar_jacobian_many(
                     points[:, 0], points[:, 1])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import RHO_C_COS2, A_STAR_2RHOC
-from sivjp import (SIVJPConfig, SeedSpec, fbar, integrate_flow,
+from helpers import RHO_C_COS2, A_STAR_2RHOC, reference_fbar
+from sivjp import (SIVJPConfig, SeedSpec, integrate_flow,
                    pseudotrajectory_error, run_sitp, solve_r_of_rho)
 from sivjp import flow
 from sivjp.engine import MomentTrace, OccupationStats
@@ -21,15 +21,15 @@ def model_zero(rho):
 
 
 def reference_rk4(model, start, t_flow, dt, grid=DENSITY_GRID):
-    """The classical RK4 loop of integrate_flow on the public fbar."""
+    """The classical RK4 loop of integrate_flow on the reference field."""
     p = np.array(start, dtype=float)
     points, s = [p], 0.0
     for _ in range(int(math.ceil(t_flow / dt - 1e-12))):
         h = min(dt, t_flow - s)
-        k1 = np.array(fbar(model, p[0], p[1], grid))
-        k2 = np.array(fbar(model, *(p + 0.5 * h * k1), grid))
-        k3 = np.array(fbar(model, *(p + 0.5 * h * k2), grid))
-        k4 = np.array(fbar(model, *(p + h * k3), grid))
+        k1 = np.array(reference_fbar(model, p[0], p[1], grid))
+        k2 = np.array(reference_fbar(model, *(p + 0.5 * h * k1), grid))
+        k3 = np.array(reference_fbar(model, *(p + 0.5 * h * k2), grid))
+        k4 = np.array(reference_fbar(model, *(p + h * k3), grid))
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norm = float(np.hypot(p[0], p[1]))
         if norm > 1.0:

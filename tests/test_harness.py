@@ -4,12 +4,15 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import R_OF_RHO_4
-from sivjp import flow, harness
+from test_schemacheck import _subschemas, _values
+from sivjp import cli, flow, harness
 from sivjp.cli import main
 from sivjp.errors import ConfigError, NumericError, RunawayRateError
 from sivjp.harness import (ExperimentConfig, classify_limit, cmd_fixed_points,
@@ -20,6 +23,7 @@ from sivjp.equilibria import find_fixed_points
 from sivjp.markov import TelegraphState
 from sivjp.model import ModelSpec
 from sivjp.potentials import cos2_potential
+from sivjp.schemacheck import schema_error
 
 BASE = {
     "name": "smoke",
@@ -297,6 +301,109 @@ class TestCLI:
         assert main(["--config", path, "--out", str(tmp_path / "out"),
                      "--quiet", command]) == 4
         assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+# a config every command runs in milliseconds; its arrays hold every item
+# the probes below replace
+CONTRACT_BASE = {
+    "name": "contract",
+    "master_seed": 5,
+    "model": {"potential": "cos2", "rho": 1.0, "lambda_min": 1.0},
+    "sivjp": {"T": 1.0, "record_stride": 1.0, "mu0": [0.0, 0.0]},
+    "sweep": {"rhos": [1.0], "seeds": 1},
+    "flow": {"start": [0.1, 0.0], "T_flow": 0.1, "dt": 0.1},
+    "localize": {"N": 1, "T": 1.0, "rho_min": 0.5},
+}
+# the commands that read each section (sweep.seeds: simulate and scan)
+READERS = {"master_seed": ("simulate", "scan", "localize"),
+           "model": ("fixed-points", "flow", "simulate", "scan", "localize"),
+           "sivjp": ("simulate", "scan"), "sweep": ("scan",), "flow": ("flow",),
+           "localize": ("localize",)}
+# job lists of range(N) runs are built before any run, so a huge count
+# would exhaust memory rather than fail; such counts are not probed
+JOB_COUNTS = (("localize", "N"), ("sweep", "seeds"))
+
+
+def _readers(path):
+    return ("simulate", "scan") if path == ("sweep", "seeds") else READERS[path[0]]
+
+
+def _numeric_fields():
+    """(path, subschema) of every numeric field and array item of the schema."""
+    for path, sub in _subschemas(harness.config_schema()):
+        types = sub.get("type", [])
+        if {"number", "integer"} & set([types] if isinstance(types, str) else types):
+            yield path, sub
+
+
+def _numeric_probes():
+    """(path, value, config) for every numeric field set in CONTRACT_BASE to
+    each schema-passing probe value of test_schemacheck._values and to 1e308."""
+    for path, sub in _numeric_fields():
+        seen = set()
+        for value in _values(sub) + [1e308]:
+            if (type(value), repr(value)) in seen:
+                continue
+            seen.add((type(value), repr(value)))
+            raw = copy.deepcopy(CONTRACT_BASE)
+            if path[:2] == ("model", "params"):  # the potential that takes the param
+                raw["model"].update({"potential": "custom_grid",
+                                     "params": {"values": [0.1, -0.2, 0.3, 0.0]}}
+                                    if path[2] == "values" else
+                                    {"potential": "two_well", "params": {"a1": 0.2, "a2": -0.5}})
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            if schema_error(raw, harness.config_schema()) is None and not (
+                    path in JOB_COUNTS and value > 100):
+                yield path, value, raw
+
+
+def _run_contract(tmp_path, capsys, raw, command):
+    """(exit code, how `main` on this config and command breaks the CLI
+    contract or None). The contract: the exit code is 0, 2, 3 or 4, no
+    exception escapes, a non-zero exit prints an error line, and exit 2
+    leaves no output directory."""
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = str(case / "out")
+    try:
+        code = main(["--config", write_config(case, raw), "--out", out, "--quiet", command])
+    except Exception as exc:
+        capsys.readouterr()
+        return None, f"{type(exc).__name__} escaped: {exc}"
+    err = capsys.readouterr().err
+    if code not in (0, 2, 3, 4):
+        return code, f"exit {code}"
+    if code and not any(line.startswith(("error: ", "i/o error: "))
+                        for line in err.splitlines()):
+        return code, f"exit {code} without an error line: {err!r}"
+    if code == 2 and os.path.exists(out):
+        return code, "exit 2 left an output directory"
+    return code, None
+
+
+class TestCLIContract:
+    def test_every_numeric_probe_keeps_the_contract(self, tmp_path, capsys):
+        violations, probed, codes = [], set(), set()
+        for path, value, raw in _numeric_probes():
+            probed.add(path)
+            for command in _readers(path):
+                code, problem = _run_contract(tmp_path, capsys, raw, command)
+                codes.add(code)
+                if problem is not None:
+                    violations.append((".".join(map(str, path)), value, command, problem))
+        assert violations == []
+        assert probed == {path for path, _ in _numeric_fields()}
+        assert {0, 2, 4} <= codes  # runs, refusals and failed runs were all reached
+
+    def test_escaping_exception_breaks_the_contract(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not mapped to an exit code")
+
+        monkeypatch.setattr(cli, "cmd_fixed_points", broken)
+        _, problem = _run_contract(tmp_path, capsys, CONTRACT_BASE, "fixed-points")
+        assert problem == "ValueError escaped: not mapped to an exit code"
 
 
 class TestFixedPointsCommand:

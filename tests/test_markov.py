@@ -79,6 +79,9 @@ class TestTelegraph:
                                1.0, SeedSpec(0, 0))
         with pytest.raises(ConfigError):
             TelegraphState(0.0, 2)
+        # an infinite horizon has no finite proposal budget
+        with pytest.raises(ConfigError, match="MAX_PROPOSALS"):
+            telegraph(zero_potential(), math.inf, seed=0)
 
     def test_csv_round_trip(self):
         log = telegraph(cos_potential(), 100.0, seed=4)
@@ -177,6 +180,15 @@ def _subsampled_positions(log, dt):
 
 
 class TestTorusVJP:
+    @pytest.mark.parametrize("grad_sup, t_end", [(1e308, 10.0), (1.0, math.inf)],
+                             ids=["huge_grad_sup", "infinite_T"])
+    def test_proposal_count_beyond_max_proposals_refused(self, grad_sup, t_end):
+        with pytest.raises(ConfigError, match="MAX_PROPOSALS"):
+            simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), grad_sup,
+                               _q_circle, 1.0, 1.0,
+                               TorusVJPState(np.zeros(2), np.array([1.0, 0.0])),
+                               t_end, SeedSpec(0, 0))
+
     def test_uniform_equilibrium_d2(self):
         log = simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), 0.0,
                                  _q_circle, 1.0, 1.0,
