@@ -4,7 +4,7 @@ Subcommands: simulate, fixed-points, flow, scan, localize, validate.
 Global flags: --config, --seed, --out, --threads, --quiet.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a run or sweep
 failed (a run raised NumericError or RunawayRateError, or more than 10% of
-a scan's rows failed).
+a scan's rows failed: SweepError).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DomainError, NumericError, RunawayRateError
+from .errors import ConfigError, DomainError, NumericError, RunawayRateError, SweepError
 from .harness import (ExperimentConfig, cmd_fixed_points, cmd_flow,
                       cmd_localize, cmd_scan, cmd_simulate, cmd_validate)
 from .rng import SeedSpec
@@ -80,27 +80,22 @@ def main(argv: list[str] | None = None) -> int:
         out = _out_dir(args, cfg)
         if args.command == "simulate":
             cmd_simulate(cfg, out, threads=args.threads, quiet=args.quiet)
-            return EXIT_OK
-        if args.command == "fixed-points":
+        elif args.command == "fixed-points":
             cmd_fixed_points(cfg, out, quiet=args.quiet)
-            return EXIT_OK
-        if args.command == "flow":
+        elif args.command == "flow":
             cmd_flow(cfg, out, quiet=args.quiet)
-            return EXIT_OK
-        if args.command == "scan":
-            code, _ = cmd_scan(cfg, out, threads=args.threads, quiet=args.quiet)
-            return code
-        if args.command == "localize":
+        elif args.command == "scan":
+            cmd_scan(cfg, out, threads=args.threads, quiet=args.quiet)
+        else:
             cmd_localize(cfg, out, threads=args.threads, quiet=args.quiet)
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        return EXIT_OK
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericError, RunawayRateError) as exc:
+    except (NumericError, RunawayRateError, SweepError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
 

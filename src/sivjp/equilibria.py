@@ -62,15 +62,10 @@ from .model import ModelSpec
 
 @dataclass(frozen=True)
 class GridDensity:
-    """A strictly positive probability density sampled on a periodic grid.
-
-    logZ records the log normalization constant that was divided out, so
-    log-density values can be reconstructed without re-normalizing.
-    """
+    """A strictly positive probability density sampled on a periodic grid."""
 
     grid: PeriodicGrid
     values: np.ndarray
-    logZ: float
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -91,9 +86,7 @@ def density_from_log(log_values: np.ndarray, grid: PeriodicGrid) -> GridDensity:
         raise NumericError("density_from_log: non-finite log-density value")
     shift = float(log_values.max())
     w = np.exp(log_values - shift)
-    z = quad_periodic(w, grid)
-    logZ = shift + math.log(z)
-    return GridDensity(grid=grid, values=w / z, logZ=logZ)
+    return GridDensity(grid=grid, values=w / quad_periodic(w, grid))
 
 
 def pibar(model: ModelSpec, a: float, b: float,

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: ConfigError and DomainError -> 2,
 OSError -> 3, a run or sweep that failed (NumericError, RunawayRateError,
-or more than 10% of a scan's rows) -> 4. Everything else is a genuine bug.
+SweepError) -> 4. Everything else is a genuine bug.
 """
 
 
@@ -25,3 +25,8 @@ class RunawayRateError(RuntimeError):
     the envelope (an understated bound such as a potential's dv_sup), or
     the loop exceeded its proposal budget, which indicates an unbounded
     effective jump rate rather than a long run."""
+
+
+class SweepError(RuntimeError):
+    """More than 10% of a sweep's runs failed; the sweep's outputs are
+    written, with each failed run as an error row."""

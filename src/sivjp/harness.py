@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .engine import MomentTrace, SIVJPConfig, run_sitp
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SweepError
 from .geometry import TWO_PI
 from .markov import TelegraphState
 from .model import ModelSpec
@@ -64,11 +64,21 @@ def config_schema() -> dict:
     return _SCHEMA_CACHE
 
 
-_SIVJP_DEFAULTS = {"r": 1.0, "mu0": [0.0, 0.0], "x0": None, "y0": 1,
-                   "T": 10000.0, "record_stride": 10.0, "log_stride": False,
-                   "record_t0": 1.0}
+# every config section is this table updated by the config's own keys;
+# model_hash hashes the defaulted model section
+_DEFAULTS = {
+    "model": {"potential": "zero", "params": {}, "rho": 0.0, "lambda_min": 1.0},
+    "sivjp": {"r": 1.0, "mu0": [0.0, 0.0], "x0": None, "y0": 1, "T": 10000.0,
+              "record_stride": 10.0, "log_stride": False, "record_t0": 1.0},
+    "sweep": {"rhos": [], "seeds": 1},
+    "flow": {"dt": 0.01},
+    "localize": {"N": 50, "delta": 0.2, "T": 4000.0, "rho_min": 10.0},
+}
 
-_LOCALIZE_DEFAULTS = {"N": 50, "delta": 0.2, "T": 4000.0, "rho_min": 10.0}
+# most runs one command may make: the harness holds every run's trace until
+# it writes, and at the default schedule (1,000 snapshots of five float64
+# columns, 40 KB) 10,000 traces hold about 0.4 GB
+MAX_RUNS = 10_000
 
 
 @dataclass(frozen=True)
@@ -89,27 +99,21 @@ class ExperimentConfig:
         message = schema_error(raw, config_schema())
         if message is not None:
             raise ConfigError(f"config rejected by schema: {message}")
-        model = {"potential": "zero", "params": {}, "rho": 0.0, "lambda_min": 1.0}
-        model.update(raw.get("model", {}))
-        sivjp = dict(_SIVJP_DEFAULTS)
-        sivjp.update(raw.get("sivjp", {}))
-        if "y0" in raw.get("sivjp", {}) and sivjp["x0"] is None:
-            raise ConfigError("sivjp.y0 needs sivjp.x0: without x0 the start is "
-                              "drawn uniformly with velocity +1")
-        localize = dict(_LOCALIZE_DEFAULTS)
-        localize.update(raw.get("localize", {}))
         cfg = ExperimentConfig(
             name=raw["name"],
-            model=model,
-            sivjp=sivjp,
-            sweep=dict(raw.get("sweep", {})),
-            flow=dict(raw.get("flow", {})),
-            localize=localize,
+            **{key: {**defaults, **raw.get(key, {})} for key, defaults in _DEFAULTS.items()},
             master_seed=int(raw.get("master_seed", 0)),
             output_dir=raw.get("output_dir"),
         )
+        if "y0" in raw.get("sivjp", {}) and cfg.sivjp["x0"] is None:
+            raise ConfigError("sivjp.y0 needs sivjp.x0: without x0 the start is "
+                              "drawn uniformly with velocity +1")
+        n_sweep = cfg.sweep["seeds"] * max(1, len(cfg.sweep["rhos"]))
+        for what, n in (("localize.N", cfg.localize["N"]), ("sweep.seeds x rhos", n_sweep)):
+            if n > MAX_RUNS:
+                raise ConfigError(f"{what} asks for {n} runs, above MAX_RUNS = {MAX_RUNS}")
         # builds the model too, so bad potentials and params surface here
-        for rho in [cfg.model["rho"], *cfg.sweep.get("rhos", ())]:
+        for rho in [cfg.model["rho"], *cfg.sweep["rhos"]]:
             cfg.build_sivjp(rho=rho, stream_index=0).validate()
         if not all(math.isfinite(cfg.localize[key]) for key in ("delta", "rho_min")):
             raise ConfigError("localize.delta and localize.rho_min must be finite")
@@ -125,7 +129,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def build_model(self, rho: float | None = None) -> ModelSpec:
-        pot = make_potential(self.model["potential"], self.model.get("params"))
+        pot = make_potential(self.model["potential"], self.model["params"])
         return ModelSpec(potential=pot,
                          rho=self.model["rho"] if rho is None else rho,
                          lambda_min=self.model["lambda_min"])
@@ -268,9 +272,12 @@ def ensure_outdir(out_dir: str) -> None:
         raise OSError(f"output directory {out_dir!r} is not writable")
 
 
-def fixed_point_payload(cfg: ExperimentConfig, model: ModelSpec,
-                        records: list[FixedPointRecord], rho: float) -> dict:
+def _census(cfg: ExperimentConfig, rho: float) -> tuple[list[FixedPointRecord], dict]:
+    """The fixed-point census of the model at rho and its fixed_points.json
+    payload, which adds the threshold constants."""
     from . import equilibria
+    model = cfg.build_model(rho=rho)
+    records = equilibria.find_fixed_points(model)
     payload = {"model_hash": cfg.model_hash(rho=rho),
                "rho": rho,
                "census": [r.as_dict() for r in records],
@@ -289,7 +296,7 @@ def fixed_point_payload(cfg: ExperimentConfig, model: ModelSpec,
             thr["r_of_rho"] = a_stars[-1]
     if b_stars:
         thr["b_star"] = b_stars[-1]
-    return payload
+    return records, payload
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +306,17 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
                  quiet: bool = True) -> dict:
     """Run sweep.seeds independent runs at the model's rho; write per-seed
     moment CSVs plus summary.json and fixed_points.json."""
-    from . import equilibria
-    n_seeds = int(cfg.sweep.get("seeds", 1))
     rho = cfg.model["rho"]
-    model = cfg.build_model()
-    census = equilibria.find_fixed_points(model)
-    payload = fixed_point_payload(cfg, model, census, rho)
+    records, payload = _census(cfg, rho)
     ring = payload["thresholds"].get("r_of_rho")
     ensure_outdir(out_dir)
-    traces = _traces(_map_ordered(_simulate_worker,
-                                  [(cfg, rho, k) for k in range(n_seeds)], threads))
+    traces = _traces(_map_ordered(
+        _simulate_worker, [(cfg, rho, k) for k in range(int(cfg.sweep["seeds"]))], threads))
     summaries = []
     for k, trace in enumerate(traces):
         csv_path = os.path.join(out_dir, f"{cfg.name}_seed{k:04d}.csv")
         write_text(csv_path, trace.to_csv())
-        summaries.append(run_summary(k, trace, census, ring))
+        summaries.append(run_summary(k, trace, records, ring))
         if not quiet:
             s = summaries[-1]
             print(f"seed {k}: |m| = {s['final_r_polar']:.4f} {s['classification']}",
@@ -322,15 +325,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
                {"name": cfg.name, "model_hash": cfg.model_hash(rho=rho),
                 "master_seed": cfg.master_seed, "runs": summaries})
     write_json(os.path.join(out_dir, "fixed_points.json"), payload)
-    return {"summaries": summaries, "census": census}
+    return {"summaries": summaries, "census": records}
 
 
 def cmd_fixed_points(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> dict:
     """Fixed-point census plus threshold constants for the configured model."""
     from . import equilibria
-    model = cfg.build_model()
-    records = equilibria.find_fixed_points(model)
-    payload = fixed_point_payload(cfg, model, records, cfg.model["rho"])
+    records, payload = _census(cfg, cfg.model["rho"])
     ensure_outdir(out_dir)
     write_json(os.path.join(out_dir, "fixed_points.json"), payload)
     if not quiet:
@@ -347,7 +348,7 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
         raise ConfigError("cmd_flow: config needs flow.start and flow.T_flow")
     model = cfg.build_model()
     trace = flow.integrate_flow(model, (spec["start"][0], spec["start"][1]),
-                                spec["T_flow"], dt=spec.get("dt", 0.01))
+                                spec["T_flow"], dt=spec["dt"])
     ensure_outdir(out_dir)
     path = os.path.join(out_dir, f"{cfg.name}_flow.csv")
     write_text(path, trace.to_csv())
@@ -357,22 +358,21 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
 
 
 def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
-             quiet: bool = True) -> tuple[int, str]:
+             quiet: bool = True) -> str:
     """Sweep rho: per-rho census plus per-seed final moments, written as a
     tidy CSV. Every census is computed first, then all rho x seed runs go
     through one ordered map (one pool). A run that fails, in the engine or
     in classification, becomes an "error:<Type>: <message>" row. Returns
-    (exit_code, csv_path); exit 4 when more than 10% of the rows failed."""
-    from . import equilibria
-    rhos = cfg.sweep.get("rhos") or []
+    the CSV path; raises SweepError, once every output is written, when
+    more than 10% of the rows failed."""
+    rhos = cfg.sweep["rhos"]
     if not rhos:
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")
-    n_seeds = int(cfg.sweep.get("seeds", 1))
+    n_seeds = int(cfg.sweep["seeds"])
     censuses, records, rings = {}, [], []
     for rho in rhos:
-        model = cfg.build_model(rho=rho)
-        records.append(equilibria.find_fixed_points(model))
-        payload = fixed_point_payload(cfg, model, records[-1], rho)
+        recs, payload = _census(cfg, rho)
+        records.append(recs)
         censuses[f"{rho:.12g}"] = payload
         rings.append(payload["thresholds"].get("r_of_rho"))
     ensure_outdir(out_dir)
@@ -409,8 +409,9 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
                 "n_rows": len(rows), "n_failed": n_failed})
     if not quiet:
         print(f"scan: {len(rows)} rows, {n_failed} failed -> {csv_path}", file=sys.stderr)
-    code = 0 if n_failed <= 0.1 * len(rows) else 4
-    return code, csv_path
+    if n_failed > 0.1 * len(rows):
+        raise SweepError(f"cmd_scan: {n_failed} of {len(rows)} rows failed (more than 10%)")
+    return csv_path
 
 
 def _ks_uniform_angle(thetas: list[float]) -> float | None:

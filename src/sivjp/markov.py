@@ -299,8 +299,7 @@ def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphSta
                     x_final=x, y_final=y, n_proposals=n_prop)
 
 
-def simulate_torus_vjp(v: Callable[[np.ndarray], float],
-                       grad_v: Callable[[np.ndarray], np.ndarray],
+def simulate_torus_vjp(grad_v: Callable[[np.ndarray], np.ndarray],
                        grad_sup: float,
                        q_sampler: Callable[[np.random.Generator], np.ndarray],
                        speed_sup: float,

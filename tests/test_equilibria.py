@@ -573,7 +573,7 @@ class TestFreeEnergy:
     def test_positive_density_required(self):
         grid = PeriodicGrid(16)
         with pytest.raises(DomainError):
-            GridDensity(grid=grid, values=np.zeros(16), logZ=0.0)
+            GridDensity(grid=grid, values=np.zeros(16))
 
     def test_sinks_have_lower_free_energy_than_saddles(self):
         model = COS2(2.0 * RHO_C_COS2)

@@ -78,6 +78,18 @@ class TestConfig:
         run = ExperimentConfig.from_dict(good).build_sivjp(rho=0.0, stream_index=0)
         assert run.z0 == TelegraphState(0.5, -1)
 
+    def test_run_count_bound(self):
+        # localize.N and sweep.seeds times the number of rhos, at and past MAX_RUNS
+        raw = copy.deepcopy(BASE)
+        raw["localize"] = {"N": harness.MAX_RUNS}
+        raw["sweep"] = {"rhos": [1.0, 2.0], "seeds": harness.MAX_RUNS // 2}
+        ExperimentConfig.from_dict(raw)
+        for section, key in (("localize", "N"), ("sweep", "seeds")):
+            bad = copy.deepcopy(raw)
+            bad[section][key] += 1
+            with pytest.raises(ConfigError, match="MAX_RUNS"):
+                ExperimentConfig.from_dict(bad)
+
     def test_model_hash_stable_and_rho_sensitive(self):
         cfg = ExperimentConfig.from_dict(BASE)
         assert cfg.model_hash() == cfg.model_hash()
@@ -174,6 +186,9 @@ class TestCLI:
         ("model", {"potential": "cos2", "rho": 400.0}, "fixed-points"),
         ("model", {"potential": "cos2", "rho": 400.0}, "simulate"),
         ("sweep", {"rhos": [1.0, 400.0]}, "scan"),
+        # job lists of more than MAX_RUNS runs, refused before they are built
+        ("sweep", {"seeds": 10**30}, "simulate"),
+        ("sweep", {"rhos": [1.0, 2.0], "seeds": 5001}, "scan"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
             "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
             "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
@@ -182,7 +197,8 @@ class TestCLI:
             "dense_linear_schedule_simulate", "dense_log_schedule_simulate",
             "long_T_flow", "tiny_dt_flow", "huge_lambda_min_simulate",
             "huge_lambda_min_localize", "huge_rho_localize", "huge_sweep_rho_scan",
-            "underflow_fixed_points", "underflow_simulate", "underflow_scan"])
+            "underflow_fixed_points", "underflow_simulate", "underflow_scan",
+            "huge_seeds_simulate", "seeds_times_rhos_scan"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
                                               command):
         bad = copy.deepcopy(BASE)
@@ -302,6 +318,19 @@ class TestCLI:
                      "--quiet", command]) == 4
         assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
 
+    def test_failed_scan_exit_four_names_the_rows(self, tmp_path, monkeypatch, capsys):
+        def failing(run):
+            raise RunawayRateError("proposal budget exceeded")
+
+        monkeypatch.setattr(harness, "run_sitp", failing)
+        raw = copy.deepcopy(BASE)
+        raw["sweep"]["rhos"] = [1.0]
+        path = write_config(tmp_path, raw)
+        assert main(["--config", path, "--out", str(tmp_path / "out"),
+                     "--quiet", "scan"]) == 4
+        assert capsys.readouterr().err == \
+            "error: SweepError: cmd_scan: 3 of 3 rows failed (more than 10%)\n"
+
 
 # a config every command runs in milliseconds; its arrays hold every item
 # the probes below replace
@@ -319,9 +348,6 @@ READERS = {"master_seed": ("simulate", "scan", "localize"),
            "model": ("fixed-points", "flow", "simulate", "scan", "localize"),
            "sivjp": ("simulate", "scan"), "sweep": ("scan",), "flow": ("flow",),
            "localize": ("localize",)}
-# job lists of range(N) runs are built before any run, so a huge count
-# would exhaust memory rather than fail; such counts are not probed
-JOB_COUNTS = (("localize", "N"), ("sweep", "seeds"))
 
 
 def _readers(path):
@@ -355,8 +381,7 @@ def _numeric_probes():
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
-            if schema_error(raw, harness.config_schema()) is None and not (
-                    path in JOB_COUNTS and value > 100):
+            if schema_error(raw, harness.config_schema()) is None:
                 yield path, value, raw
 
 
@@ -439,8 +464,7 @@ class TestScan:
         raw["sivjp"]["record_stride"] = 100.0
         raw["sweep"] = {"rhos": [1.0, 4.0], "seeds": 3}
         cfg = ExperimentConfig.from_dict(raw)
-        code, csv_path = cmd_scan(cfg, str(tmp_path / "scan"))
-        assert code == 0
+        csv_path = cmd_scan(cfg, str(tmp_path / "scan"))
         lines = open(csv_path).read().strip().splitlines()
         assert lines[0] == "rho,seed,a_final,b_final,r_final,nearest_fp,dist,status"
         rows = [ln.split(",") for ln in lines[1:]]
@@ -460,7 +484,7 @@ class TestScan:
         raw["sweep"] = {"rhos": [0.8, 2.8], "seeds": 3}
         cfg = ExperimentConfig.from_dict(raw)
         for threads in (1, 2):
-            assert cmd_scan(cfg, str(tmp_path / f"t{threads}"), threads=threads)[0] == 0
+            cmd_scan(cfg, str(tmp_path / f"t{threads}"), threads=threads)
         for suffix in ("_scan.csv", "_scan_census.json", "_scan_info.json"):
             one = (tmp_path / "t1" / f"smoke{suffix}").read_bytes()
             assert one == (tmp_path / "t2" / f"smoke{suffix}").read_bytes(), suffix
@@ -548,6 +572,18 @@ class TestLocalize:
         out = str(tmp_path / "out")
         assert main(["--config", path, "--out", out, "--quiet", "localize"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
+    def test_huge_run_count_exit_two_no_files(self, tmp_path, capsys):
+        # refused at load, before a job list of range(N) runs is built
+        raw = copy.deepcopy(BASE)
+        raw["model"] = {"potential": "two_well", "params": {"a1": 0.2, "a2": -0.5},
+                        "rho": 30.0, "lambda_min": 1.0}
+        raw["localize"] = {"N": 10**12}
+        path = write_config(tmp_path, raw)
+        out = str(tmp_path / "out")
+        assert main(["--config", path, "--out", out, "--quiet", "localize"]) == 2
+        assert "MAX_RUNS" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_weak_attraction_rejected(self, tmp_path):

@@ -125,8 +125,8 @@ class TestEmpiricalTV:
         log = telegraph(cos_potential(), 2e3, seed=11)
         grid = PeriodicGrid(128)
         masses = occupation_histogram(log, grid)
-        d = GridDensity(grid=grid, values=masses / log.t_final / grid.h,
-                        logZ=0.0) if np.all(masses > 0) else None
+        d = GridDensity(grid=grid, values=masses / log.t_final / grid.h) \
+            if np.all(masses > 0) else None
         if d is not None:
             assert empirical_tv(log, d) < 1e-12
 
@@ -184,13 +184,13 @@ class TestTorusVJP:
                              ids=["huge_grad_sup", "infinite_T"])
     def test_proposal_count_beyond_max_proposals_refused(self, grad_sup, t_end):
         with pytest.raises(ConfigError, match="MAX_PROPOSALS"):
-            simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), grad_sup,
+            simulate_torus_vjp(lambda x: np.zeros(2), grad_sup,
                                _q_circle, 1.0, 1.0,
                                TorusVJPState(np.zeros(2), np.array([1.0, 0.0])),
                                t_end, SeedSpec(0, 0))
 
     def test_uniform_equilibrium_d2(self):
-        log = simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), 0.0,
+        log = simulate_torus_vjp(lambda x: np.zeros(2), 0.0,
                                  _q_circle, 1.0, 1.0,
                                  TorusVJPState(np.zeros(2), np.array([1.0, 0.0])),
                                  1e5, SeedSpec(41, 0))
@@ -201,7 +201,7 @@ class TestTorusVJP:
         assert 0.5 * np.abs(p - 1.0 / 1024).sum() < 0.03
 
     def test_csv_columns_d2(self):
-        log = simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), 0.0,
+        log = simulate_torus_vjp(lambda x: np.zeros(2), 0.0,
                                  _q_circle, 1.0, 1.0,
                                  TorusVJPState(np.array([0.5, 1.0]), np.array([0.6, 0.8])),
                                  20.0, SeedSpec(53, 0))
@@ -223,8 +223,7 @@ class TestTorusVJP:
         def q_pm(gen):
             return np.array([1.0 if gen.random() < 0.5 else -1.0])
 
-        log = simulate_torus_vjp(lambda x: float(pot.v_scalar(float(x[0]))),
-                                 lambda x: np.array([pot.dv_scalar(float(x[0]))]),
+        log = simulate_torus_vjp(lambda x: np.array([pot.dv_scalar(float(x[0]))]),
                                  pot.dv_sup, q_pm, 1.0, 1.0,
                                  TorusVJPState(np.zeros(1), np.ones(1)),
                                  1e5, SeedSpec(43, 0))
@@ -232,8 +231,7 @@ class TestTorusVJP:
 
     def test_product_potential_marginal_uniform(self):
         # V(x1, x2) = cos x1: the x2 marginal stays uniform
-        log = simulate_torus_vjp(lambda x: math.cos(float(x[0])),
-                                 lambda x: np.array([-math.sin(float(x[0])), 0.0]),
+        log = simulate_torus_vjp(lambda x: np.array([-math.sin(float(x[0])), 0.0]),
                                  1.0, _q_circle, 1.0, 1.0,
                                  TorusVJPState(np.zeros(2), np.array([0.6, 0.8])),
                                  1e5, SeedSpec(47, 0))

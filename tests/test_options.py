@@ -1,4 +1,5 @@
-"""Every defaulted parameter of the package is passed by some caller.
+"""Every defaulted parameter of the package is passed by some caller, and
+every parameter of a public function is read.
 
 A stand-in for an unused-option lint, modelled on test_imports.py: for each
 function or method in src/sivjp/*.py, every parameter with a default must be
@@ -7,7 +8,8 @@ tests/. Call sites are matched by the function's or method's name, so a call
 x.fbar(...) counts for every function named fbar. A call that unpacks
 *args passes every positional parameter, and one that unpacks **kwargs
 every keyword. A default that no caller overrides is a constant, not an
-option.
+option. A parameter that the body of a public (non-underscore) function or
+method never reads is an argument every caller must pass for nothing.
 """
 
 import ast
@@ -88,3 +90,40 @@ def test_check_flags_an_unused_option():
               "def g(x, scale=1.0):\n    return x\n")
     callers = ["f(0, 3)\nf(1, quiet=True)\nT().fbar(1.0, None)\n", "g(*args)\n"]
     assert unused_options({"mod": module}, callers) == ["mod.f: m", "mod.f: tol"]
+
+
+def unread_params(sources: dict[str, str]) -> list[str]:
+    """'module.function: parameter' for every parameter of a public function
+    or method of the modules in `sources` that its body never reads; a
+    method's self or cls is left out."""
+    unread = []
+    for module, src in sources.items():
+        tree = ast.parse(src)
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if id(node) in methods and params[:1] in (["self"], ["cls"]):
+                params = params[1:]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{module}.{node.name}: {p}" for p in params if p not in read]
+    return unread
+
+
+def test_every_public_parameter_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_params(sources) == []
+
+
+def test_check_flags_an_unread_parameter():
+    module = ("class T:\n"
+              "    def fbar(self, a, b):\n        return a\n"
+              "    def _tables(self, grid):\n        return 0\n"
+              "def f(x, *args, scale=1.0, **kw):\n    scale = 2\n    return x, args\n"
+              "def _g(unused):\n    return 0\n")
+    assert unread_params({"mod": module}) == ["mod.f: scale", "mod.f: kw", "mod.fbar: b"]

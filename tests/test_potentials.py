@@ -190,7 +190,7 @@ class TestRunawayGuard:
 
     def test_torus_guard(self, small_budget):
         with pytest.raises(RunawayRateError, match="budget"):
-            simulate_torus_vjp(lambda x: 0.0, lambda x: np.zeros(2), 0.0,
+            simulate_torus_vjp(lambda x: np.zeros(2), 0.0,
                                lambda gen: np.array([1.0, 0.0]), 1.0, 1.0,
                                TorusVJPState(np.zeros(2), np.array([1.0, 0.0])),
                                1e4, SeedSpec(0, 0))
@@ -216,7 +216,7 @@ class TestRunawayGuard:
     def test_torus_envelope_guard(self):
         def run(grad_sup):
             return simulate_torus_vjp(
-                lambda x: float(np.cos(x).sum()), lambda x: -np.sin(x), grad_sup,
+                lambda x: -np.sin(x), grad_sup,
                 lambda gen: np.array([1.0, 0.0]), 1.0, 1.0,
                 TorusVJPState(np.zeros(2), np.array([1.0, 0.0])), 100.0, SeedSpec(0, 0))
         with pytest.raises(RunawayRateError, match="envelope"):
