@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, DomainError, NumericError, RunawayRateError, SweepError
+from .geometry import THRESHOLD_GRID
 from .harness import (ExperimentConfig, cmd_fixed_points, cmd_flow,
                       cmd_localize, cmd_scan, cmd_simulate, cmd_validate)
 from .rng import SeedSpec
@@ -22,6 +23,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_RUN_FAILED = 4
+
+# most worker processes a command may start: each peaks near 37 MB, so 64
+# need about 2.4 GB
+MAX_THREADS = 64
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,28 +61,22 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(args, cfg: ExperimentConfig | None) -> str:
-    if args.out:
-        return args.out
-    if cfg is not None and cfg.output_dir:
-        return cfg.output_dir
-    return "out"
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ConfigError(f"--threads must be in [1, {MAX_THREADS}], got {args.threads}")
         if args.command == "validate":
-            if args.quad_n < 4 or args.quad_n % 2:
-                raise ConfigError(f"--quad-n must be even and >= 4, got {args.quad_n}")
+            # the finest grid the package integrates on bounds the check's grid
+            if not 4 <= args.quad_n <= THRESHOLD_GRID.n or args.quad_n % 2:
+                raise ConfigError(f"--quad-n must be even and in [4, {THRESHOLD_GRID.n}], "
+                                  f"got {args.quad_n}")
             master = args.seed if args.seed is not None else 0
             report = cmd_validate(out_dir=args.out, master_seed=master,
                                   quad_n=args.quad_n, quiet=args.quiet)
             return EXIT_OK if report["all_passed"] else 1
         cfg = _load_config(args)
-        out = _out_dir(args, cfg)
+        out = args.out or cfg.output_dir or "out"
         if args.command == "simulate":
             cmd_simulate(cfg, out, threads=args.threads, quiet=args.quiet)
         elif args.command == "fixed-points":

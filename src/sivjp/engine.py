@@ -44,8 +44,6 @@ markov.thinning_envelope and checked on every accepted proposal.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -55,7 +53,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, wrap
 from .model import ModelSpec
-from .markov import (ROUNDOFF_TOL, TelegraphState, envelope_slope, local_clock,
+from .markov import (ROUNDOFF_TOL, TelegraphState, csv_text, envelope_slope, local_clock,
                      proposal_budget, thinning_envelope)
 from .rng import SeedSpec, derive_stream, uniform_pairs
 
@@ -154,22 +152,24 @@ class SIVJPConfig:
             raise ConfigError("SIVJPConfig: mu0 moments must lie in the closed unit disk")
         if self.z0 is not None and not math.isfinite(self.z0.x):
             raise ConfigError("SIVJPConfig: x0 must be finite")
-        # off snapshot_times' exact count by about one at most, and computed
-        # without building the schedule: refuses only what that count refuses
-        estimate = (math.log(self.t_end / self.record_t0) / math.log(self.record_stride)
-                    if self.log_stride else self.t_end / self.record_stride)
-        if estimate > MAX_SNAPSHOTS + 2:
-            raise ConfigError("SIVJPConfig: snapshot schedule too dense")
+        self.snapshot_times()
         proposal_budget(self.model.thinning_bound, self.t_end)
 
     def snapshot_times(self) -> np.ndarray:
+        """The snapshot times before t_end, then t_end; refuses more than
+        MAX_SNAPSHOTS before t_end."""
+        span = (math.log(self.t_end / self.record_t0) / math.log(self.record_stride)
+                if self.log_stride else self.t_end / self.record_stride)
+        # the schedule keeps at least floor(span) - 1 times, so this refuses
+        # no schedule that the count below accepts; it is compared as a float
+        # because int() of an infinite or NaN span raises
+        if not span <= MAX_SNAPSHOTS + 2:
+            raise ConfigError("SIVJPConfig: snapshot schedule too dense")
         if self.log_stride:
-            count = int(math.floor(
-                math.log(self.t_end / self.record_t0) / math.log(self.record_stride)))
-            ts = self.record_t0 * self.record_stride ** np.arange(max(count + 1, 0))
+            ts = self.record_t0 * self.record_stride ** np.arange(max(math.floor(span) + 1, 0))
             ts = ts[(ts > 0.0) & (ts < self.t_end)]
         else:
-            ts = np.arange(1, int(self.t_end / self.record_stride) + 1) * self.record_stride
+            ts = np.arange(1, int(span) + 1) * self.record_stride
             ts = ts[ts < self.t_end]
         if ts.size > MAX_SNAPSHOTS:
             raise ConfigError("SIVJPConfig: snapshot schedule too dense")
@@ -192,12 +192,8 @@ class MomentTrace:
     n_proposals: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["t", "a", "b", "x", "y"])
-        for row in zip(self.times, self.a_vals, self.b_vals, self.x_vals, self.y_vals):
-            writer.writerow(["%.12g" % v for v in row])
-        return buf.getvalue()
+        return csv_text(["t", "a", "b", "x", "y"],
+                        zip(self.times, self.a_vals, self.b_vals, self.x_vals, self.y_vals))
 
     def summary(self) -> dict:
         return {

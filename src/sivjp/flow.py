@@ -13,14 +13,13 @@ amplitudes and rho, stays below 1e-17.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import MomentTrace
+from .markov import csv_text
 # fbar is not called here; it stays a module attribute because the
 # benchmark's tracer (perfbench/traced.py) wraps flow.fbar.
 from .equilibria import _NodeTables, fbar, field_grid  # noqa: F401
@@ -41,12 +40,7 @@ class FlowTrace:
     points: np.ndarray  # shape (len(times), 2)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["s", "a", "b"])
-        for s, (a, b) in zip(self.times, self.points):
-            writer.writerow(["%.12g" % s, "%.12g" % a, "%.12g" % b])
-        return buf.getvalue()
+        return csv_text(["s", "a", "b"], zip(self.times, *self.points.T))
 
 
 def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,

@@ -2,8 +2,8 @@
 fixed-point atlases, bifurcation scans, multi-well localization runs and a
 self-validation suite.
 
-All outputs are CSV (RFC 4180, %.12g numerics) or JSON (UTF-8, sorted
-keys). Runs are keyed by (master_seed, stream_index), so sweeps are
+All outputs are CSV (the format of markov.csv_text) or JSON (UTF-8,
+sorted keys). Runs are keyed by (master_seed, stream_index), so sweeps are
 reproducible bit-for-bit and independent of how work is scheduled across
 workers. Summaries and fixed-point files cross-reference each other by a
 hash of the model configuration.
@@ -23,10 +23,8 @@ tests replace them.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import importlib.resources
-import io
 import json
 import math
 import os
@@ -39,7 +37,7 @@ import numpy as np
 from .engine import MomentTrace, SIVJPConfig, run_sitp
 from .errors import ConfigError, DomainError, SweepError
 from .geometry import TWO_PI
-from .markov import TelegraphState
+from .markov import TelegraphState, csv_text
 from .model import ModelSpec
 from .potentials import local_minima, make_potential
 from .rng import SeedSpec
@@ -395,14 +393,9 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
             n_failed += 1
             rows.append([rho, stream, "", "", "", "", "",
                          f"error:{type(exc).__name__}: {exc}"])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["rho", "seed", "a_final", "b_final", "r_final", "nearest_fp",
-                     "dist", "status"])
-    for row in rows:
-        writer.writerow(["%.12g" % v if isinstance(v, float) else v for v in row])
     csv_path = os.path.join(out_dir, f"{cfg.name}_scan.csv")
-    write_text(csv_path, buf.getvalue())
+    write_text(csv_path, csv_text(["rho", "seed", "a_final", "b_final", "r_final",
+                                   "nearest_fp", "dist", "status"], rows))
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_census.json"), censuses)
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_info.json"),
                {"theta_ks_uniform": _ks_uniform_angle(theta_finals),

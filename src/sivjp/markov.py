@@ -73,6 +73,16 @@ LOCAL_MAX_RATIO = 0.7
 ROUNDOFF_TOL = 1e-12
 
 
+def csv_text(header: list[str], rows) -> str:
+    """The package's CSV format: RFC 4180 with CRLF line ends, every
+    non-string value written as %.12g and every string as it is."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else "%.12g" % v for v in row] for row in rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class TelegraphState:
     x: float
@@ -121,23 +131,16 @@ class EventLog:
         Columns are t, x, y for scalar positions (the telegraph process) and
         t, x_1..x_d, y_1..y_d for positions in the d-torus.
         """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
         if np.ndim(self.x0) == 0:
-            writer.writerow(["t", "x", "y"])
+            header = ["t", "x", "y"]
         else:
             d = np.size(self.x0)
-            writer.writerow(["t"] + [f"x_{i}" for i in range(1, d + 1)]
-                            + [f"y_{i}" for i in range(1, d + 1)])
-
-        def row(t, x, y):
-            writer.writerow(["%.12g" % v for part in (t, x, y) for v in np.ravel(part)])
-
-        row(0.0, self.x0, self.y0)
-        for t, x, y in zip(self.jump_times, self.post_x, self.post_y):
-            row(t, x, y)
-        row(self.t_final, self.x_final, self.y_final)
-        return buf.getvalue()
+            header = (["t"] + [f"x_{i}" for i in range(1, d + 1)]
+                      + [f"y_{i}" for i in range(1, d + 1)])
+        points = [(0.0, self.x0, self.y0),
+                  *zip(self.jump_times, self.post_x, self.post_y),
+                  (self.t_final, self.x_final, self.y_final)]
+        return csv_text(header, ([v for part in p for v in np.ravel(part)] for p in points))
 
 
 def thinning_envelope(certified: float, override: float | None) -> float:

@@ -144,6 +144,29 @@ class TestSimulate:
         assert outputs[0] == outputs[1]
 
 
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records each pool's size and
+    maps in process, so that no worker process starts."""
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    @classmethod
+    def install(cls, monkeypatch) -> list:
+        monkeypatch.setattr(cls, "sizes", [], raising=False)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", cls)
+        return cls.sizes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestCLI:
     def test_simulate_exit_zero(self, tmp_path):
         path = write_config(tmp_path, BASE)
@@ -189,6 +212,12 @@ class TestCLI:
         # job lists of more than MAX_RUNS runs, refused before they are built
         ("sweep", {"seeds": 10**30}, "simulate"),
         ("sweep", {"rhos": [1.0, 2.0], "seeds": 5001}, "scan"),
+        # MAX_SNAPSHOTS + 1 snapshots before T: the count that the run's
+        # schedule refuses must be refused at load
+        ("sivjp", {"T": 2000001.5, "record_stride": 1.0}, "simulate"),
+        # log(T / record_t0) / log(record_stride) is inf / inf: a NaN count
+        ("sivjp", {"log_stride": True, "record_stride": math.inf, "record_t0": 5e-324},
+         "simulate"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
             "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
             "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
@@ -198,7 +227,8 @@ class TestCLI:
             "long_T_flow", "tiny_dt_flow", "huge_lambda_min_simulate",
             "huge_lambda_min_localize", "huge_rho_localize", "huge_sweep_rho_scan",
             "underflow_fixed_points", "underflow_simulate", "underflow_scan",
-            "huge_seeds_simulate", "seeds_times_rhos_scan"])
+            "huge_seeds_simulate", "seeds_times_rhos_scan", "snapshot_count_edge_simulate",
+            "nan_log_schedule_simulate"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
                                               command):
         bad = copy.deepcopy(BASE)
@@ -216,31 +246,26 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("quad_n", [0, 5])
+    # 4098 is one step past THRESHOLD_GRID.n, the finest grid the package uses
+    @pytest.mark.parametrize("quad_n", [0, 5, 4098])
     def test_bad_quad_n_exit_two_no_files(self, tmp_path, capsys, quad_n):
         out = str(tmp_path / "out")
         assert main(["--out", out, "--quiet", "validate", "--quad-n", str(quad_n)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
+    def test_too_many_threads_exit_two_no_files_no_pool(self, tmp_path, capsys,
+                                                        monkeypatch):
+        sizes = RecordingPool.install(monkeypatch)
+        out = str(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, BASE), "--out", out,
+                     "--threads", "65", "--quiet", "simulate"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+        assert sizes == []
+
     def test_pool_no_larger_than_the_jobs(self, monkeypatch):
-        # a stand-in that records the pool size and maps in process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        sizes = RecordingPool.install(monkeypatch)
         assert harness._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], threads=8) == [2, 4, 8]
         assert harness._map_ordered(pow, [(3, k) for k in range(60)], threads=2) \
             == [3 ** k for k in range(60)]
