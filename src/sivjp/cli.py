@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: simulate, fixed-points, flow, scan, localize, validate.
+Subcommands: simulate, fixed-points, flow, shadow, scan, localize, validate.
 Global flags: --config, --seed, --out, --threads, --quiet.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a run or sweep
 failed (a run raised NumericError or RunawayRateError, or more than 10% of
@@ -15,8 +15,8 @@ from dataclasses import replace
 
 from .errors import ConfigError, DomainError, NumericError, RunawayRateError, SweepError
 from .geometry import THRESHOLD_GRID
-from .harness import (ExperimentConfig, cmd_fixed_points, cmd_flow,
-                      cmd_localize, cmd_scan, cmd_simulate, cmd_validate)
+from .harness import (ExperimentConfig, cmd_fixed_points, cmd_flow, cmd_localize,
+                      cmd_scan, cmd_shadow, cmd_simulate, cmd_validate)
 from .rng import SeedSpec
 
 EXIT_OK = 0
@@ -44,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", help="seeded self-interacting runs")
     sub.add_parser("fixed-points", help="fixed-point census and thresholds")
     sub.add_parser("flow", help="integrate the limiting moment flow")
+    sub.add_parser("shadow", help="how closely one run's moments shadow the flow")
     sub.add_parser("scan", help="rho sweep producing bifurcation data")
     sub.add_parser("localize", help="multi-well localization experiment")
     val = sub.add_parser("validate", help="run the self-check suite")
@@ -83,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
             cmd_fixed_points(cfg, out, quiet=args.quiet)
         elif args.command == "flow":
             cmd_flow(cfg, out, quiet=args.quiet)
+        elif args.command == "shadow":
+            cmd_shadow(cfg, out, quiet=args.quiet)
         elif args.command == "scan":
             cmd_scan(cfg, out, threads=args.threads, quiet=args.quiet)
         else:

@@ -603,6 +603,13 @@ def find_fixed_points(model: ModelSpec,
     dropped. The roots are kept if their residual is below RESIDUAL_TOL
     and sorted by (a, b), so the census is deterministic.
 
+    Fbar points strictly inward on the unit circle, so by Poincare-Hopf the
+    indices of its roots in the disk sum to 1 when none is degenerate:
+    each Sink and Source counts +1 and each Saddle -1. A census with no
+    Degenerate record whose sum is not 1 has missed a root and raises
+    NumericError naming rho. The check cannot see a missed Sink-Saddle
+    pair.
+
     A tilted density that underflows at some node (rho * r beyond about
     350) raises DomainError naming rho.
     """
@@ -619,6 +626,12 @@ def find_fixed_points(model: ModelSpec,
     if not records:
         raise NumericError("find_fixed_points: no roots found (centred models "
                            "always have the Gibbs fixed point)")
+    stabilities = [r.stability for r in records]
+    if "Degenerate" not in stabilities:
+        index_sum = len(records) - 2 * stabilities.count("Saddle")
+        if index_sum != 1:
+            raise NumericError(f"find_fixed_points: the census at rho = {model.rho!r} has "
+                               f"index sum {index_sum}, not 1, so it missed a root")
     return records
 
 

@@ -3,9 +3,10 @@ pseudotrajectory diagnostic.
 
 The rescaled occupation measure nu_s = mu_{e^s} asymptotically shadows the
 flow d(a,b)/ds = Fbar(a,b) on the trigonometric moments. integrate_flow
-solves that ODE with a classical 4th-order scheme (self-checked by step
-halving); pseudotrajectory_error measures how far a simulated moment trace,
-reparametrized to logarithmic time, strays from the flow started on it.
+solves that ODE with a classical 4th-order scheme, checked by step halving;
+pseudotrajectory_error measures how far a simulated moment trace,
+reparametrized to logarithmic time, strays from the flow started on it,
+and integrates that flow through integrate_flow, so its flow is checked too.
 Both evaluate Fbar on equilibria.field_grid(model): the fewest nodes
 (64 to 512) whose quadrature error bound, from the potential's harmonic
 amplitudes and rho, stays below 1e-17.
@@ -79,19 +80,18 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
 
 
 def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
-                   dt: float = 0.01, self_check: bool = True) -> FlowTrace:
+                   dt: float = 0.01) -> FlowTrace:
     """Integrate d(a,b)/ds = Fbar(a,b) from a point of the closed unit disk,
     with Fbar on equilibria.field_grid(model).
 
     The default step keeps the scheme inside its stability region for
     every |rho| <= 40, but that does not make the path accurate: the
-    guarantee is the self-check. With self_check on, the trace is
-    recomputed at half the step and the two must agree to HALVING_TOL in
-    sup norm, else NumericError. At dt = 0.01 and t_flow = 8 that check
-    refuses, e.g., rho = -40 from (0.5, 0) and from (0.01, 0.02), rho = 40
-    from (0.01, 0.02), and cos2 at rho = -10 from (0.5, 0); a smaller dt
-    may pass it. A horizon of more than MAX_FLOW_STEPS steps is refused
-    before any path is built.
+    guarantee is the self-check, which recomputes the trace at half the
+    step; the two must agree to HALVING_TOL in sup norm, else NumericError.
+    At dt = 0.01 and t_flow = 8 that check refuses, e.g., rho = -40 from
+    (0.5, 0) and from (0.01, 0.02), rho = 40 from (0.01, 0.02), and cos2 at
+    rho = -10 from (0.5, 0); a smaller dt may pass it. A horizon of more
+    than MAX_FLOW_STEPS steps is refused before any path is built.
     """
     a0, b0 = start
     if not math.hypot(a0, b0) <= 1.0 + DISK_TOL:  # NaN fails too
@@ -106,12 +106,11 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     p0 = np.array([a0, b0], dtype=float)
     tables = _NodeTables(model, field_grid(model))
     times, points = _rk4_path(tables, p0, t_flow, dt)
-    if self_check:
-        _, fine = _rk4_path(tables, p0, t_flow, 0.5 * dt)
-        err = float(np.max(np.abs(points - fine[::2])))
-        if err > HALVING_TOL:
-            raise NumericError(
-                f"integrate_flow: step-halving check failed (sup error {err:.3e})")
+    _, fine = _rk4_path(tables, p0, t_flow, 0.5 * dt)
+    err = float(np.max(np.abs(points - fine[::2])))
+    if err > HALVING_TOL:
+        raise NumericError(
+            f"integrate_flow: step-halving check failed (sup error {err:.3e})")
     return FlowTrace(times=times, points=points)
 
 
@@ -122,10 +121,11 @@ def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
 
     The simulation snapshots, MIN_SNAPSHOTS or more in the window, are
     reparametrized to flow time s = ln(t) and interpolated linearly; the
-    flow is integrated with step dt from the interpolated anchor point;
-    the result is sup over the window of the Euclidean distance between
-    the two moment curves. Euclidean distance on (a, b) is the
-    weak-topology test-function metric restricted to cos and sin.
+    flow is integrated by integrate_flow with step dt from the interpolated
+    anchor point, so a flow that fails the step-halving check raises
+    NumericError; the result is sup over the window of the Euclidean
+    distance between the two moment curves. Euclidean distance on (a, b)
+    is the weak-topology test-function metric restricted to cos and sin.
     """
     if not t_window > 0.0:
         raise ConfigError("pseudotrajectory_error: window must be > 0")
@@ -146,8 +146,7 @@ def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
 
     anchor = np.array([np.interp(t_anchor, s_sim, sim_a),
                        np.interp(t_anchor, s_sim, sim_b)])
-    flow = integrate_flow(model, (float(anchor[0]), float(anchor[1])), t_window,
-                          dt=dt, self_check=False)
+    flow = integrate_flow(model, (float(anchor[0]), float(anchor[1])), t_window, dt=dt)
     s_eval = t_anchor + flow.times
     sim_pts = np.stack([np.interp(s_eval, s_sim, sim_a),
                         np.interp(s_eval, s_sim, sim_b)], axis=-1)

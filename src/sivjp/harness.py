@@ -1,6 +1,6 @@
 """Experiment orchestration behind the command-line surface: seeded sweeps,
-fixed-point atlases, bifurcation scans, multi-well localization runs and a
-self-validation suite.
+fixed-point atlases, flows, the shadowing diagnostic, bifurcation scans,
+multi-well localization runs and a self-validation suite.
 
 All outputs are CSV (the format of markov.csv_text) or JSON (UTF-8,
 sorted keys). Runs are keyed by (master_seed, stream_index), so sweeps are
@@ -10,11 +10,11 @@ hash of the model configuration.
 
 Each command imports only the modules it runs: the fixed-point atlas
 (equilibria) is imported by the commands that take a census and by
-is_attracting, the flow by cmd_flow, the self-checks by validation_report,
-and ProcessPoolExecutor by _map_ordered when it first starts a pool, so
-`localize` at --threads 1 loads none of them. Those calls go through the
-module objects (equilibria.find_fixed_points, flow.integrate_flow), so
-that replacements made on those modules apply.
+is_attracting, the flow by cmd_flow and cmd_shadow, the self-checks by
+validation_report, and ProcessPoolExecutor by _map_ordered when it first
+starts a pool, so `localize` at --threads 1 loads none of them. Those
+calls go through the module objects (equilibria.find_fixed_points,
+flow.integrate_flow), so that replacements made on those modules apply.
 ProcessPoolExecutor, run_sitp, _simulate_worker, classify_limit and
 ExperimentConfig.from_dict stay module attributes that are looked up at
 call time, because the benchmark's tracer (perfbench/traced.py) and the
@@ -353,6 +353,53 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
     if not quiet:
         print(f"flow: {trace.times.size} steps -> {path}", file=sys.stderr)
     return path
+
+
+SHADOW_WINDOW = 2.0  # flow-time length of each window of cmd_shadow
+
+
+def cmd_shadow(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> list[list]:
+    """Shadowing diagnostic: how closely one run's moments, replotted in
+    flow time s = ln t, follow the limiting flow.
+
+    The run is stream 0 of the sivjp section at the model's rho. Its
+    anchors are every integer s whose window [e^s, e^(s + SHADOW_WINDOW)]
+    starts at or after the first snapshot, ends by sivjp.T and holds at
+    least flow.MIN_SNAPSHOTS snapshots; a schedule that fits none is a
+    ConfigError. Writes the moment trace, the flow from the first snapshot
+    for the last anchor plus SHADOW_WINDOW, and one row (s, t, sup_error)
+    of flow.pseudotrajectory_error per anchor. Returns those rows.
+    """
+    from . import flow
+    run = cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0)
+    times = run.snapshot_times()
+    anchors = []
+    for s in range(math.floor(math.log(times[0])), math.ceil(math.log(times[-1])) + 1):
+        t_lo, t_hi = math.exp(s), math.exp(s + SHADOW_WINDOW)
+        inside = np.searchsorted(times, t_hi, "right") - np.searchsorted(times, t_lo, "left")
+        if times[0] <= t_lo and t_hi <= times[-1] and inside >= flow.MIN_SNAPSHOTS:
+            anchors.append(s)
+    if not anchors:
+        raise ConfigError(f"cmd_shadow: no window of length {SHADOW_WINDOW} in flow time "
+                          f"holds {flow.MIN_SNAPSHOTS} snapshots between the first "
+                          f"snapshot and sivjp.T")
+    trace = run_sitp(run)
+    dt = cfg.flow["dt"]
+    rows = [[s, math.exp(s),
+             flow.pseudotrajectory_error(trace, run.model, s, SHADOW_WINDOW, dt=dt)]
+            for s in anchors]
+    flow_trace = flow.integrate_flow(run.model, (trace.a_vals[0], trace.b_vals[0]),
+                                     anchors[-1] + SHADOW_WINDOW, dt=dt)
+    ensure_outdir(out_dir)
+    write_text(os.path.join(out_dir, f"{cfg.name}_moments.csv"), trace.to_csv())
+    write_text(os.path.join(out_dir, f"{cfg.name}_flow.csv"), flow_trace.to_csv())
+    write_text(os.path.join(out_dir, f"{cfg.name}_shadow.csv"),
+               csv_text(["s", "t", "sup_error"], rows))
+    if not quiet:
+        for s, t, err in rows:
+            print(f"anchor s={s:.1f} (t={t:9.1f}): sup shadowing error {err:.5f}",
+                  file=sys.stderr)
+    return rows
 
 
 def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,

@@ -17,7 +17,8 @@ from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.harness import ExperimentConfig
 from sivjp.model import ModelSpec
 from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
-                              grid_potential, two_well_potential, zero_potential)
+                              grid_potential, trig_potential, two_well_potential,
+                              zero_potential)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ZERO = ModelSpec(potential=zero_potential(), rho=0.0)
@@ -444,6 +445,16 @@ class TestCensus:
         with pytest.raises(DomainError, match=r"rho = 400\.0 .*rho \* r <~ 350"):
             find_fixed_points(COS2(400.0))
         assert find_fixed_points(COS2(300.0))
+
+    def test_missed_root_breaks_the_index_sum(self):
+        # at rho = 30 the sweep finds a Saddle and a Sink but misses a
+        # Source near (-0.018, -0.059), whose Newton basin is narrower than
+        # the grid's spacing: the indices sum to 0, not 1
+        model = ModelSpec(potential=trig_potential((-0.499,), (-1.66,)), rho=30.0)
+        with pytest.raises(NumericError, match=r"rho = 30\.0 has index sum 0, not 1"):
+            find_fixed_points(model)
+        records = find_fixed_points(COS2(4.0))
+        assert census_signature(records) == "2 Saddle, 2 Sink, 1 Source"
 
     def test_residuals_small(self):
         for rec in find_fixed_points(COS2(3.0)):

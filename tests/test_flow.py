@@ -8,7 +8,7 @@ from sivjp import (SIVJPConfig, SeedSpec, integrate_flow,
                    pseudotrajectory_error, run_sitp, solve_r_of_rho)
 from sivjp import flow
 from sivjp.engine import MomentTrace, OccupationStats
-from sivjp.equilibria import _NodeTables
+from sivjp.equilibria import _NodeTables, field_grid
 from sivjp.geometry import DENSITY_GRID
 from sivjp.errors import ConfigError, DomainError
 from sivjp.markov import TelegraphState
@@ -68,17 +68,20 @@ class TestIntegrateFlow:
             assert np.array_equal(points, reference_rk4(model, start, 0.5, 0.01))
 
     def test_fourth_order_step_scaling(self):
+        # raw RK4 paths: coarse steps that the halving check would refuse
         model = model_zero(4.0)
-        ref = integrate_flow(model, (0.1, 0.05), 2.0, dt=0.0025, self_check=False)
+        tables = _NodeTables(model, field_grid(model))
+        start = np.array([0.1, 0.05])
+        _, ref = flow._rk4_path(tables, start, 2.0, 0.0025)
         errs = []
         for dt in (0.04, 0.02):
-            tr = integrate_flow(model, (0.1, 0.05), 2.0, dt=dt, self_check=False)
+            _, points = flow._rk4_path(tables, start, 2.0, dt)
             stride = round(dt / 0.0025)
-            errs.append(np.max(np.abs(tr.points - ref.points[::stride])))
+            errs.append(np.max(np.abs(points - ref[::stride])))
         order = math.log(errs[0] / errs[1]) / math.log(2.0)
         assert 3.5 <= order <= 4.5
 
-    def test_step_halving_self_check_runs(self):
+    def test_step_halving_check_runs(self):
         trace = integrate_flow(model_zero(2.5), (0.3, -0.2), 5.0, dt=0.05)
         assert trace.points.shape == (101, 2)
 
@@ -109,15 +112,14 @@ class TestIntegrateFlow:
         # all starts converge to one of the two sinks except a thin
         # neighbourhood of the vertical axis (the saddle's stable set)
         model = ModelSpec(potential=cos2_potential(), rho=2.0 * RHO_C_COS2)
+        tables = _NodeTables(model, field_grid(model))
         rng = np.random.default_rng(17)
         n_checked = 0
         for _ in range(100):
             a, b = rng.random(2) * 2.0 - 1.0
             if a * a + b * b > 1.0 or abs(a) <= 1e-3:
                 continue
-            trace = integrate_flow(model, (float(a), float(b)), 50.0,
-                                   dt=0.05, self_check=False)
-            end = trace.points[-1]
+            end = flow._rk4_path(tables, np.array([a, b]), 50.0, 0.05)[1][-1]
             d_plus = math.hypot(end[0] - A_STAR_2RHOC, end[1])
             d_minus = math.hypot(end[0] + A_STAR_2RHOC, end[1])
             assert min(d_plus, d_minus) < 1e-4

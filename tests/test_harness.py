@@ -218,6 +218,11 @@ class TestCLI:
         # log(T / record_t0) / log(record_stride) is inf / inf: a NaN count
         ("sivjp", {"log_stride": True, "record_stride": math.inf, "record_t0": 5e-324},
          "simulate"),
+        # no shadowing window fits: e^2 is longer than [0.5, 5] in ratio, and
+        # every window up to T = 200 holds fewer than 50 snapshots at stride 10
+        ("sivjp", {"T": 5.0, "log_stride": True, "record_stride": 1.02, "record_t0": 0.5},
+         "shadow"),
+        ("sivjp", {"record_stride": 10.0}, "shadow"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
             "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
             "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
@@ -228,7 +233,8 @@ class TestCLI:
             "huge_lambda_min_localize", "huge_rho_localize", "huge_sweep_rho_scan",
             "underflow_fixed_points", "underflow_simulate", "underflow_scan",
             "huge_seeds_simulate", "seeds_times_rhos_scan", "snapshot_count_edge_simulate",
-            "nan_log_schedule_simulate"])
+            "nan_log_schedule_simulate", "short_log_schedule_shadow",
+            "sparse_linear_schedule_shadow"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
                                               command):
         bad = copy.deepcopy(BASE)
@@ -343,6 +349,19 @@ class TestCLI:
                      "--quiet", command]) == 4
         assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
 
+    def test_shadow_flow_failing_halving_check_exit_four(self, tmp_path, capsys):
+        # at dt = 0.1 the window flows of shadow_demo miss HALVING_TOL
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "shadow_demo.json").read_text())
+        raw["sivjp"]["T"] = 100.0
+        raw["flow"] = {"dt": 0.1}
+        out = str(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, raw), "--out", out,
+                     "--quiet", "shadow"]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: NumericError: integrate_flow: step-halving check failed")
+        assert not os.path.exists(out)
+
     def test_failed_scan_exit_four_names_the_rows(self, tmp_path, monkeypatch, capsys):
         def failing(run):
             raise RunawayRateError("proposal budget exceeded")
@@ -369,10 +388,10 @@ CONTRACT_BASE = {
     "localize": {"N": 1, "T": 1.0, "rho_min": 0.5},
 }
 # the commands that read each section (sweep.seeds: simulate and scan)
-READERS = {"master_seed": ("simulate", "scan", "localize"),
-           "model": ("fixed-points", "flow", "simulate", "scan", "localize"),
-           "sivjp": ("simulate", "scan"), "sweep": ("scan",), "flow": ("flow",),
-           "localize": ("localize",)}
+READERS = {"master_seed": ("simulate", "scan", "localize", "shadow"),
+           "model": ("fixed-points", "flow", "simulate", "scan", "localize", "shadow"),
+           "sivjp": ("simulate", "scan", "shadow"), "sweep": ("scan",),
+           "flow": ("flow", "shadow"), "localize": ("localize",)}
 
 
 def _readers(path):

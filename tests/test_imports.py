@@ -101,6 +101,14 @@ def test_fixed_points_loads_no_flow_or_pool(tmp_path):
     assert loaded.isdisjoint({"sivjp.flow", POOL})
 
 
+def test_shadow_loads_no_checks_or_pool(tmp_path):
+    raw = json.loads((ROOT / "configs" / "shadow_demo.json").read_text())
+    raw["sivjp"]["T"] = 100.0
+    loaded = modules_after(cli_run(tmp_path, raw, ["shadow"]))
+    assert "sivjp.flow" in loaded
+    assert loaded.isdisjoint({"sivjp.validate", POOL})
+
+
 def test_serial_localize_loads_no_atlas_or_pool(tmp_path):
     raw = json.loads((ROOT / "configs" / "localize_two_well.json").read_text())
     raw["localize"].update({"N": 2, "T": 100.0})

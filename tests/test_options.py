@@ -3,8 +3,8 @@ every parameter of a public function is read.
 
 A stand-in for an unused-option lint, modelled on test_imports.py: for each
 function or method in src/sivjp/*.py, every parameter with a default must be
-passed, positionally or by keyword, at some call site in src/, scripts/ or
-tests/. Call sites are matched by the function's or method's name, so a call
+passed, positionally or by keyword, at some call site in src/ or tests/.
+Call sites are matched by the function's or method's name, so a call
 x.fbar(...) counts for every function named fbar. A call that unpacks
 *args passes every positional parameter, and one that unpacks **kwargs
 every keyword. A default that no caller overrides is a constant, not an
@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sivjp"
-CALLERS = [ROOT / "src", ROOT / "scripts", ROOT / "tests"]
+CALLERS = [ROOT / "src", ROOT / "tests"]
 
 
 def defaulted_params(tree: ast.Module) -> list[tuple[str, list[str], list[str]]]:

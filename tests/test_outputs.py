@@ -1,9 +1,9 @@
 """Output digests: the SHA-256 of byte-stable command outputs.
 
 fixed_points.json of `fixed-points` on every shipped config,
-validate_report.json at seed 0, and every file that `flow`, `simulate`,
-`scan` and `localize` write on their shipped configs at --threads 1 must
-not change by a single bit under a refactor. A change that means to move
+validate_report.json at seed 0, and every file that `flow`, `shadow`,
+`simulate`, `scan` and `localize` write on their shipped configs at
+--threads 1 must not change by a single bit under a refactor. A change that means to move
 these bits re-pins the digests and says why in CHANGES.md.
 """
 
@@ -21,6 +21,7 @@ FIXED_POINTS_SHA256 = {
     "flow_demo": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
     "localize_two_well": "791033427f44b0b83de3ede5a2e43f1b521d3bda8cd41695bd9b7ff7b351215f",
     "pitchfork_scan": "8c56e1636876efdf1bc5fbe9750394abab36f5845709204f634e12775bd9842c",
+    "shadow_demo": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
     "subcritical_smoke": "a254fdaf142417b262283fa4ad1755d8b7ae02b83b741f3128a6cbe2bfaea064",
     "supercritical": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
 }
@@ -29,6 +30,12 @@ VALIDATE_SEED0_SHA256 = "ec686d7118f5f6c49db93c2ffebab3a1dd821d205868202ddda1098
 COMMAND_OUTPUTS_SHA256 = {
     ("flow", "flow_demo"): {
         "flow_demo_flow.csv": "a7db2aaf9bb0283abb6291b45d7865e3175976e7c1b985a7d6e20636eaf2eb93",
+    },
+    # the moments and the flow are the bytes of the former shadowing script
+    ("shadow", "shadow_demo"): {
+        "shadow_demo_flow.csv": "524bba7fc3f30e172eb74ea39cec05efd847be148b78b20408f1df7d14524475",
+        "shadow_demo_moments.csv": "b4ba3df6847378782b2f17cb0bc013ca0a63db30d7bb0199a58805cf2e2830b1",
+        "shadow_demo_shadow.csv": "3e4292bd2ecc18c282ad8d4bf18471c9b964cdce5f6dbe04d35aa87fbb1188cf",
     },
     ("simulate", "supercritical"): {
         "fixed_points.json": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
