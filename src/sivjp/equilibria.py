@@ -23,16 +23,16 @@ RING_POINTS points of the circle whose radius r(rho) is the one root of
 Fbar_a(a, 0), with no b-axis scan and no Newton sweep.
 
 Fbar and its Jacobian have one evaluator, _NodeTables: cos z, sin z,
-their products and -U(z) on the nodes, plus work buffers that every
-evaluation reuses, so a table serves one caller at a time. The census, the
-flow integrator (flow.integrate_flow) and solve_r_of_rho build one table
-per call; the public fbar and jacobian_fbar, one per evaluation. A table
-does pibar's and moments' arithmetic in the same order, with pibar's
-checks, so its field is moments(pibar(a, b)) - (a, b) bit for bit, and
-pibar -> GridDensity -> moments is the reference the tests hold it to. The
-census evaluates in batches: its Newton sweep (when it runs) goes in
-lockstep over all starts, its axis scans and its records take one batched
-call each.
+their products and -U(z) on the nodes, so that an evaluation is two
+matrix products, one for the log-density and one for the mass and the
+moments. The census, the flow integrator (flow.integrate_flow) and
+solve_r_of_rho build one table per call; the public fbar and
+jacobian_fbar, one per evaluation. A table keeps pibar's checks and
+exception classes, and pibar -> GridDensity -> moments is the reference
+the tests hold it to, within round-off: 1e-14 for Fbar, 1e-14 max(1, |rho|)
+for the Jacobian. The census evaluates in batches: its Newton sweep (when
+it runs) goes in lockstep over all starts, its axis scans and its records
+take one batched call each.
 
 The flow and, unless given a grid, the census use field_grid(model) nodes:
 the fewest of 64, 128 and 256 for which a closed-form bound on the
@@ -50,6 +50,7 @@ non-increasing along the limiting flow and sinks are local minimizers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -127,88 +128,74 @@ def jacobian_fbar(model: ModelSpec, a: float, b: float,
     return _NodeTables(model, grid).fbar_jacobian_many(np.array([a]), np.array([b]))[1][0]
 
 
-BATCH_VALUES = 4096  # points x nodes per batched evaluation: ~200 KB of products
+BATCH_VALUES = 4096  # points x nodes per batched evaluation: two 32 KB arrays
+UNDERFLOW_GAP = -math.log(sys.float_info.min)  # exp(-x) is a normal float for x below this
 
 
 class _NodeTables:
     """Fbar and its Jacobian for one model on one grid, from node tables.
 
-    -U(z) and the stacked rows 1, cos z, sin z, cos^2 z, sin^2 z and
-    cos z sin z are computed once; each evaluation then does the arithmetic
-    of pibar and moments() in the same order, with pibar's checks
-    (non-finite log-density, non-positive density, mass off 1), so its
-    results and exceptions are those of quadratures over pibar(a, b).
-    The mass and the moments come from one product of the first 3 (fbar)
-    or all 6 (fbar_jacobian_many) rows with the density and one row sum:
-    each row sums as the 1-D array would, and the row of ones leaves the
-    density as it is. The quadrature finiteness checks are dropped: a
-    finite log-density makes every quadrature integrand finite.
+    The rows cos z, sin z and -U(z), and the columns 1, cos z, sin z,
+    cos^2 z, sin^2 z and cos z sin z, are computed once. An evaluation at
+    (a, b) is then two matrix products: the log-density is
+    [rho a, rho b, 1] times the rows; after a max shift and exp, the
+    weights times the first 3 (fbar) or all 6 (fbar_jacobian_many) columns
+    give the mass s0 and the unnormalized moments, and each moment is
+    divided by s0 at the end (the node spacing cancels). The checks are
+    pibar's, with its exception classes: a non-finite shift or a -inf
+    log-density value raises NumericError, a weight that underflows to 0
+    raises DomainError. The per-node test for a zero weight is skipped
+    when a bound rules one out: every log-density value is at least
+    min(-U) - |rho| hypot(a, b), so no weight underflows while the shift
+    exceeds that bound by less than UNDERFLOW_GAP (a -inf in -U always
+    takes the test). The max node contributes exp(0) = 1 to s0, so s0 >= 1
+    holds by construction; it is checked all the same, as a DomainError.
+
+    The products round differently from pibar -> moments, and a batched
+    product from a one-point one, so results agree with the reference
+    quadratures to round-off, not bit for bit: tests hold Fbar within
+    1e-14 of moments(pibar(a, b)) - (a, b) and the Jacobian within
+    1e-14 max(1, |rho|). Each result is deterministic for a given batch.
 
     fbar_jacobian_many evaluates k points per call, BATCH_VALUES // n at a
-    time on (points, nodes) buffers: every point's row is reduced as the
-    1-D arrays of the scalar path are, so each point's result is the
-    scalar one bit for bit, and a batch with a failing point raises what a
-    loop over its points would raise first.
-
-    Every evaluation writes into work buffers the table owns, so a table
-    is not reentrant: one table serves one caller at a time. _density
-    returns its density buffer, which the next evaluation overwrites; only
-    the table's own methods hold it, and they are done with it before they
-    return. fbar returns fresh Python floats, fbar_jacobian_many fresh
-    arrays.
+    time; a batch with a failing point raises what a loop over its points
+    would raise first. fbar writes into two buffers the table owns, so a
+    table serves one caller at a time; it returns fresh Python floats,
+    fbar_jacobian_many fresh arrays.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid) -> None:
         z = grid.nodes
-        n = grid.n
-        self.rho = model.rho
-        self.h = grid.h
-        self.neg_u = -np.asarray(model.u(z), dtype=float)
         c, s = np.cos(z), np.sin(z)
-        self.rows = np.stack([np.ones(n), c, s, c * c, s * s, c * s])
-        self.c, self.s = self.rows[1], self.rows[2]
-        self._fbar_bufs = (self.rows[:3], np.empty((3, n)), np.empty(3))
-        self._logw = np.empty(n)  # kept apart from the density for the -inf check
-        self._vals = np.empty(n)
-        self.batch = max(1, BATCH_VALUES // n)
-        # made by the first batched call: the flow, which makes none, would pay
-        # for them in resident memory
-        self._batch_bufs: tuple[np.ndarray, ...] | None = None
+        self.rho = model.rho
+        self.basis = np.stack([c, s, -np.asarray(model.u(z), dtype=float)])
+        self.neg_u = self.basis[2]
+        self.neg_u_min = float(np.minimum.reduce(self.neg_u))  # nan when -U has one
+        self.cols = np.stack([np.ones(grid.n), c, s, c * c, s * s, c * s])
+        self.batch = max(1, BATCH_VALUES // grid.n)
+        self._logw, self._w = np.empty(grid.n), np.empty(grid.n)
 
-    def _density(self, a: float, b: float) -> np.ndarray:
-        logw, vals = self._logw, self._vals
-        np.multiply(self.c, a, out=logw)
-        np.multiply(self.s, b, out=vals)
-        np.add(logw, vals, out=logw)
-        np.multiply(logw, self.rho, out=logw)
-        np.add(self.neg_u, logw, out=logw)
+    def fbar(self, a: float, b: float) -> tuple[float, float]:
+        """Fbar at one point, on 1-D buffers, for the flow and the
+        bisections: 5.2 us at 64 nodes and 6.6 us at 512, against 31 and
+        33 us for fbar_jacobian_many with k = 1 (best of three runs on a
+        2-vCPU Xeon VM, BENCH_fused_field.json)."""
+        rho, logw, w = self.rho, self._logw, self._w
+        np.dot((rho * a, rho * b, 1.0), self.basis, out=logw)
         shift = float(np.maximum.reduce(logw))  # a nan or +inf value propagates here
         if not math.isfinite(shift):
             raise NumericError("density_from_log: non-finite log-density value")
-        np.subtract(logw, shift, out=vals)
-        np.exp(vals, out=vals)
-        np.divide(vals, self.h * float(np.add.reduce(vals)), out=vals)
-        if not np.minimum.reduce(vals) > 0.0:
+        np.subtract(logw, shift, out=w)
+        np.exp(w, out=w)
+        if not shift - self.neg_u_min + abs(rho) * math.hypot(a, b) < UNDERFLOW_GAP \
+                and not np.minimum.reduce(w) > 0.0:
             if not np.isfinite(logw).all():  # a -inf value, which exp took to 0
                 raise NumericError("density_from_log: non-finite log-density value")
             raise DomainError("GridDensity: density values must be strictly positive")
-        return vals
-
-    def fbar(self, a: float, b: float) -> tuple[float, float]:
-        """Fbar at one point, on 1-D buffers.
-
-        The flow and the bisections evaluate one point at a time, and one
-        point costs this path 18 us against 55 us for fbar_jacobian_many
-        with k = 1 at 512 nodes (14 against 40 us at 64 nodes; best of 7
-        on a 2-vCPU Xeon VM).
-        """
-        rows, prod, sums = self._fbar_bufs
-        np.multiply(rows, self._density(a, b), out=prod)
-        h = self.h
-        mass, ma, mb = [h * v for v in np.add.reduce(prod, axis=1, out=sums).tolist()]
-        if abs(mass - 1.0) > 1e-12:
-            raise DomainError(f"GridDensity: not normalized (mass {mass!r})")
-        return ma - a, mb - b
+        s0, s1, s2 = np.dot(self.cols[:3], w).tolist()
+        if not s0 >= 1.0:
+            raise DomainError(f"GridDensity: weights sum to {s0!r}, below the max node's 1")
+        return s1 / s0 - a, s2 / s0 - b
 
     def fbar_jacobian_many(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fbar, shape (k, 2), and its Jacobian, shape (k, 2, 2), at the
@@ -216,46 +203,35 @@ class _NodeTables:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         f, jac = np.empty((a.size, 2)), np.empty((a.size, 2, 2))
-        if self._batch_bufs is None:
-            k, n = self.batch, self.neg_u.size
-            self._batch_bufs = (np.empty((k, n)), np.empty((k, n)),
-                                np.empty((k, 6, n)), np.empty((k, 6)))
         for lo in range(0, a.size, self.batch):
             hi = lo + self.batch
             self._batch(a[lo:hi], b[lo:hi], f[lo:hi], jac[lo:hi])
         return f, jac
 
     def _batch(self, a: np.ndarray, b: np.ndarray, f: np.ndarray, jac: np.ndarray) -> None:
-        k = a.size
-        logw, vals, prod, sums = (buf[:k] for buf in self._batch_bufs)
-        np.multiply(self.c, a[:, None], out=logw)
-        np.multiply(self.s, b[:, None], out=vals)
-        np.add(logw, vals, out=logw)
-        np.multiply(logw, self.rho, out=logw)
-        np.add(self.neg_u, logw, out=logw)
+        rho = self.rho
+        logw = np.stack([rho * a, rho * b, np.ones(a.size)], axis=1) @ self.basis
         shift = np.maximum.reduce(logw, axis=1)  # a nan or +inf value propagates here
         if not np.isfinite(shift).all():
-            self._fail(a, b, f, jac, NumericError("density_from_log: non-finite log-density value"))
-        np.subtract(logw, shift[:, None], out=vals)
-        np.exp(vals, out=vals)
-        np.divide(vals, (self.h * np.add.reduce(vals, axis=1))[:, None], out=vals)
-        if not (np.minimum.reduce(vals, axis=1) > 0.0).all():
+            self._fail(a, b, f, jac,
+                       NumericError("density_from_log: non-finite log-density value"))
+        w = np.exp(logw - shift[:, None])
+        if not (shift - self.neg_u_min + abs(rho) * np.hypot(a, b) < UNDERFLOW_GAP).all() \
+                and not (np.minimum.reduce(w, axis=1) > 0.0).all():
             if not np.isfinite(logw).all():  # a -inf value, which exp took to 0
                 self._fail(a, b, f, jac,
                            NumericError("density_from_log: non-finite log-density value"))
             self._fail(a, b, f, jac,
                        DomainError("GridDensity: density values must be strictly positive"))
-        np.multiply(self.rows, vals[:, None, :], out=prod)
-        mom = np.multiply(self.h, np.add.reduce(prod, axis=2, out=sums), out=sums)
-        mass, ma, mb, mcc, mss, mcs = mom.T
-        if (abs(mass - 1.0) > 1e-12).any():
+        mom = w @ self.cols.T
+        s0 = mom[:, 0]
+        if not (s0 >= 1.0).all():
             self._fail(a, b, f, jac, DomainError(
-                f"GridDensity: not normalized (mass {float(mass[0])!r})"))
+                f"GridDensity: weights sum to {float(s0.min())!r}, below the max node's 1"))
+        _, ma, mb, mcc, mss, mcs = (mom / s0[:, None]).T
         f[:, 0] = ma - a
         f[:, 1] = mb - b
-        rho = self.rho
         cs = rho * (mcs - ma * mb)
-        # rho * Cov - I entry by entry: x - 0.0 is x, bit for bit
         jac[:, 0, 0] = rho * (mcc - ma * ma) - 1.0
         jac[:, 0, 1] = cs
         jac[:, 1, 0] = cs

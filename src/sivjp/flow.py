@@ -49,9 +49,9 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
     """Classical RK4 on Python floats, component by component.
 
     Each stage does the arithmetic of the array form p + (0.5*h)*k,
-    p + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the same order, so the path is bit
-    for bit the one of the array form; np.hypot, not math.hypot, takes the
-    norm, since the two can differ in the last ulp.
+    p + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the same order. math.hypot takes
+    the norm: it may differ from np.hypot in the last ulp, and the path is
+    held to the reference loop within round-off, not bit for bit.
     """
     n_steps = int(math.ceil(t_flow / dt - 1e-12))
     field = tables.fbar
@@ -68,7 +68,7 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
         h6 = h / 6.0
         pa = pa + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         pb = pb + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        norm = float(np.hypot(pa, pb))
+        norm = math.hypot(pa, pb)
         if norm > 1.0 + 1e-6:
             raise NumericError(f"integrate_flow: trajectory left the unit disk ({norm})")
         if norm > 1.0:  # round-off overshoot: project back
@@ -77,6 +77,18 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
         times.append(s)
         points.append((pa, pb))
     return np.array(times), np.array(points)
+
+
+def check_horizon(t_flow: float, dt: float) -> None:
+    """Refuse a step outside (0, 0.1], a horizon that is not finite and
+    positive, or more than MAX_FLOW_STEPS steps, with ConfigError."""
+    if not 0.0 < dt <= 0.1:
+        raise ConfigError("integrate_flow: dt must lie in (0, 0.1]")
+    if not 0.0 < t_flow < math.inf:
+        raise ConfigError("integrate_flow: T_flow must be finite and > 0")
+    if t_flow / dt > MAX_FLOW_STEPS:
+        raise ConfigError(f"integrate_flow: T_flow / dt = {t_flow / dt:.3g} exceeds "
+                          f"the {MAX_FLOW_STEPS} steps allowed")
 
 
 def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
@@ -96,13 +108,7 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     a0, b0 = start
     if not math.hypot(a0, b0) <= 1.0 + DISK_TOL:  # NaN fails too
         raise ConfigError("integrate_flow: start must lie in the closed unit disk")
-    if not 0.0 < dt <= 0.1:
-        raise ConfigError("integrate_flow: dt must lie in (0, 0.1]")
-    if not 0.0 < t_flow < math.inf:
-        raise ConfigError("integrate_flow: T_flow must be finite and > 0")
-    if t_flow / dt > MAX_FLOW_STEPS:
-        raise ConfigError(f"integrate_flow: T_flow / dt = {t_flow / dt:.3g} exceeds "
-                          f"the {MAX_FLOW_STEPS} steps allowed")
+    check_horizon(t_flow, dt)
     p0 = np.array([a0, b0], dtype=float)
     tables = _NodeTables(model, field_grid(model))
     times, points = _rk4_path(tables, p0, t_flow, dt)

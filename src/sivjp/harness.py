@@ -366,9 +366,11 @@ def cmd_shadow(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> list[list]:
     anchors are every integer s whose window [e^s, e^(s + SHADOW_WINDOW)]
     starts at or after the first snapshot, ends by sivjp.T and holds at
     least flow.MIN_SNAPSHOTS snapshots; a schedule that fits none is a
-    ConfigError. Writes the moment trace, the flow from the first snapshot
-    for the last anchor plus SHADOW_WINDOW, and one row (s, t, sup_error)
-    of flow.pseudotrajectory_error per anchor. Returns those rows.
+    ConfigError, and so, before the run, is a flow.dt that
+    flow.check_horizon refuses for a window or for the flow. Writes the
+    moment trace, the flow from the first snapshot for the last anchor
+    plus SHADOW_WINDOW, and one row (s, t, sup_error) of
+    flow.pseudotrajectory_error per anchor. Returns those rows.
     """
     from . import flow
     run = cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0)
@@ -383,8 +385,10 @@ def cmd_shadow(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> list[list]:
         raise ConfigError(f"cmd_shadow: no window of length {SHADOW_WINDOW} in flow time "
                           f"holds {flow.MIN_SNAPSHOTS} snapshots between the first "
                           f"snapshot and sivjp.T")
-    trace = run_sitp(run)
     dt = cfg.flow["dt"]
+    for horizon in (SHADOW_WINDOW, anchors[-1] + SHADOW_WINDOW):  # the windows, the flow
+        flow.check_horizon(horizon, dt)
+    trace = run_sitp(run)
     rows = [[s, math.exp(s),
              flow.pseudotrajectory_error(trace, run.model, s, SHADOW_WINDOW, dt=dt)]
             for s in anchors]

@@ -29,6 +29,23 @@ TABLE_MODELS = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
                           rho=-3.0))
 
 
+def assert_near_reference(model, grid, a, b, f, jac):
+    """f and jac within round-off of Fbar and its Jacobian on the reference
+    path: 1e-14, and 1e-14 max(1, |rho|) for the Jacobian, which is rho * Cov."""
+    assert np.max(np.abs(np.subtract(f, reference_fbar(model, a, b, grid)))) <= 1e-14
+    assert np.max(np.abs(jac - reference_jacobian(model, a, b, grid))) \
+        <= 1e-14 * max(1.0, abs(model.rho))
+
+
+def assert_roots_near(got, want, tol=1e-12):
+    """Two lists of Newton results, None or (a, b), agree entry by entry:
+    the same entries are None and the roots are within tol."""
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if g is not None:
+            assert math.hypot(g[0] - w[0], g[1] - w[1]) <= tol
+
+
 def reference_newton(model, grid, a, b):
     """The census's Newton iteration from one start, on the reference path."""
     x = np.array([a, b], dtype=float)
@@ -298,8 +315,8 @@ class TestAxisStage:
             assert rec.residual < 1e-10
             assert max(abs(v) for v in fbar(model, rec.a, rec.b)) < 1e-10
 
-    def test_fused_field_and_jacobian_bit_equal(self):
-        # the node tables against the reference path, pibar -> moments
+    def test_fused_field_and_jacobian_match_reference(self):
+        # the node tables against the reference path, pibar -> moments, to round-off
         rng = np.random.default_rng(20260418)
         models = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
                   ModelSpec(potential=zero_potential(), rho=4.0),
@@ -312,11 +329,10 @@ class TestAxisStage:
                 assert np.any(np.hypot(*points.T) < 1.0) and np.any(np.hypot(*points.T) > 1.0)
                 for a, b in points:
                     f, jac = tables.fbar_jacobian_many(np.array([a]), np.array([b]))
-                    assert (tuple(f[0].tolist()) == reference_fbar(model, a, b, grid)
-                            == tables.fbar(a, b) == fbar(model, a, b, grid))
-                    want = reference_jacobian(model, a, b, grid)
-                    assert np.array_equal(jac[0], want)
-                    assert np.array_equal(jacobian_fbar(model, a, b, grid), want)
+                    assert tables.fbar(a, b) == fbar(model, a, b, grid)
+                    assert np.array_equal(jacobian_fbar(model, a, b, grid), jac[0])
+                    assert_near_reference(model, grid, a, b, f[0], jac[0])
+                    assert_near_reference(model, grid, a, b, tables.fbar(a, b), jac[0])
 
     def test_tables_raise_like_public_path(self):
         spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
@@ -335,8 +351,38 @@ class TestAxisStage:
                 with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc):
                     evaluate()
 
+    def test_underflow_raises_exactly_when_a_weight_is_zero(self):
+        # 2 rho r, the spread of the log-density of zero and cos2 at (r, 0),
+        # sweeps past -log(float min) = 708.4, where the tables stop skipping
+        # the per-node test, and past 745.1, where the smallest weight
+        # exp(logw - max logw) underflows to 0
+        r = 0.9
+        z = DENSITY_GRID.nodes
+        underflows = set()
+        for pot in (zero_potential(), cos2_potential()):
+            for spread in np.linspace(700.0, 760.0, 61):
+                model = ModelSpec(potential=pot, rho=float(spread) / (2.0 * r))
+                tables = equilibria._NodeTables(model, DENSITY_GRID)
+                logw = -pot.v(z) + model.rho * r * np.cos(z)
+                if np.any(np.exp(logw - logw.max()) == 0.0):
+                    underflows.add(float(spread))
+                    with pytest.raises(DomainError):
+                        tables.fbar(r, 0.0)
+                    with pytest.raises(DomainError):
+                        tables.fbar_jacobian_many(np.array([r]), np.array([0.0]))
+                    continue
+                f, jac = tables.fbar_jacobian_many(np.array([r]), np.array([0.0]))
+                try:
+                    assert_near_reference(model, DENSITY_GRID, r, 0.0, f[0], jac[0])
+                    assert_near_reference(model, DENSITY_GRID, r, 0.0, tables.fbar(r, 0.0),
+                                          jac[0])
+                except DomainError:
+                    # the reference divides each weight by the mass before its
+                    # positivity check, so it may underflow a little earlier
+                    pass
+        assert min(underflows) == 746.0 and max(underflows) == 760.0
 
-    def test_batched_field_and_jacobian_bit_equal(self):
+    def test_batched_field_and_jacobian_match_reference(self):
         # every point of a batch, whatever its size and position, against the reference path
         rng = np.random.default_rng(20261018)
         for grid in (DENSITY_GRID, THRESHOLD_GRID, PeriodicGrid(64)):
@@ -350,8 +396,7 @@ class TestAxisStage:
                     f, jac = tables.fbar_jacobian_many(points[:, 0], points[:, 1])
                     assert f.shape == (k, 2) and jac.shape == (k, 2, 2)
                     for (a, b), fi, ji in zip(points, f, jac):
-                        assert tuple(fi.tolist()) == reference_fbar(model, a, b, grid)
-                        assert np.array_equal(ji, reference_jacobian(model, a, b, grid))
+                        assert_near_reference(model, grid, a, b, fi, ji)
 
     def test_batched_raises_like_scalar_loop(self):
         spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
@@ -462,8 +507,19 @@ class TestCensus:
 
     def test_lockstep_census_equals_sequential(self):
         for model in TABLE_MODELS:
-            got = [r.as_dict() for r in find_fixed_points(model, DENSITY_GRID)]
-            assert got == [r.as_dict() for r in reference_census(model, DENSITY_GRID)]
+            got = find_fixed_points(model, DENSITY_GRID)
+            want = reference_census(model, DENSITY_GRID)
+            # matched by position, not by index: the sort by (a, b) may swap
+            # roots whose a differ by round-off
+            assert len(got) == len(want)
+            matched = set()
+            for rec in got:
+                i = min(range(len(want)),
+                        key=lambda j: math.hypot(want[j].a - rec.a, want[j].b - rec.b))
+                assert math.hypot(want[i].a - rec.a, want[i].b - rec.b) <= 1e-12
+                assert want[i].stability == rec.stability
+                matched.add(i)
+            assert len(matched) == len(want)
 
     def test_singular_start_dropped(self, monkeypatch):
         model = COS2(2.5)
@@ -471,7 +527,7 @@ class TestCensus:
         ticks = np.linspace(-1.0, 1.0, equilibria.SWEEP_TICKS)
         starts = np.array([(a, b) for a in ticks for b in ticks if math.hypot(a, b) <= 1.0])
         want = [reference_newton(model, DENSITY_GRID, a, b) for a, b in starts]
-        assert equilibria._newton_lockstep(tables, starts) == want
+        assert_roots_near(equilibria._newton_lockstep(tables, starts), want)
         bad = 40
         assert want[bad] is not None
         evaluate = equilibria._NodeTables.fbar_jacobian_many
@@ -485,7 +541,7 @@ class TestCensus:
                             singular_at_bad_start)
         got = equilibria._newton_lockstep(tables, starts)
         assert got[bad] is None
-        assert got[:bad] + got[bad + 1:] == want[:bad] + want[bad + 1:]
+        assert_roots_near(got[:bad] + got[bad + 1:], want[:bad] + want[bad + 1:])
 
     def test_census_transitions_at_thresholds(self):
         # 50-point scan across each threshold; census changes exactly once,
@@ -545,8 +601,8 @@ class TestFieldGrid:
                 model = ModelSpec(potential=pot, rho=rho)
                 f, jac = equilibria._NodeTables(model, field_grid(model)).fbar_jacobian_many(
                     points[:, 0], points[:, 1])
-                # the 4096-node tables, bit-equal to the reference path
-                # (test_batched_field_and_jacobian_bit_equal)
+                # the 4096-node tables, within round-off of the reference path
+                # (test_batched_field_and_jacobian_match_reference)
                 f_ref, jac_ref = equilibria._NodeTables(model, THRESHOLD_GRID).fbar_jacobian_many(
                     points[:, 0], points[:, 1])
                 assert np.max(np.abs(f - f_ref)) <= 1e-14

@@ -223,6 +223,12 @@ class TestCLI:
         ("sivjp", {"T": 5.0, "log_stride": True, "record_stride": 1.02, "record_t0": 0.5},
          "shadow"),
         ("sivjp", {"record_stride": 10.0}, "shadow"),
+        # a shadowing flow of 2e7 steps, more than MAX_FLOW_STEPS, refused before
+        # the run (section None: the patch maps sections to their updates); the
+        # log schedule gives the one anchor s = 0
+        (None, {"sivjp": {"T": 10.0, "log_stride": True, "record_stride": 1.02,
+                          "record_t0": 0.5},
+                "flow": {"dt": 1e-7}}, "shadow"),
     ], ids=["negative_T", "infinite_T", "infinite_r", "infinite_record_t0", "nan_mu0",
             "infinite_T_flow", "infinite_rho_fixed_points", "infinite_rho_simulate",
             "nan_sweep_rho_scan", "infinite_lambda_min_fixed_points",
@@ -234,11 +240,16 @@ class TestCLI:
             "underflow_fixed_points", "underflow_simulate", "underflow_scan",
             "huge_seeds_simulate", "seeds_times_rhos_scan", "snapshot_count_edge_simulate",
             "nan_log_schedule_simulate", "short_log_schedule_shadow",
-            "sparse_linear_schedule_shadow"])
-    def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, section, patch,
-                                              command):
+            "sparse_linear_schedule_shadow", "tiny_dt_shadow"])
+    def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, monkeypatch, section,
+                                              patch, command):
+        def no_run(cfg):
+            raise AssertionError("a run started before the config was refused")
+
+        monkeypatch.setattr(harness, "run_sitp", no_run)
         bad = copy.deepcopy(BASE)
-        bad.setdefault(section, {}).update(patch)
+        for sec, update in (patch.items() if section is None else [(section, patch)]):
+            bad.setdefault(sec, {}).update(update)
         path = write_config(tmp_path, bad)
         out = str(tmp_path / "out")
         assert main(["--config", path, "--out", out, "--quiet", command]) == 2

@@ -18,18 +18,18 @@ from sivjp.harness import ExperimentConfig, cmd_fixed_points, cmd_validate
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FIXED_POINTS_SHA256 = {
-    "flow_demo": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
-    "localize_two_well": "791033427f44b0b83de3ede5a2e43f1b521d3bda8cd41695bd9b7ff7b351215f",
-    "pitchfork_scan": "8c56e1636876efdf1bc5fbe9750394abab36f5845709204f634e12775bd9842c",
-    "shadow_demo": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
-    "subcritical_smoke": "a254fdaf142417b262283fa4ad1755d8b7ae02b83b741f3128a6cbe2bfaea064",
-    "supercritical": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
+    "flow_demo": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
+    "localize_two_well": "94c96b3569382fbec832e8808aa3dc9241d6df5677dea28d5c08baa7713b689a",
+    "pitchfork_scan": "984d0ce1bce38976c218329392c66eb75698e273c17d6675855658f03187551e",
+    "shadow_demo": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
+    "subcritical_smoke": "772577260d95bd5da26a56b2ada68cbe6b463c2a2ba2624ea2acb7ea195e6979",
+    "supercritical": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
 }
-VALIDATE_SEED0_SHA256 = "ec686d7118f5f6c49db93c2ffebab3a1dd821d205868202ddda10988e893fb69"
+VALIDATE_SEED0_SHA256 = "c381d9379544a922d567891fb6ecd2ec9e401a952c8c27bd4577ca5acd00ebd9"
 # (command, shipped config) -> {file it writes: SHA-256}
 COMMAND_OUTPUTS_SHA256 = {
     ("flow", "flow_demo"): {
-        "flow_demo_flow.csv": "a7db2aaf9bb0283abb6291b45d7865e3175976e7c1b985a7d6e20636eaf2eb93",
+        "flow_demo_flow.csv": "0b7327e4ce6c5edff5d2850e91c12ef45fed0a3d4cae559e9de67f41dbd82ba6",
     },
     # the moments and the flow are the bytes of the former shadowing script
     ("shadow", "shadow_demo"): {
@@ -38,8 +38,8 @@ COMMAND_OUTPUTS_SHA256 = {
         "shadow_demo_shadow.csv": "3e4292bd2ecc18c282ad8d4bf18471c9b964cdce5f6dbe04d35aa87fbb1188cf",
     },
     ("simulate", "supercritical"): {
-        "fixed_points.json": "cb565a3ac70817eb25ebcf9630fc1cb1039471a100584ad1ab26007f52136b1e",
-        "summary.json": "4456f18dfa0e674e7bc042d1192f8ae233714ab348c3673cf21b22ae438f6e8b",
+        "fixed_points.json": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
+        "summary.json": "d598c968ebf111f19a70e0f8cc5f77092757738aa22ae0453bf93715e127df72",
         "supercritical_seed0000.csv": "b0a38d2947b69efeb596d5b50657aa8add6dd11ca06b247ba5c4ef935a9a90a7",
         "supercritical_seed0001.csv": "6b762a50bd4c63505b0a2e3cf51f54ae7d2f8dae0ba44141f88a123ab5232a89",
         "supercritical_seed0002.csv": "b2e57de95ca89602c2fb399127feeeecbc412e7467191fd0fe235082b5262bc7",
@@ -62,7 +62,7 @@ COMMAND_OUTPUTS_SHA256 = {
         "supercritical_seed0019.csv": "598dc77562569f6a9a7bfcf979b83ac050314978f1c0594fc1d6517fc0f6e217",
     },
     ("simulate", "subcritical_smoke"): {
-        "fixed_points.json": "a254fdaf142417b262283fa4ad1755d8b7ae02b83b741f3128a6cbe2bfaea064",
+        "fixed_points.json": "772577260d95bd5da26a56b2ada68cbe6b463c2a2ba2624ea2acb7ea195e6979",
         "subcritical_smoke_seed0000.csv": "75ad775bbc66a832d4a843ca324779bff2ea063b8a511071ca7c0c7416f0181f",
         "subcritical_smoke_seed0001.csv": "f89f42d51091edc33f29f1a0ba7e7fa60a379e84009e41e5a06a5c815baa7d89",
         "subcritical_smoke_seed0002.csv": "e8528a7c9c71324f0cba5acd71110fdb5a879b3800209208779f4add9d6964d9",
@@ -71,7 +71,7 @@ COMMAND_OUTPUTS_SHA256 = {
     },
     ("scan", "pitchfork_scan"): {
         "pitchfork_scan.csv": "973dee4b2667434677c698af9d5fc3428e12bad20b2ac70dc44049ddd1f040f1",
-        "pitchfork_scan_census.json": "097823626e21265ab79906ddf1d1752e1a7ee827c58f462c5ad87f18f34d70a5",
+        "pitchfork_scan_census.json": "fe07af824f0fc999b5676bee5018e27832f2d0c4736cc6bf8c04b40b4b91c0cf",
         "pitchfork_scan_info.json": "2befcb3ec96375c566ee73f1860bfbc2e23e47f72cb7fc7f171ce71b51e05dd6",
     },
     ("localize", "localize_two_well"): {
