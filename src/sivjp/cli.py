@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
             if not 4 <= args.quad_n <= THRESHOLD_GRID.n or args.quad_n % 2:
                 raise ConfigError(f"--quad-n must be even and in [4, {THRESHOLD_GRID.n}], "
                                   f"got {args.quad_n}")
-            master = args.seed if args.seed is not None else 0
+            master = SeedSpec(args.seed).master_seed if args.seed is not None else 0
             report = cmd_validate(out_dir=args.out, master_seed=master,
                                   quad_n=args.quad_n, quiet=args.quiet)
             return EXIT_OK if report["all_passed"] else 1

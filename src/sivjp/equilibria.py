@@ -14,13 +14,12 @@ and the reduced two-dimensional vector field on trigonometric moments
 closes the limiting dynamics. This module computes pibar, Fbar, its
 analytic Jacobian, the bifurcation thresholds, a global fixed-point census
 with stability classification, the free energy, and a Laplace-asymptotics
-cross-check. The census takes Fbar and its Jacobian from one tilted
-density per point, and, when U is even about 0 and about pi/2, finds the
-axis fixed points as the roots of Fbar's own components Fbar_a(a, 0) and
-Fbar_b(0, b). When U is constant Fbar commutes with rotations, so the
-census is written down rather than searched for: the origin plus
-RING_POINTS points of the circle whose radius r(rho) is the one root of
-Fbar_a(a, 0), with no b-axis scan and no Newton sweep.
+cross-check. The census has two cases. When U is constant Fbar commutes
+with rotations, so the census is written down rather than searched for:
+the origin plus RING_POINTS points of the circle whose radius r(rho) is
+the one root of Fbar_a(a, 0). Every other U takes a Newton sweep over
+the disk. One bisection, _ring_radius, gives r(rho) to both the census
+ring and solve_r_of_rho.
 
 Fbar and its Jacobian have one evaluator, _NodeTables: cos z, sin z,
 their products and -U(z) on the nodes, so that an evaluation is two
@@ -30,9 +29,8 @@ solve_r_of_rho build one table per call; the public fbar and
 jacobian_fbar, one per evaluation. A table keeps pibar's checks and
 exception classes, and pibar -> GridDensity -> moments is the reference
 the tests hold it to, within round-off: 1e-14 for Fbar, 1e-14 max(1, |rho|)
-for the Jacobian. The census evaluates in batches: its Newton sweep (when
-it runs) goes in lockstep over all starts, its axis scans and its records
-take one batched call each.
+for the Jacobian. The census evaluates in batches: its Newton sweep goes
+in lockstep over all starts, and its records take one batched call.
 
 The flow and, unless given a grid, the census use field_grid(model) nodes:
 the fewest of 64, 128 and 256 for which a closed-form bound on the
@@ -177,7 +175,7 @@ class _NodeTables:
 
     def fbar(self, a: float, b: float) -> tuple[float, float]:
         """Fbar at one point, on 1-D buffers, for the flow and the
-        bisections: 5.2 us at 64 nodes and 6.6 us at 512, against 31 and
+        bisection: 5.2 us at 64 nodes and 6.6 us at 512, against 31 and
         33 us for fbar_jacobian_many with k = 1 (best of three runs on a
         2-vCPU Xeon VM, BENCH_fused_field.json)."""
         rho, logw, w = self.rho, self._logw, self._w
@@ -251,7 +249,7 @@ FIELD_TOL = 1e-17  # quadrature error bound the census and flow grids must meet
 FIELD_NODES = (64, 128, 256)  # node counts field_grid tries below DENSITY_GRID's
 STRIP_WIDTHS = tuple(0.1 * i for i in range(1, 41))  # half-widths sigma the bound is minimized over
 NEWTON_RADIUS = 1.5  # census Newton iterates and flow stages stay within this radius
-SYMMETRY_TOL = 1e-10  # largest Gibbs moment of a centred U, and largest asymmetry of U
+SYMMETRY_TOL = 1e-10  # largest Gibbs moment of a centred U
 
 
 def field_grid(model: ModelSpec) -> PeriodicGrid:
@@ -300,31 +298,40 @@ def field_grid(model: ModelSpec) -> PeriodicGrid:
 
 
 # ---------------------------------------------------------------------------
-# thresholds and axis fixed points
+# thresholds and the ring radius
 
-def solve_r_of_rho(rho: float, tol: float = 1e-10) -> float:
-    """Positive root of int cos d pibar_rho(r, 0) = r, for zero exterior
-    potential. Exists iff rho > 2; located by bisection on [tol, 1]."""
-    if not rho > 2.0:
-        raise DomainError(f"solve_r_of_rho: no positive root for rho = {rho} <= 2")
-    tables = _NodeTables(ModelSpec(rho=rho), THRESHOLD_GRID)
-
-    def g(r: float) -> float:
-        return tables.fbar(r, 0.0)[0]
-
-    lo, hi = tol, 1.0
-    if not (g(lo) > 0.0 > g(hi)):
-        raise NumericError(f"solve_r_of_rho: bracket failure at rho = {rho}")
-    while hi - lo > 0.5 * tol:
+def _ring_radius(tables: _NodeTables) -> float | None:
+    """Root of Fbar_a(a, 0) in [1e-9, 1], by bisection until the midpoint
+    rounds to an endpoint, when no further step can move the bracket; None
+    when Fbar_a(a, 0) does not fall from positive to non-positive over the
+    bracket. For a constant U the root is unique: r(rho), the radius of the
+    circle of fixed points."""
+    lo, hi = 1e-9, 1.0
+    if not tables.fbar(lo, 0.0)[0] > 0.0 >= tables.fbar(hi, 0.0)[0]:
+        return None
+    while True:
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
+        if mid == lo or mid == hi:
+            return mid
+        if tables.fbar(mid, 0.0)[0] > 0.0:
             lo = mid
         else:
             hi = mid
-    r = 0.5 * (lo + hi)
-    if abs(g(r)) >= tol:
-        # flat g near the root: fall back on the residual criterion
-        raise NumericError(f"solve_r_of_rho: residual {g(r):.3e} above tol at rho = {rho}")
+
+
+def solve_r_of_rho(rho: float) -> float:
+    """Positive root r(rho) of int cos d pibar_rho(r, 0) = r, for zero
+    exterior potential: _ring_radius on THRESHOLD_GRID. Exists iff rho > 2."""
+    if not rho > 2.0:
+        raise DomainError(f"solve_r_of_rho: no positive root for rho = {rho} <= 2")
+    tables = _NodeTables(ModelSpec(rho=rho), THRESHOLD_GRID)
+    r = _ring_radius(tables)
+    if r is None:
+        raise NumericError(f"solve_r_of_rho: bracket failure at rho = {rho}")
+    residual = tables.fbar(r, 0.0)[0]
+    if abs(residual) >= RESIDUAL_TOL:
+        raise NumericError(f"solve_r_of_rho: residual {residual:.3e} above "
+                           f"{RESIDUAL_TOL} at rho = {rho}")
     return r
 
 
@@ -353,42 +360,6 @@ def rho_2(model: ModelSpec) -> float:
     m_u = _require_centered(model)
     z = THRESHOLD_GRID.nodes
     return 1.0 / quad_periodic(np.sin(z) ** 2 * m_u.values, THRESHOLD_GRID)
-
-
-def _check_symmetry(u_vals: np.ndarray, flipped: np.ndarray, what: str) -> None:
-    err = float(np.max(np.abs(u_vals - flipped)))
-    if err > SYMMETRY_TOL:
-        raise DomainError(f"exterior potential lacks {what} symmetry (max deviation {err:.2e})")
-
-
-def _axis_root(tables: _NodeTables, axis: int) -> float | None:
-    """Positive root of the odd axis residual Fbar_a(x, 0) (axis 0) or
-    Fbar_b(0, x) (axis 1), by a batched sign scan plus bisection.
-
-    Bisection stops once the midpoint rounds to an endpoint: no further
-    step can move the bracket.
-    """
-    xs = np.linspace(1e-9, 1.0 - 1e-9, 512)
-    zeros = np.zeros_like(xs)
-    scan = tables.fbar_jacobian_many(*((xs, zeros) if axis == 0 else (zeros, xs)))[0]
-    vals = scan[:, axis].tolist()
-
-    def residual(x: float) -> float:
-        return tables.fbar(*((x, 0.0) if axis == 0 else (0.0, x)))[axis]
-
-    for i in range(len(xs) - 1):
-        if vals[i] > 0.0 >= vals[i + 1]:
-            lo, hi = xs[i], xs[i + 1]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if residual(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +468,9 @@ def _ring(radius: float) -> list[tuple[float, float]]:
 
     The first eighth comes from cos and sin, the rest by exact reflections
     and quarter turns, so the points are exactly symmetric about both axes
-    and both diagonals: points of equal |a| have equal a, the sort by
-    (a, b) orders the ring the same way at every radius, and the axis
-    points are (+-radius, 0) and (0, +-radius) exactly. 0.0 - b, not -b,
-    keeps -0.0 off the axes.
+    and both diagonals: points of equal |a| have equal a, so the census's
+    sort orders them by b, and the axis points are (+-radius, 0) and
+    (0, +-radius) exactly. 0.0 - b, not -b, keeps -0.0 off the axes.
     """
     step = 2.0 * math.pi / RING_POINTS
     eighth = [(radius * math.cos(k * step), radius * math.sin(k * step))
@@ -514,47 +484,19 @@ def _ring(radius: float) -> list[tuple[float, float]]:
     return points
 
 
-def _roots(model: ModelSpec, grid: PeriodicGrid,
-           tables: _NodeTables) -> list[tuple[float, float]]:
+def _roots(model: ModelSpec, tables: _NodeTables) -> list[tuple[float, float]]:
     """The census's roots, deduplicated in the order found; see
     find_fixed_points."""
     if model.du_sup == 0.0:  # U constant: Fbar commutes with rotations
-        a_star = _axis_root(tables, 0)
-        return [(0.0, 0.0)] + ([] if a_star is None else _ring(a_star))
-
-    roots: list[tuple[float, float]] = []
-
-    def push(a: float, b: float) -> None:
-        for (pa, pb) in roots:
-            if math.hypot(a - pa, b - pb) < DEDUP_DIST:
-                return
-        roots.append((a, b))
-
-    # stage 1: axis roots under symmetry
-    z = grid.nodes
-    u_vals = -tables.neg_u
-    try:
-        _check_symmetry(u_vals, np.asarray(model.u(-z), dtype=float), "z -> -z")
-        _check_symmetry(u_vals, np.asarray(model.u(np.pi - z), dtype=float), "z -> pi - z")
-    except DomainError:
-        pass  # no axis symmetry; the sweep below does the work
-    else:
-        push(0.0, 0.0)
-        a_star = _axis_root(tables, 0)
-        if a_star is not None:
-            push(a_star, 0.0)
-            push(-a_star, 0.0)
-        b_star = _axis_root(tables, 1)
-        if b_star is not None:
-            push(0.0, b_star)
-            push(0.0, -b_star)
-
-    # stage 2: global Newton sweep over the disk
+        radius = _ring_radius(tables)
+        return [(0.0, 0.0)] + ([] if radius is None else _ring(radius))
     ticks = np.linspace(-1.0, 1.0, SWEEP_TICKS)
     starts = [(a0, b0) for a0 in ticks for b0 in ticks if math.hypot(a0, b0) <= 1.0 + 1e-12]
+    roots: list[tuple[float, float]] = []
     for res in _newton_lockstep(tables, np.array(starts)):
-        if res is not None:
-            push(*res)
+        if res is not None and all(math.hypot(res[0] - pa, res[1] - pb) >= DEDUP_DIST
+                                   for pa, pb in roots):
+            roots.append(res)
     return roots
 
 
@@ -567,17 +509,13 @@ def find_fixed_points(model: ModelSpec,
     so its roots are the origin and, for rho > 2, the whole circle of
     radius r(rho) (Benaim & Raimond, Ann. Probab. 2005): the census is the
     origin plus RING_POINTS equally spaced points of that circle, whose
-    radius is the positive root of Fbar_a(a, 0) found by the axis scan
-    below. Every other model takes two stages: when the exterior potential
-    is even about 0 and about pi/2 (U(z) = U(-z) = U(pi - z), checked once
-    on the grid), the origin is a root and the components Fbar_a(a, 0) and
-    Fbar_b(0, b) are odd, so their positive roots are found by a sign scan
-    plus bisection (robust near the bifurcation thresholds, where Newton's
-    basins shrink) and mirrored; then Newton iterations started from a
-    SWEEP_TICKS x SWEEP_TICKS grid over the disk, run in lockstep, look for
-    anything off-axis, and roots within DEDUP_DIST of an earlier one are
-    dropped. The roots are kept if their residual is below RESIDUAL_TOL
-    and sorted by (a, b), so the census is deterministic.
+    radius is the root of Fbar_a(a, 0) that _ring_radius bisects for. For
+    every other U, Newton iterations started from a SWEEP_TICKS x
+    SWEEP_TICKS grid over the disk run in lockstep, and a root within
+    DEDUP_DIST of an earlier one is dropped. The roots are kept if their
+    residual is below RESIDUAL_TOL and sorted by (round(a / DEDUP_DIST), b),
+    so the census is deterministic: roots whose a agree to round-off, such
+    as mirror images about the a-axis, are ordered by b.
 
     Fbar points strictly inward on the unit circle, so by Poincare-Hopf the
     indices of its roots in the disk sum to 1 when none is degenerate:
@@ -593,7 +531,7 @@ def find_fixed_points(model: ModelSpec,
         grid = field_grid(model)
     tables = _NodeTables(model, grid)
     try:
-        roots = sorted(_roots(model, grid, tables))
+        roots = sorted(_roots(model, tables), key=lambda p: (round(p[0] / DEDUP_DIST), p[1]))
         records = [r for r in _records(tables, roots) if r.residual < RESIDUAL_TOL]
     except DomainError as exc:  # from the tables' density checks
         raise DomainError(f"find_fixed_points: the tilted density underflows at "

@@ -67,54 +67,28 @@ def reference_newton(model, grid, a, b):
 
 
 def reference_census(model, grid):
-    """find_fixed_points one point at a time on the reference path: a scalar
-    axis scan, then Newton start by start or, for a constant U, the ring
-    through the a-axis root; one record per root."""
-    roots = []
-
-    def push(a, b):
-        if all(math.hypot(a - pa, b - pb) >= equilibria.DEDUP_DIST for pa, pb in roots):
-            roots.append((a, b))
-
-    def axis_root(axis):
-        def residual(x):
-            return reference_fbar(model, *((x, 0.0) if axis == 0 else (0.0, x)), grid)[axis]
-        xs = np.linspace(1e-9, 1.0 - 1e-9, 512)
-        vals = [residual(x) for x in xs]
-        for i in range(len(xs) - 1):
-            if vals[i] > 0.0 >= vals[i + 1]:
-                lo, hi = xs[i], xs[i + 1]
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if mid == lo or mid == hi:
-                        break
-                    lo, hi = (mid, hi) if residual(mid) > 0.0 else (lo, mid)
-                return 0.5 * (lo + hi)
-        return None
-
-    z = grid.nodes
-    u_vals = np.asarray(model.u(z), dtype=float)
+    """find_fixed_points one point at a time on the reference path: for a
+    constant U the ring through the root of Fbar_a(a, 0), bisected on
+    [1e-9, 1]; otherwise Newton start by start. One record per root."""
     if model.du_sup == 0.0:
-        root = axis_root(0)
-        roots = [(0.0, 0.0)] + ([] if root is None else equilibria._ring(root))
+        lo, hi = 1e-9, 1.0
+        while 0.5 * (lo + hi) not in (lo, hi):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if reference_fbar(model, mid, 0.0, grid)[0] > 0.0 else (lo, mid)
+        roots = [(0.0, 0.0)] + equilibria._ring(0.5 * (lo + hi))
     else:
-        if (np.max(np.abs(u_vals - model.u(-z))) <= 1e-10
-                and np.max(np.abs(u_vals - model.u(np.pi - z))) <= 1e-10):
-            push(0.0, 0.0)
-            for axis in (0, 1):
-                root = axis_root(axis)
-                if root is not None:
-                    push(*((root, 0.0) if axis == 0 else (0.0, root)))
-                    push(*((-root, 0.0) if axis == 0 else (0.0, -root)))
+        roots = []
         ticks = np.linspace(-1.0, 1.0, equilibria.SWEEP_TICKS)
         for a0 in ticks:
             for b0 in ticks:
                 if math.hypot(a0, b0) <= 1.0 + 1e-12:
                     res = reference_newton(model, grid, a0, b0)
-                    if res is not None:
-                        push(*res)
+                    if res is not None and all(
+                            math.hypot(res[0] - pa, res[1] - pb) >= equilibria.DEDUP_DIST
+                            for pa, pb in roots):
+                        roots.append(res)
     records = []
-    for a, b in sorted(roots):
+    for a, b in sorted(roots, key=lambda p: (round(p[0] / equilibria.DEDUP_DIST), p[1])):
         jac = reference_jacobian(model, a, b, grid)
         eig = np.linalg.eigvals(jac)
         eig = eig[np.lexsort((eig.imag, eig.real))]
@@ -202,6 +176,14 @@ class TestFbar:
             norm1 = np.hypot(*fbar(model, float(ar), float(br)))
             assert abs(norm0 - norm1) < 1e-10
 
+    def test_axis_component_odd(self):
+        # U even about 0 and pi/2 makes Fbar_a(a, 0) odd in a, so the
+        # census's roots off the b-axis come in mirror pairs (+-a, b)
+        model = COS2(2.5)
+        for a in (0.1, 0.4, 0.83):
+            assert fbar(model, -a, 0.0)[0] == pytest.approx(-fbar(model, a, 0.0)[0],
+                                                             abs=1e-15)
+
     def test_maps_disk_into_radius_two(self):
         rng = np.random.default_rng(6)
         model = COS2(4.0)
@@ -256,8 +238,8 @@ class TestThresholds:
         assert solve_r_of_rho(2.01) < 0.15
 
     def test_r_of_rho_golden(self):
-        r4 = solve_r_of_rho(4.0, tol=1e-12)
-        assert r4 == pytest.approx(R_OF_RHO_4, abs=1e-10)
+        r4 = solve_r_of_rho(4.0)
+        assert r4 == pytest.approx(R_OF_RHO_4, abs=1e-15)
         assert r4 == pytest.approx(brute_r_of_rho(4.0), abs=1e-9)
 
     def test_r_of_rho_large_tilt(self):
@@ -295,26 +277,6 @@ class TestThresholds:
 
 
 class TestAxisStage:
-    def test_axis_component_odd(self):
-        # the census mirrors each positive axis root to -a*, which relies on
-        # Fbar_a(a, 0) being odd under the double axis symmetry
-        model = COS2(2.5)
-        for a in (0.1, 0.4, 0.83):
-            assert fbar(model, -a, 0.0)[0] == pytest.approx(-fbar(model, a, 0.0)[0],
-                                                             abs=1e-15)
-
-    def test_asymmetric_potential_skips_axis_stage(self, monkeypatch):
-        def no_axis_stage(residual):
-            raise AssertionError("axis stage ran on an asymmetric potential")
-
-        monkeypatch.setattr(equilibria, "_axis_root", no_axis_stage)
-        model = ModelSpec(potential=cos_potential(), rho=1.0)
-        recs = find_fixed_points(model)
-        assert len(recs) >= 1
-        for rec in recs:
-            assert rec.residual < 1e-10
-            assert max(abs(v) for v in fbar(model, rec.a, rec.b)) < 1e-10
-
     def test_fused_field_and_jacobian_match_reference(self):
         # the node tables against the reference path, pibar -> moments, to round-off
         rng = np.random.default_rng(20260418)
@@ -452,7 +414,7 @@ class TestCensus:
     @pytest.mark.parametrize("rho", [2.01, 4.0, 40.0])
     def test_constant_potential_census_is_the_ring(self, monkeypatch, rho):
         # U constant: the origin plus RING_POINTS points of the circle of
-        # radius r(rho), built from the one a-axis root with no Newton sweep
+        # radius r(rho), from _ring_radius, with no Newton sweep
         def no_sweep(tables, starts):
             raise AssertionError("Newton sweep ran on a constant potential")
 
@@ -462,7 +424,7 @@ class TestCensus:
         assert len(recs) == 1 + equilibria.RING_POINTS == 65
         points = [(r.a, r.b) for r in recs]
         radius = max(r.a for r in recs)
-        assert abs(radius - solve_r_of_rho(rho, tol=1e-12)) <= 1e-10
+        assert abs(radius - solve_r_of_rho(rho)) <= 1e-10
         for axis_point in ((0.0, 0.0), (radius, 0.0), (-radius, 0.0),
                            (0.0, radius), (0.0, -radius)):
             assert axis_point in points
@@ -484,6 +446,64 @@ class TestCensus:
                 assert abs(rec.a - alt.a) <= 1e-14 and abs(rec.b - alt.b) <= 1e-14
                 assert rec.stability == alt.stability
                 assert np.max(np.abs(rec.jacobian - alt.jacobian)) <= 1e-14 * rho
+
+    @pytest.mark.parametrize("potential", [cos_potential(), cos2_potential()],
+                             ids=["cos", "cos2"])
+    def test_non_constant_potential_census_is_the_sweep(self, monkeypatch, potential):
+        # U not constant: the Newton sweep alone finds every root, with no
+        # ring radius
+        def no_ring(tables):
+            raise AssertionError("ring radius solved for a non-constant potential")
+
+        monkeypatch.setattr(equilibria, "_ring_radius", no_ring)
+        model = ModelSpec(potential=potential, rho=4.0)
+        recs = find_fixed_points(model)
+        assert len(recs) >= 1
+        for rec in recs:
+            assert rec.residual < 1e-10
+            assert max(abs(v) for v in fbar(model, rec.a, rec.b)) < 1e-10
+
+    def test_mirror_roots_ordered_by_b(self, monkeypatch):
+        # two_well at rho = 30 has a Saddle pair (0.1037..., +-0.9762...)
+        # whose a differ by round-off: the census orders it by b, b < 0
+        # first, however the last bits of each a fall
+        model = ModelSpec(potential=two_well_potential(), rho=30.0)
+        recs = find_fixed_points(model)
+        saddles = [r for r in recs if r.stability == "Saddle"]
+        assert len(saddles) == 2 and abs(saddles[0].a - saddles[1].a) < 1e-12
+        assert saddles[0].b < 0.0 < saddles[1].b
+        want = [(r.a, r.b) for r in recs]
+        roots = equilibria._roots
+
+        for ulps in (-4, 4):
+            def nudged(*args):
+                return [(a + ulps * math.copysign(1.0, b) * math.ulp(a), b)
+                        for a, b in roots(*args)]
+
+            monkeypatch.setattr(equilibria, "_roots", nudged)
+            got = [(r.a, r.b) for r in find_fixed_points(model)]
+            assert len(got) == len(want)
+            for (ga, gb), (wa, wb) in zip(got, want):
+                assert abs(ga - wa) <= 8 * math.ulp(wa) and gb == wb
+
+    def test_mirror_images_present(self):
+        # Sum_k c_k cos 2kz is even about 0 and pi/2, so every root's
+        # mirror images (a, -b) and (-a, b) are roots of the same class
+        rng = np.random.default_rng(11)
+        rhos = (-15.0, -4.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0)
+        for _ in range(40):
+            n_terms = int(rng.integers(1, 5))
+            amp = (0.3, 1.0, 2.0)[int(rng.integers(3))]
+            cos_coef = [0.0] * (2 * n_terms)
+            for k in range(1, n_terms + 1):
+                cos_coef[2 * k - 1] = float(rng.normal(0.0, amp / k))
+            rho = rhos[int(rng.integers(len(rhos)))]
+            recs = find_fixed_points(ModelSpec(potential=trig_potential(cos_coef), rho=rho))
+            for rec in recs:
+                for ma, mb in ((rec.a, -rec.b), (-rec.a, rec.b)):
+                    mirror = min(recs, key=lambda r: math.hypot(r.a - ma, r.b - mb))
+                    assert math.hypot(mirror.a - ma, mirror.b - mb) <= 1e-9
+                    assert mirror.stability == rec.stability
 
     def test_underflow_names_rho(self):
         # a tilted density underflows once rho * r passes about 350
@@ -509,8 +529,8 @@ class TestCensus:
         for model in TABLE_MODELS:
             got = find_fixed_points(model, DENSITY_GRID)
             want = reference_census(model, DENSITY_GRID)
-            # matched by position, not by index: the sort by (a, b) may swap
-            # roots whose a differ by round-off
+            # matched by position, not by index: a root within round-off of a
+            # bucket edge of the sort may land on the other side of it
             assert len(got) == len(want)
             matched = set()
             for rec in got:

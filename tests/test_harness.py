@@ -271,6 +271,14 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out)
 
+    # one past each end of SeedSpec's 64-bit range, which validate checks too
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_bad_validate_seed_exit_two_no_files(self, tmp_path, capsys, seed):
+        out = str(tmp_path / "out")
+        assert main(["--seed", str(seed), "--out", out, "--quiet", "validate"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
     def test_too_many_threads_exit_two_no_files_no_pool(self, tmp_path, capsys,
                                                         monkeypatch):
         sizes = RecordingPool.install(monkeypatch)
@@ -520,7 +528,8 @@ class TestScan:
         raw["sweep"] = {"rhos": [1.0, 4.0], "seeds": 3}
         cfg = ExperimentConfig.from_dict(raw)
         csv_path = cmd_scan(cfg, str(tmp_path / "scan"))
-        lines = open(csv_path).read().strip().splitlines()
+        with open(csv_path) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "rho,seed,a_final,b_final,r_final,nearest_fp,dist,status"
         rows = [ln.split(",") for ln in lines[1:]]
         assert len(rows) == 6

@@ -19,8 +19,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FIXED_POINTS_SHA256 = {
     "flow_demo": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
-    "localize_two_well": "94c96b3569382fbec832e8808aa3dc9241d6df5677dea28d5c08baa7713b689a",
-    "pitchfork_scan": "984d0ce1bce38976c218329392c66eb75698e273c17d6675855658f03187551e",
+    "localize_two_well": "aedddc92f6372e3f7f4798daf696ed7025364a06af578fa731d91131658254fa",
+    "pitchfork_scan": "eec89fe8686856662a8c7067c884986dde198618560245523c6700e06e24d626",
     "shadow_demo": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
     "subcritical_smoke": "772577260d95bd5da26a56b2ada68cbe6b463c2a2ba2624ea2acb7ea195e6979",
     "supercritical": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
@@ -70,8 +70,8 @@ COMMAND_OUTPUTS_SHA256 = {
         "summary.json": "a90b15de9371e531ca243b8e9f07b46d63ec3831481339bc3eda9b8940daf30b",
     },
     ("scan", "pitchfork_scan"): {
-        "pitchfork_scan.csv": "973dee4b2667434677c698af9d5fc3428e12bad20b2ac70dc44049ddd1f040f1",
-        "pitchfork_scan_census.json": "fe07af824f0fc999b5676bee5018e27832f2d0c4736cc6bf8c04b40b4b91c0cf",
+        "pitchfork_scan.csv": "fbaf362d4c48831dce48a714bf95cf6cffdf605aafc5a63cabfa1aa6648f718c",
+        "pitchfork_scan_census.json": "52ea820837a0f47298f5b469dea33e40eff099b66c976e539a7fa3f5c8f56512",
         "pitchfork_scan_info.json": "2befcb3ec96375c566ee73f1860bfbc2e23e47f72cb7fc7f171ce71b51e05dd6",
     },
     ("localize", "localize_two_well"): {
