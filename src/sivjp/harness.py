@@ -5,8 +5,10 @@ multi-well localization runs and a self-validation suite.
 All outputs are CSV (the format of markov.csv_text) or JSON (UTF-8,
 sorted keys). Runs are keyed by (master_seed, stream_index), so sweeps are
 reproducible bit-for-bit and independent of how work is scheduled across
-workers. Summaries and fixed-point files cross-reference each other by a
-hash of the model configuration.
+workers; simulate, scan and localize take them as one stream in job order
+(_map_ordered) and keep of each run only what their outputs need.
+Summaries and fixed-point files cross-reference each other by a hash of
+the model configuration.
 
 Each command imports only the modules it runs: the fixed-point atlas
 (equilibria) is imported by the commands that take a census and by
@@ -29,6 +31,7 @@ import json
 import math
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -37,7 +40,7 @@ import numpy as np
 from .engine import MomentTrace, SIVJPConfig, run_sitp
 from .errors import ConfigError, DomainError, SweepError
 from .geometry import TWO_PI
-from .markov import TelegraphState, csv_text
+from .markov import MAX_PROPOSALS, TelegraphState, csv_text
 from .model import ModelSpec
 from .potentials import local_minima, make_potential
 from .rng import SeedSpec
@@ -73,9 +76,7 @@ _DEFAULTS = {
     "localize": {"N": 50, "delta": 0.2, "T": 4000.0, "rho_min": 10.0},
 }
 
-# most runs one command may make: the harness holds every run's trace until
-# it writes, and at the default schedule (1,000 snapshots of five float64
-# columns, 40 KB) 10,000 traces hold about 0.4 GB
+# most runs a command may make: pool.map submits every job at once; simulate writes a file per run
 MAX_RUNS = 10_000
 
 
@@ -106,14 +107,25 @@ class ExperimentConfig:
         if "y0" in raw.get("sivjp", {}) and cfg.sivjp["x0"] is None:
             raise ConfigError("sivjp.y0 needs sivjp.x0: without x0 the start is "
                               "drawn uniformly with velocity +1")
-        n_sweep = cfg.sweep["seeds"] * max(1, len(cfg.sweep["rhos"]))
-        for what, n in (("localize.N", cfg.localize["N"]), ("sweep.seeds x rhos", n_sweep)):
+        rhos, seeds, loc = cfg.sweep["rhos"], cfg.sweep["seeds"], cfg.localize
+        n_sweep = seeds * max(1, len(rhos))
+        for what, n in (("localize.N", loc["N"]), ("sweep.seeds x rhos", n_sweep)):
             if n > MAX_RUNS:
                 raise ConfigError(f"{what} asks for {n} runs, above MAX_RUNS = {MAX_RUNS}")
-        # builds the model too, so bad potentials and params surface here
-        for rho in [cfg.model["rho"], *cfg.sweep["rhos"]]:
-            cfg.build_sivjp(rho=rho, stream_index=0).validate()
-        if not all(math.isfinite(cfg.localize[key]) for key in ("delta", "rho_min")):
+        if len({f"{rho:.12g}" for rho in rhos}) < len(rhos):  # scan's census keys and rows
+            raise ConfigError(f"sweep.rhos {rhos} has entries that print alike as %.12g")
+        # builds the models too, so bad potentials and params surface here
+        runs = [cfg.build_sivjp(rho=rho, stream_index=0) for rho in [cfg.model["rho"], *rhos]]
+        for run in runs:
+            run.validate()
+        # each family's expected proposals, under the global envelope (above the local one)
+        lam = [run.model.thinning_bound for run in runs]
+        for what, total in (("sweep", seeds * cfg.sivjp["T"] * max(lam[0], sum(lam[1:]))),
+                            ("localize", loc["N"] * lam[0] * loc["T"])):
+            if not total <= MAX_PROPOSALS:  # NaN fails too
+                raise ConfigError(f"the {what} runs expect {total:.3g} proposals in all, "
+                                  f"not at most MAX_PROPOSALS = {MAX_PROPOSALS:.0e}")
+        if not all(math.isfinite(loc[key]) for key in ("delta", "rho_min")):
             raise ConfigError("localize.delta and localize.rho_min must be finite")
         return cfg
 
@@ -207,8 +219,8 @@ def classify_limit(trace: MomentTrace, census: list[FixedPointRecord],
 
 
 def run_summary(seed_index: int, trace: MomentTrace,
-                census: list[FixedPointRecord], ring: float | None) -> dict:
-    label, nearest, dist = classify_limit(trace, census, ring)
+                census: list[FixedPointRecord], payload: dict) -> dict:
+    label, nearest, dist = classify_limit(trace, census, payload["thresholds"].get("r_of_rho"))
     out = trace.summary()
     out.update({"seed": seed_index, "classification": label,
                 "nearest_fp": nearest, "nearest_fp_dist": dist})
@@ -231,23 +243,18 @@ def _simulate_worker(cfg: ExperimentConfig, rho: float,
 ProcessPoolExecutor = None  # imported when _map_ordered first starts a pool
 
 
-def _map_ordered(worker, jobs: list[tuple], threads: int) -> list:
+def _map_ordered(worker, jobs: list[tuple], threads: int):
+    """Yields worker(*job) for each job in order, each run when asked for at
+    one thread; closing the stream cancels a pool's jobs not yet started."""
     global ProcessPoolExecutor
     threads = min(threads, len(jobs))  # a pool starts all its workers at the first submit
     if threads <= 1:
-        return [worker(*job) for job in jobs]
+        yield from (worker(*job) for job in jobs)
+        return
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, *zip(*jobs)))
-
-
-def _traces(results: list) -> list[MomentTrace]:
-    """The runs of a command that needs all of them; raises the first failure."""
-    for res in results:
-        if isinstance(res, Exception):
-            raise res
-    return results
+        yield from pool.map(worker, *zip(*jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +310,23 @@ def _census(cfg: ExperimentConfig, rho: float) -> tuple[list[FixedPointRecord], 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
                  quiet: bool = True) -> dict:
     """Run sweep.seeds independent runs at the model's rho; write per-seed
-    moment CSVs plus summary.json and fixed_points.json."""
+    moment CSVs as the runs end, then summary.json and fixed_points.json.
+    A failed run raises at once, after the CSVs of the runs before it."""
     rho = cfg.model["rho"]
     records, payload = _census(cfg, rho)
-    ring = payload["thresholds"].get("r_of_rho")
     ensure_outdir(out_dir)
-    traces = _traces(_map_ordered(
-        _simulate_worker, [(cfg, rho, k) for k in range(int(cfg.sweep["seeds"]))], threads))
     summaries = []
-    for k, trace in enumerate(traces):
-        csv_path = os.path.join(out_dir, f"{cfg.name}_seed{k:04d}.csv")
-        write_text(csv_path, trace.to_csv())
-        summaries.append(run_summary(k, trace, records, ring))
-        if not quiet:
-            s = summaries[-1]
-            print(f"seed {k}: |m| = {s['final_r_polar']:.4f} {s['classification']}",
-                  file=sys.stderr)
+    jobs = [(cfg, rho, k) for k in range(int(cfg.sweep["seeds"]))]
+    with closing(_map_ordered(_simulate_worker, jobs, threads)) as traces:
+        for k, trace in enumerate(traces):
+            if isinstance(trace, Exception):
+                raise trace
+            write_text(os.path.join(out_dir, f"{cfg.name}_seed{k:04d}.csv"), trace.to_csv())
+            summaries.append(run_summary(k, trace, records, payload))
+            if not quiet:
+                s = summaries[-1]
+                print(f"seed {k}: |m| = {s['final_r_polar']:.4f} {s['classification']}",
+                      file=sys.stderr)
     write_json(os.path.join(out_dir, "summary.json"),
                {"name": cfg.name, "model_hash": cfg.model_hash(rho=rho),
                 "master_seed": cfg.master_seed, "runs": summaries})
@@ -418,24 +426,16 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     if not rhos:
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")
     n_seeds = int(cfg.sweep["seeds"])
-    censuses, records, rings = {}, [], []
-    for rho in rhos:
-        recs, payload = _census(cfg, rho)
-        records.append(recs)
-        censuses[f"{rho:.12g}"] = payload
-        rings.append(payload["thresholds"].get("r_of_rho"))
+    censuses = [_census(cfg, rho) for rho in rhos]  # (records, payload) per rho
     ensure_outdir(out_dir)
     jobs = [(cfg, rho, i * n_seeds + k) for i, rho in enumerate(rhos) for k in range(n_seeds)]
-    results = _map_ordered(_simulate_worker, jobs, threads)
-    rows = []
-    theta_finals = []
-    n_failed = 0
-    for (_, rho, stream), res in zip(jobs, results):
+    rows, theta_finals, n_failed = [], [], 0
+    # the stream first, so that zip exhausts it and its pool shuts down here
+    for res, (_, rho, stream) in zip(_map_ordered(_simulate_worker, jobs, threads), jobs):
         try:
             if isinstance(res, Exception):
                 raise res
-            i = stream // n_seeds
-            summ = run_summary(stream, res, records[i], rings[i])
+            summ = run_summary(stream, res, *censuses[stream // n_seeds])
             theta_finals.append(summ["final_theta"])
             rows.append([rho, stream, summ["final_a"], summ["final_b"],
                          summ["final_r_polar"], summ["nearest_fp"],
@@ -447,7 +447,8 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     csv_path = os.path.join(out_dir, f"{cfg.name}_scan.csv")
     write_text(csv_path, csv_text(["rho", "seed", "a_final", "b_final", "r_final",
                                    "nearest_fp", "dist", "status"], rows))
-    write_json(os.path.join(out_dir, f"{cfg.name}_scan_census.json"), censuses)
+    write_json(os.path.join(out_dir, f"{cfg.name}_scan_census.json"),
+               {f"{rho:.12g}": payload for rho, (_, payload) in zip(rhos, censuses)})
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_info.json"),
                {"theta_ks_uniform": _ks_uniform_angle(theta_finals),
                 "n_rows": len(rows), "n_failed": n_failed})
@@ -496,18 +497,17 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     run_cfg = replace(cfg, sivjp={**cfg.sivjp, "T": loc["T"]})
     run_cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0).validate()
     ensure_outdir(out_dir)
-    traces = _traces(_map_ordered(
-        _simulate_worker, [(run_cfg, cfg.model["rho"], k) for k in range(int(loc["N"]))],
-        threads))
     per_run = []
-    counts = [0] * len(minima)
-    for k, trace in enumerate(traces):
-        a, b = trace.final.a, trace.final.b
-        w_vals = [2.0 - 2.0 * (a * math.cos(x0) + b * math.sin(x0)) for x0 in minima]
-        localized = int(np.argmin(w_vals)) if min(w_vals) < loc["delta"] else None
-        if localized is not None:
-            counts[localized] += 1
-        per_run.append({"seed": k, "w": w_vals, "localized": localized})
+    jobs = [(run_cfg, cfg.model["rho"], k) for k in range(int(loc["N"]))]
+    with closing(_map_ordered(_simulate_worker, jobs, threads)) as traces:
+        for k, trace in enumerate(traces):
+            if isinstance(trace, Exception):
+                raise trace
+            a, b = trace.final.a, trace.final.b
+            w_vals = [2.0 - 2.0 * (a * math.cos(x0) + b * math.sin(x0)) for x0 in minima]
+            localized = int(np.argmin(w_vals)) if min(w_vals) < loc["delta"] else None
+            per_run.append({"seed": k, "w": w_vals, "localized": localized})
+    counts = [sum(run["localized"] == i for run in per_run) for i in range(len(minima))]
     payload = {"minima": minima, "delta": loc["delta"], "T": loc["T"],
                "rho": cfg.model["rho"], "counts": counts,
                "every_minimum_hit": all(c > 0 for c in counts),

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -90,10 +92,58 @@ class TestConfig:
             with pytest.raises(ConfigError, match="MAX_RUNS"):
                 ExperimentConfig.from_dict(bad)
 
+    # a family of runs that expects exactly MAX_PROPOSALS = 1e9 proposals
+    # loads, and one ulp more of its T is refused. The totals are seeds x T x
+    # max(lam(model.rho), sum of lam(rhos)) and N x lam(model.rho) x
+    # localize.T, with lam = lambda_min + |rho| on `zero`: 250 x 1e6 x 4,
+    # 100 x 2e6 x (2 + 3) and 250 x 4 x 1e6
+    @pytest.mark.parametrize("update, section, key", [
+        ({"model": {"rho": 3.0}, "sweep": {"seeds": 250}, "sivjp": {"T": 1e6}}, "sivjp", "T"),
+        ({"sweep": {"rhos": [1.0, 2.0], "seeds": 100}, "sivjp": {"T": 2e6}}, "sivjp", "T"),
+        ({"model": {"rho": 3.0}, "localize": {"N": 250, "T": 1e6}}, "localize", "T"),
+    ], ids=["sweep_at_model_rho", "sweep_over_rhos", "localize"])
+    def test_total_proposal_bound(self, update, section, key):
+        raw = copy.deepcopy(BASE)
+        for sec, values in update.items():
+            raw.setdefault(sec, {}).update(values)
+        ExperimentConfig.from_dict(raw)
+        raw[section][key] = math.nextafter(raw[section][key], math.inf)
+        with pytest.raises(ConfigError, match="MAX_PROPOSALS"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("sivjp", [{"T": 1999999.0, "record_stride": 1.0},
+                                       {"T": 5e8, "record_stride": 1000.0}],
+                             ids=["dense_schedule", "long_runs"])
+    def test_total_proposal_bound_refuses_large_sweeps(self, sivjp):
+        # 10,000 runs, each within MAX_PROPOSALS and MAX_SNAPSHOTS, of 2e10
+        # and 5e12 expected proposals in all
+        raw = copy.deepcopy(BASE)
+        raw["sweep"]["seeds"] = 10000
+        raw["sivjp"].update(sivjp)
+        with pytest.raises(ConfigError, match="MAX_PROPOSALS"):
+            ExperimentConfig.from_dict(raw)
+
     def test_model_hash_stable_and_rho_sensitive(self):
         cfg = ExperimentConfig.from_dict(BASE)
         assert cfg.model_hash() == cfg.model_hash()
         assert cfg.model_hash(rho=1.0) != cfg.model_hash(rho=2.0)
+
+
+def simulate_peak_rss_kb(tmp_path, seeds: int) -> int:
+    """Peak RSS of a fresh interpreter that runs cmd_simulate on `zero` with
+    `seeds` runs of 8,000 snapshots each."""
+    raw = copy.deepcopy(BASE)
+    raw["sweep"]["seeds"] = seeds
+    raw["sivjp"].update(T=2000.0, record_stride=0.25)
+    code = ("import json, resource, sys\n"
+            "from sivjp.harness import ExperimentConfig, cmd_simulate\n"
+            "cmd_simulate(ExperimentConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(raw),
+                           str(tmp_path / f"seeds{seeds}")],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    return int(done.stdout.split()[-1])
 
 
 class TestSimulate:
@@ -142,6 +192,12 @@ class TestSimulate:
                 (out / f"smoke_seed{k:04d}.csv").read_bytes() for k in range(3)]
             outputs.append(csvs)
         assert outputs[0] == outputs[1]
+
+    def test_peak_rss_does_not_grow_with_the_seed_count(self, tmp_path):
+        # each trace holds 8,000 snapshots (320 KB of arrays); a command
+        # that holds every trace until it writes grows by about 10 MB here
+        grown_kb = simulate_peak_rss_kb(tmp_path, 50) - simulate_peak_rss_kb(tmp_path, 2)
+        assert grown_kb < 2048
 
 
 class RecordingPool:
@@ -212,6 +268,14 @@ class TestCLI:
         # job lists of more than MAX_RUNS runs, refused before they are built
         ("sweep", {"seeds": 10**30}, "simulate"),
         ("sweep", {"rhos": [1.0, 2.0], "seeds": 5001}, "scan"),
+        # commands of more than MAX_PROPOSALS expected proposals in all, each
+        # run within it: 10,000 runs of 2e6 snapshots, and of 5e8 proposals
+        (None, {"sweep": {"seeds": 10000}, "sivjp": {"T": 1999999.0, "record_stride": 1.0}},
+         "simulate"),
+        (None, {"sweep": {"seeds": 10000}, "sivjp": {"T": 5e8, "record_stride": 1000.0}},
+         "simulate"),
+        # two rhos that scan's census keys and rows would print as the same %.12g
+        ("sweep", {"rhos": [1.0, 1.0000000000001, 3.0]}, "scan"),
         # MAX_SNAPSHOTS + 1 snapshots before T: the count that the run's
         # schedule refuses must be refused at load
         ("sivjp", {"T": 2000001.5, "record_stride": 1.0}, "simulate"),
@@ -238,7 +302,9 @@ class TestCLI:
             "long_T_flow", "tiny_dt_flow", "huge_lambda_min_simulate",
             "huge_lambda_min_localize", "huge_rho_localize", "huge_sweep_rho_scan",
             "underflow_fixed_points", "underflow_simulate", "underflow_scan",
-            "huge_seeds_simulate", "seeds_times_rhos_scan", "snapshot_count_edge_simulate",
+            "huge_seeds_simulate", "seeds_times_rhos_scan", "dense_sweep_total_simulate",
+            "long_sweep_total_simulate", "rhos_printing_alike_scan",
+            "snapshot_count_edge_simulate",
             "nan_log_schedule_simulate", "short_log_schedule_shadow",
             "sparse_linear_schedule_shadow", "tiny_dt_shadow"])
     def test_invalid_config_exit_two_no_files(self, tmp_path, capsys, monkeypatch, section,
@@ -291,8 +357,8 @@ class TestCLI:
 
     def test_pool_no_larger_than_the_jobs(self, monkeypatch):
         sizes = RecordingPool.install(monkeypatch)
-        assert harness._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], threads=8) == [2, 4, 8]
-        assert harness._map_ordered(pow, [(3, k) for k in range(60)], threads=2) \
+        assert list(harness._map_ordered(pow, [(2, 1), (2, 2), (2, 3)], threads=8)) == [2, 4, 8]
+        assert list(harness._map_ordered(pow, [(3, k) for k in range(60)], threads=2)) \
             == [3 ** k for k in range(60)]
         assert sizes == [3, 2]
 
@@ -367,6 +433,33 @@ class TestCLI:
         assert main(["--config", path, "--out", str(tmp_path / "out"),
                      "--quiet", command]) == 4
         assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "localize"])
+    @pytest.mark.parametrize("first_bad", [0, 1])
+    def test_failed_run_stops_the_command(self, tmp_path, monkeypatch, capsys, command,
+                                          first_bad):
+        # the runs from stream first_bad on fail: the command stops at the
+        # first of them, leaving the CSVs of the runs before it and no summary
+        real_run, calls = harness.run_sitp, []
+
+        def failing(run):
+            calls.append(run.seed.stream_index)
+            if run.seed.stream_index >= first_bad:
+                raise RunawayRateError("proposal budget exceeded")
+            return real_run(run)
+
+        monkeypatch.setattr(harness, "run_sitp", failing)
+        raw = copy.deepcopy(BASE)
+        if command == "localize":
+            raw["model"] = {"potential": "two_well", "rho": 30.0, "lambda_min": 1.0}
+            raw["localize"] = {"N": 3, "T": 300.0}
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, raw), "--out", str(out),
+                     "--threads", "1", "--quiet", command]) == 4
+        assert capsys.readouterr().err == "error: RunawayRateError: proposal budget exceeded\n"
+        assert calls == list(range(first_bad + 1))
+        written = [f"smoke_seed{k:04d}.csv" for k in range(first_bad)]
+        assert sorted(p.name for p in out.iterdir()) == (written if command == "simulate" else [])
 
     def test_shadow_flow_failing_halving_check_exit_four(self, tmp_path, capsys):
         # at dt = 0.1 the window flows of shadow_demo miss HALVING_TOL

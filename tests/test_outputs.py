@@ -3,8 +3,10 @@
 fixed_points.json of `fixed-points` on every shipped config,
 validate_report.json at seed 0, and every file that `flow`, `shadow`,
 `simulate`, `scan` and `localize` write on their shipped configs at
---threads 1 must not change by a single bit under a refactor. A change that means to move
-these bits re-pins the digests and says why in CHANGES.md.
+--threads 1 must not change by a single bit under a refactor. `simulate`,
+`scan` and `localize` must write the same bytes at --threads 2, through a
+process pool. A change that means to move these bits re-pins the digests
+and says why in CHANGES.md.
 """
 
 import hashlib
@@ -100,9 +102,17 @@ def test_validate_report_digest(tmp_path):
     assert _sha256(tmp_path / "validate_report.json") == VALIDATE_SEED0_SHA256
 
 
-@pytest.mark.parametrize("command, name", sorted(COMMAND_OUTPUTS_SHA256))
-def test_command_outputs_digest(tmp_path, command, name):
+# the commands that run their seeds through a pool at --threads above 1
+POOLED = ("simulate", "scan", "localize")
+
+
+@pytest.mark.parametrize("command, name, threads", [
+    pytest.param(command, name, threads,
+                 id=f"{command}-{name}" + ("" if threads == 1 else f"-threads{threads}"))
+    for command, name in sorted(COMMAND_OUTPUTS_SHA256)
+    for threads in ((1, 2) if command in POOLED else (1,))])
+def test_command_outputs_digest(tmp_path, command, name, threads):
     assert main(["--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path),
-                 "--threads", "1", "--quiet", command]) == 0
+                 "--threads", str(threads), "--quiet", command]) == 0
     assert {p.name: _sha256(p) for p in tmp_path.iterdir()} \
         == COMMAND_OUTPUTS_SHA256[(command, name)]
