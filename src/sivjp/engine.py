@@ -28,7 +28,9 @@ start's weight w. Where markov.envelope_slope predicts too small a saving
 to repay the dearer clock (weak interaction under a high floor), the run
 keeps the constant lam_bar.
 
-One thinning loop, _drive, serves both modes; only the drift differs.
+One thinning loop, _drive, serves both modes; only the drift differs. It
+is the only thinning loop on the circle: markov.simulate_telegraph is the
+moment mode at rho = 0, with _drive recording its jump skeleton.
 run_sitp is the exact moment mode: the drift U'(x) + rho*(a sin x - b cos x)
 is computed inline, and the two moments are the whole occupation state, so
 a run is a pure function of its config and seed (occupation_histogram bins
@@ -239,8 +241,10 @@ def _finalize(cfg: SIVJPConfig, rec, n_events, n_proposals) -> MomentTrace:
 
 
 def _drive(cfg: SIVJPConfig, lam_bar: float,
-           drift: Callable[[float, int, float, float, float], float] | None = None):
-    """The thinning loop of both modes, capped at the envelope lam_bar.
+           drift: Callable[[float, int, float, float, float], float] | None = None,
+           jumps: list | None = None):
+    """The thinning loop of both modes and of markov.simulate_telegraph,
+    capped at the envelope lam_bar.
 
     With drift None the drift is the moment mode's
     U'(x) + rho*(a sin x - b cos x), computed inline, and proposals come
@@ -248,7 +252,9 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     cfg.lambda_bar_override pins the constant lam_bar; otherwise it is
     drift(x_prev, y, tau, x, t), called once per proposal after the flight
     leg of length tau from x_prev to x (now at time t), under the constant
-    lam_bar.
+    lam_bar. A jumps list receives t, x, y at each accepted flip, y the
+    velocity after it: the jump skeleton, flat, so that it holds no
+    containers for the garbage collector to traverse.
 
     Returns (rec, x, y, t, n_events, n_proposals), where rec holds the
     snapshot columns and (x, y, t) is the state at the last proposal.
@@ -334,6 +340,8 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
                                        f"exceeds the envelope {lam!r}")
             y = -y
             n_events += 1
+            if jumps is not None:
+                jumps += (t, x, y)
 
     return rec, x, y, t, n_events, n_prop
 
@@ -342,9 +350,9 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
     """Exact moment-mode simulation of the self-interacting telegraph process.
 
     With rho = 0 the interaction vanishes and this is the plain telegraph
-    engine with the same draw consumption, so matched seeds reproduce
-    simulate_telegraph exactly. The moments are the whole occupation state,
-    so the trace is the whole result.
+    process: simulate_telegraph runs the same loop on the same draws, so
+    matched seeds reproduce it exactly. The moments are the whole
+    occupation state, so the trace is the whole result.
     """
     cfg.validate()
     lam_bar = thinning_envelope(cfg.model.thinning_bound, cfg.lambda_bar_override)

@@ -45,13 +45,16 @@ class FlowTrace:
 
 
 def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
+              dt: float, substeps: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 on Python floats, component by component.
 
-    Each stage does the arithmetic of the array form p + (0.5*h)*k,
-    p + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the same order. math.hypot takes
-    the norm: it may differ from np.hypot in the last ulp, and the path is
-    held to the reference loop within round-off, not bit for bit.
+    The output steps are dt long, the last one cut at t_flow; each is taken
+    as `substeps` equal RK4 steps, so paths with different substeps share
+    their output times. Each stage does the arithmetic of the array form
+    p + (0.5*h)*k, p + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the same order.
+    math.hypot takes the norm: it may differ from np.hypot in the last ulp,
+    and the path is held to the reference loop within round-off, not bit
+    for bit.
     """
     n_steps = int(math.ceil(t_flow / dt - 1e-12))
     field = tables.fbar
@@ -59,21 +62,23 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
     times, points = [0.0], [(pa, pb)]
     s = 0.0
     for _ in range(n_steps):
-        h = min(dt, t_flow - s)
+        step = min(dt, t_flow - s)
+        h = step / substeps
         hh = 0.5 * h
-        k1a, k1b = field(pa, pb)
-        k2a, k2b = field(pa + hh * k1a, pb + hh * k1b)
-        k3a, k3b = field(pa + hh * k2a, pb + hh * k2b)
-        k4a, k4b = field(pa + h * k3a, pb + h * k3b)
         h6 = h / 6.0
-        pa = pa + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        pb = pb + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        norm = math.hypot(pa, pb)
-        if norm > 1.0 + 1e-6:
-            raise NumericError(f"integrate_flow: trajectory left the unit disk ({norm})")
-        if norm > 1.0:  # round-off overshoot: project back
-            pa, pb = pa / norm, pb / norm
-        s += h
+        for _ in range(substeps):
+            k1a, k1b = field(pa, pb)
+            k2a, k2b = field(pa + hh * k1a, pb + hh * k1b)
+            k3a, k3b = field(pa + hh * k2a, pb + hh * k2b)
+            k4a, k4b = field(pa + h * k3a, pb + h * k3b)
+            pa = pa + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            pb = pb + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            norm = math.hypot(pa, pb)
+            if norm > 1.0 + 1e-6:
+                raise NumericError(f"integrate_flow: trajectory left the unit disk ({norm})")
+            if norm > 1.0:  # round-off overshoot: project back
+                pa, pb = pa / norm, pb / norm
+        s += step
         times.append(s)
         points.append((pa, pb))
     return np.array(times), np.array(points)
@@ -98,12 +103,13 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
 
     The default step keeps the scheme inside its stability region for
     every |rho| <= 40, but that does not make the path accurate: the
-    guarantee is the self-check, which recomputes the trace at half the
-    step; the two must agree to HALVING_TOL in sup norm, else NumericError.
-    At dt = 0.01 and t_flow = 8 that check refuses, e.g., rho = -40 from
-    (0.5, 0) and from (0.01, 0.02), rho = 40 from (0.01, 0.02), and cos2 at
-    rho = -10 from (0.5, 0); a smaller dt may pass it. A horizon of more
-    than MAX_FLOW_STEPS steps is refused before any path is built.
+    guarantee is the self-check, which recomputes the trace with each step,
+    the partial last one too, taken as two half steps; the two must agree
+    to HALVING_TOL in sup norm, else NumericError. At dt = 0.01 and
+    t_flow = 8 that check refuses, e.g., rho = -40 from (0.5, 0) and from
+    (0.01, 0.02), rho = 40 from (0.01, 0.02), and cos2 at rho = -10 from
+    (0.5, 0); a smaller dt may pass it. A horizon of more than
+    MAX_FLOW_STEPS steps is refused before any path is built.
     """
     a0, b0 = start
     if not math.hypot(a0, b0) <= 1.0 + DISK_TOL:  # NaN fails too
@@ -112,8 +118,8 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     p0 = np.array([a0, b0], dtype=float)
     tables = _NodeTables(model, field_grid(model))
     times, points = _rk4_path(tables, p0, t_flow, dt)
-    _, fine = _rk4_path(tables, p0, t_flow, 0.5 * dt)
-    err = float(np.max(np.abs(points - fine[::2])))
+    _, fine = _rk4_path(tables, p0, t_flow, dt, substeps=2)
+    err = float(np.max(np.abs(points - fine)))
     if err > HALVING_TOL:
         raise NumericError(
             f"integrate_flow: step-halving check failed (sup error {err:.3e})")

@@ -6,12 +6,13 @@ dominates the true jump rate, and a proposal at state z is accepted with
 probability rate(z)/bound. Between events the motion is free flight, so the
 law of the output is exactly that of the jump process -- there is no
 time-discretization error anywhere. Exactness needs the bound to dominate,
-so every thinning loop here and in the self-interacting engine raises
-RunawayRateError on a jump rate above it (beyond round-off).
-thinning_envelope is the one rule for raising the certified global
-envelope lam_bar by an override, shared with the engine.
+so both thinning loops raise RunawayRateError on a jump rate above it
+(beyond round-off). thinning_envelope is the one rule for raising the
+certified global envelope lam_bar by an override.
 
-The telegraph loops (simulate_telegraph and the engine) propose under the
+simulate_telegraph is the self-interacting engine at rho = 0: it runs on
+the engine's thinning loop, engine._drive, which records its jump
+skeleton, so the two cannot drift apart. That loop proposes under the
 local envelope of local_clock. Along a flight leg the rate is
 lambda_min + g(s)_+ with g(s) = y V'(x(s)), and |g'| <= slope, so
 
@@ -22,11 +23,11 @@ already computed (Lewis & Shedler 1979; the affine bounds of the Zig-Zag
 sampler). Under strong attraction most of the global envelope is waste and
 the local one removes it. Its clock costs more per proposal, so
 envelope_slope keeps it only where the saving is predicted to repay that;
-otherwise, and for an infinite or zero slope, the loops propose under the
+otherwise, and for an infinite or zero slope, the loop proposes under the
 constant envelope lam_bar, which a lambda_bar_override pins. The d-torus
-loop keeps its constant envelope. Every run stops with
-RunawayRateError past proposal_budget, which its proposal count exceeds
-with negligible probability, since that count is dominated by
+loop here, simulate_torus_vjp, keeps its constant envelope. Every run
+stops with RunawayRateError past proposal_budget, which its proposal count
+exceeds with negligible probability, since that count is dominated by
 Poisson(lam_bar * T).
 
 The 1-D telegraph process flips its velocity y in {-1, +1} at rate
@@ -51,8 +52,9 @@ import numpy as np
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import (DENSITY_GRID, TWO_PI, PeriodicGrid,
                        segments_sojourn, wrap)
+from .model import ModelSpec
 from .potentials import FrozenPotential
-from .rng import SeedSpec, derive_stream, uniform_pairs
+from .rng import SeedSpec, derive_stream
 
 if TYPE_CHECKING:
     from .equilibria import GridDensity
@@ -236,70 +238,30 @@ def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphSta
                        lambda_bar_override: float | None = None) -> EventLog:
     """Telegraph process on the circle with flip rate lambda_min + (y V'(x))_+.
 
-    Exact thinning under the local envelope of local_clock, with slope
-    pot.ddv_sup and cap lam_bar = lambda_min + pot.dv_sup, where
-    envelope_slope predicts it pays, else under the constant lam_bar. An
-    override (upward only) pins the constant envelope, e.g. to share a
-    proposal skeleton between runs.
+    It is the self-interacting engine's moment mode at rho = 0, run on its
+    thinning loop engine._drive, which records the jump skeleton. Proposals
+    come from the local envelope of local_clock, with slope pot.ddv_sup and
+    cap lam_bar = lambda_min + pot.dv_sup, where envelope_slope predicts it
+    pays, else from the constant lam_bar. An override (upward only) pins
+    the constant envelope, e.g. to share a proposal skeleton between runs.
     """
+    from .engine import SIVJPConfig, _drive  # engine imports this module
     if not lambda_min > 0.0:
         raise ConfigError("simulate_telegraph: lambda_min must be > 0")
     if not t_end > 0.0:
         raise ConfigError("simulate_telegraph: T must be > 0")
-    lam_bar = thinning_envelope(lambda_min + pot.dv_sup, lambda_bar_override)
-    slope = inf if lambda_bar_override is not None else envelope_slope(
-        lambda_min, lam_bar, pot.ddv_sup)
-    local = slope < inf
-    lam = lam_bar  # the bound at the proposal: constant unless local
-    budget = proposal_budget(lam_bar, t_end)
-
-    tol = 1.0 + ROUNDOFF_TOL
-    draws = uniform_pairs(derive_stream(seed))
-    dv = pot.dv_scalar
-    clock = local_clock
-    log1p = math.log1p
-    fmod = math.fmod
-    x = wrap(z0.x)
-    y = z0.y
-    d = dv(x)  # V'(x) at the last proposal: y*d is the local envelope's intercept
-    t = 0.0
-    times: list[float] = []
-    xs: list[float] = []
-    ys: list[int] = []
-    n_prop = 0
-    for u_gap, u_acc in draws:
-        if local:
-            tau, lam = clock(u_gap, y * d, slope, lambda_min, lam_bar)
-        else:  # local_clock's constant case, inlined
-            tau = -log1p(-u_gap) / lam_bar
-        if t + tau >= t_end:
-            x = wrap(x + y * (t_end - t))
-            t = t_end
-            break
-        t += tau
-        # wrap inlined: x and tau are finite under a finite envelope
-        x = fmod(x + y * tau, TWO_PI)
-        if x < 0.0:
-            x += TWO_PI
-            if x >= TWO_PI:  # a tiny negative x rounds up to 2*pi
-                x -= TWO_PI
-        n_prop += 1
-        if n_prop > budget:
-            raise RunawayRateError("simulate_telegraph: proposal budget exceeded")
-        d = dv(x)
-        rate = lambda_min + max(0.0, y * d)
-        if u_acc * lam < rate:
-            if rate > lam * tol:  # always accepted, so checking here is enough
-                raise RunawayRateError(
-                    f"simulate_telegraph: jump rate {rate!r} exceeds the envelope {lam!r}")
-            y = -y
-            times.append(t)
-            xs.append(x)
-            ys.append(y)
+    model = ModelSpec(potential=pot, rho=0.0, lambda_min=lambda_min)
+    lam_bar = thinning_envelope(model.thinning_bound, lambda_bar_override)
+    # one snapshot, at t_end: the final state
+    cfg = SIVJPConfig(model=model, t_end=t_end, seed=seed, z0=z0, record_stride=t_end,
+                      lambda_bar_override=lambda_bar_override)
+    jumps: list[float] = []
+    rec, _, _, _, _, n_prop = _drive(cfg, lam_bar, jumps=jumps)
+    skeleton = np.array(jumps, dtype=float).reshape(-1, 3)
     return EventLog(x0=wrap(z0.x), y0=z0.y,
-                    jump_times=np.array(times), post_x=np.array(xs),
-                    post_y=np.array(ys, dtype=int), t_final=t_end,
-                    x_final=x, y_final=y, n_proposals=n_prop)
+                    jump_times=skeleton[:, 0], post_x=skeleton[:, 1],
+                    post_y=skeleton[:, 2].astype(int), t_final=t_end,
+                    x_final=rec[3][-1], y_final=rec[4][-1], n_proposals=n_prop)
 
 
 def simulate_torus_vjp(grad_v: Callable[[np.ndarray], np.ndarray],

@@ -5,7 +5,8 @@ and root-finding paths: Bessel values come from the defining power series,
 reference radii from bisection on a dense brute-force grid. The exception
 is the reference field and Jacobian, which run the package's reference
 quadrature path (pibar, moments, quad_periodic) that the node tables
-evaluating Fbar everywhere else must match bit for bit.
+evaluating Fbar everywhere else must match within 1e-14 (the Jacobian
+within 1e-14 max(1, |rho|)).
 """
 
 from __future__ import annotations

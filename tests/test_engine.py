@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import TWO_PI
 from sivjp.markov import MAX_PROPOSALS, envelope_slope, local_clock
 from sivjp.model import ModelSpec
-from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
+from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
+                              two_well_potential, zero_potential)
 
 ZERO = ModelSpec(potential=zero_potential(), rho=0.0)
 
@@ -320,6 +322,29 @@ class TestDrawConsumption:
                                  SeedSpec(7, 3))
         assert (log.jump_times.size, log.n_proposals) == (8506, 12252)
         assert (log.x_final, log.y_final) == (0.6627408838076967, 1)
+
+    # the whole jump skeleton, as the SHA-256 of EventLog.to_csv(): the two
+    # goldens above, a potential with no curvature bound (ddv_sup = inf), an
+    # override above the certified envelope, and a run too short to jump
+    @pytest.mark.parametrize("pot, lam_min, z0, t_end, override, jumps, digest", [
+        (cos2_potential(), 1.0, (1.0, 1), 1e4, 3.0, 15801,
+         "fd3d53e5a409d60c1339e83e7edc11d2858c2be2bbf340ec0fdf472270baeac0"),
+        (cos2_potential(), 0.25, (1.0, 1), 1e4, None, 8506,
+         "a4125fd0ac8050d1907a9de28f7240e17f64845ac3c3123380d5a4d3b496656c"),
+        (frozen_potential(lambda z: -np.cos(2 * z), lambda z: 2 * np.sin(2 * z)),
+         0.25, (1.0, 1), 2000.0, None, 1634,
+         "2be1db93985ff14bd41da79feafca68c781b3f5452e0444dea40074da966517d"),
+        (cos_potential(), 0.5, (4.0, -1), 2000.0, 4.0, 1597,
+         "54b462c11ddedcc043e261cfb5df753a9176b2bcd6a4c66ac958e63e77b4a667"),
+        (zero_potential(), 1.0, (1.0, -1), 0.05, None, 0,
+         "26812be047900313a2ecb658148fc267aa352dfb5e50ce8465f2e01f248d6777"),
+    ], ids=["constant", "local", "frozen", "override", "no_jump"])
+    def test_simulate_telegraph_skeleton_digest(self, pot, lam_min, z0, t_end, override,
+                                                jumps, digest):
+        log = simulate_telegraph(pot, lam_min, TelegraphState(*z0), t_end, SeedSpec(7, 3),
+                                 lambda_bar_override=override)
+        assert log.jump_times.size == jumps
+        assert hashlib.sha256(log.to_csv().encode()).hexdigest() == digest
 
 
 class TestLocalEnvelope:

@@ -10,7 +10,7 @@ from sivjp import flow
 from sivjp.engine import MomentTrace, OccupationStats
 from sivjp.equilibria import _NodeTables, field_grid
 from sivjp.geometry import DENSITY_GRID
-from sivjp.errors import ConfigError, DomainError
+from sivjp.errors import ConfigError, DomainError, NumericError
 from sivjp.markov import TelegraphState
 from sivjp.model import ModelSpec
 from sivjp.potentials import cos2_potential, zero_potential
@@ -84,6 +84,25 @@ class TestIntegrateFlow:
     def test_step_halving_check_runs(self):
         trace = integrate_flow(model_zero(2.5), (0.3, -0.2), 5.0, dt=0.05)
         assert trace.points.shape == (101, 2)
+
+    @pytest.mark.parametrize("model, t_flow", [
+        (ModelSpec(potential=cos2_potential(), rho=2.0), 0.025),
+        (model_zero(4.0), 1.005)], ids=["cos2", "zero"])
+    def test_partial_last_step_ends_at_horizon(self, model, t_flow):
+        # t_flow / dt has a fractional part in (0, 0.5]: the dt/2 path must
+        # still be compared at the dt path's output times
+        trace = integrate_flow(model, (0.1, 0.0), t_flow, dt=0.01)
+        assert trace.times[-1] == pytest.approx(t_flow, rel=1e-15)
+        assert trace.points.shape == (trace.times.size, 2)
+
+    @pytest.mark.parametrize("pot, rho, start", [
+        (zero_potential(), -40.0, (0.5, 0.0)), (zero_potential(), -40.0, (0.01, 0.02)),
+        (zero_potential(), 40.0, (0.01, 0.02)), (cos2_potential(), -10.0, (0.5, 0.0))],
+        ids=["zero-40_far", "zero-40_near", "zero+40", "cos2-10"])
+    def test_documented_refusals(self, pot, rho, start):
+        # the examples of integrate_flow's docstring, at dt = 0.01 and t_flow = 8
+        with pytest.raises(NumericError, match="step-halving check failed"):
+            integrate_flow(ModelSpec(potential=pot, rho=rho), start, 8.0, dt=0.01)
 
     def test_stays_in_disk(self):
         trace = integrate_flow(ModelSpec(potential=cos2_potential(), rho=5.0),

@@ -578,6 +578,22 @@ class TestCLIContract:
         assert probed == {path for path, _ in _numeric_fields()}
         assert {0, 2, 4} <= codes  # runs, refusals and failed runs were all reached
 
+    @pytest.mark.parametrize("config, edits, command, code", [
+        ("flow_demo", {"flow": {"T_flow": 1.005}}, "flow", 0),
+        ("shadow_demo", {"sivjp": {"T": 2000.0}, "flow": {"dt": 0.09}}, "shadow", 4)],
+        ids=["flow", "shadow"])
+    def test_partial_last_flow_step_keeps_the_contract(self, tmp_path, capsys, config, edits,
+                                                       command, code):
+        # a flow horizon that is not a whole number of steps: its last step
+        # is partial, on the dt path and on the dt/2 path of the halving
+        # check; shadow's window flows at dt = 0.09 then fail that check,
+        # an honest exit 4
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / f"{config}.json").read_text())
+        for section, values in edits.items():
+            raw.setdefault(section, {}).update(values)
+        assert _run_contract(tmp_path, capsys, raw, command) == (code, None)
+
     def test_escaping_exception_breaks_the_contract(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("not mapped to an exit code")

@@ -62,6 +62,53 @@ def test_check_flags_an_unused_import():
 
 
 # ---------------------------------------------------------------------------
+# one thinning loop on the circle: only engine._drive reads the loop's draws
+# and its local clock, so a second copy of the loop cannot come back
+
+LOOP_PRIMITIVES = ("uniform_pairs", "local_clock")
+
+
+def loop_primitive_users(source: str, module: str) -> dict[str, set[str]]:
+    """{name: qualified names of the scopes that read it} for each of
+    LOOP_PRIMITIVES, read as a name or an attribute, called or aliased."""
+    users: dict[str, set[str]] = {name: set() for name in LOOP_PRIMITIVES}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            else:
+                name = child.attr if isinstance(child, ast.Attribute) else None
+            if name in users:
+                users[name].add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return users
+
+
+def test_one_thinning_loop_on_the_circle():
+    users: dict[str, set[str]] = {name: set() for name in LOOP_PRIMITIVES}
+    for path in sorted(SRC.glob("*.py")):
+        for name, scopes in loop_primitive_users(path.read_text(encoding="utf-8"),
+                                                 path.stem).items():
+            users[name] |= scopes
+    assert users == {name: {"engine._drive"} for name in LOOP_PRIMITIVES}
+
+
+def test_check_finds_an_aliased_loop_primitive():
+    src = ("from .markov import local_clock\nfrom . import rng\n"
+           "def loop(gen):\n    clock = local_clock\n"
+           "    for pair in rng.uniform_pairs(gen):\n        clock(*pair)\n"
+           "class Run:\n    def go(self):\n        return local_clock(0.5, 0.0, 1.0, 1.0, 2.0)\n")
+    assert loop_primitive_users(src, "m") == {"uniform_pairs": {"m.loop"},
+                                              "local_clock": {"m.loop", "m.Run.go"}}
+
+
+# ---------------------------------------------------------------------------
 # import budget
 
 POOL = "concurrent.futures.process"
