@@ -32,6 +32,12 @@ the tests hold it to, within round-off: 1e-14 for Fbar, 1e-14 max(1, |rho|)
 for the Jacobian. The census evaluates in batches: its Newton sweep goes
 in lockstep over all starts, and its records take one batched call.
 
+Fbar is a gradient, Fbar = grad Phi with Phi(m) = log Z(rho m) / rho
+- |m|^2 / 2 and Z the normalizer of pibar (Benaim & Raimond, Ann.
+Probab. 2005, the symmetric case), so its Jacobian rho * Cov - I is
+symmetric and has real eigenvalues. The census solves its 2x2 Newton
+systems and takes its eigenvalues in closed form, with no LAPACK call.
+
 The flow and, unless given a grid, the census use field_grid(model) nodes:
 the fewest of 64, 128 and 256 for which a closed-form bound on the
 trapezoid rule's error (Trefethen & Weideman), from the potential's
@@ -335,13 +341,15 @@ def solve_r_of_rho(rho: float) -> float:
     return r
 
 
-def _require_centered(model: ModelSpec) -> GridDensity:
+def _threshold(model: ModelSpec, trig: Callable[[np.ndarray], np.ndarray]) -> float:
+    """1 / int trig^2 dm_U, with m_U the Gibbs measure of U on THRESHOLD_GRID;
+    DomainError unless m_U has vanishing first trigonometric moments."""
     m_u = pibar(model, 0.0, 0.0, THRESHOLD_GRID)
     ma, mb = moments(m_u)
     if abs(ma) > SYMMETRY_TOL or abs(mb) > SYMMETRY_TOL:
         raise DomainError(
             f"exterior potential is not centred: Gibbs moments ({ma:.2e}, {mb:.2e})")
-    return m_u
+    return 1.0 / quad_periodic(trig(THRESHOLD_GRID.nodes) ** 2 * m_u.values, THRESHOLD_GRID)
 
 
 def rho_c(model: ModelSpec) -> float:
@@ -350,16 +358,12 @@ def rho_c(model: ModelSpec) -> float:
     Requires the Gibbs measure of U to have vanishing first trigonometric
     moments (automatic for U even around 0 and pi, e.g. U = -cos 2z).
     """
-    m_u = _require_centered(model)
-    z = THRESHOLD_GRID.nodes
-    return 1.0 / quad_periodic(np.cos(z) ** 2 * m_u.values, THRESHOLD_GRID)
+    return _threshold(model, np.cos)
 
 
 def rho_2(model: ModelSpec) -> float:
     """Second threshold 1 / int sin^2 dm_U (vertical-axis analogue)."""
-    m_u = _require_centered(model)
-    z = THRESHOLD_GRID.nodes
-    return 1.0 / quad_periodic(np.sin(z) ** 2 * m_u.values, THRESHOLD_GRID)
+    return _threshold(model, np.sin)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +383,19 @@ class FixedPointRecord:
     a: float
     b: float
     residual: float
-    jacobian: np.ndarray
-    eigenvalues: np.ndarray  # complex pair
+    jacobian: np.ndarray  # symmetric: Fbar is a gradient
+    eigenvalues: np.ndarray  # real pair, ascending
     stability: str  # Sink | Saddle | Source | Degenerate
+
+    @property
+    def attracting(self) -> bool:
+        """No eigenvalue beyond +STABILITY_TOL.
+
+        Sinks qualify, and so do degenerate points whose only marginal
+        direction is neutral (the supercritical circle of fixed points with
+        no exterior potential): trajectories do settle on those.
+        """
+        return bool(self.eigenvalues[1] <= STABILITY_TOL)
 
     def as_dict(self) -> dict:
         return {
@@ -390,8 +404,8 @@ class FixedPointRecord:
             "residual": self.residual,
             "jac": [[self.jacobian[0, 0], self.jacobian[0, 1]],
                     [self.jacobian[1, 0], self.jacobian[1, 1]]],
-            "eig_re": [float(self.eigenvalues[0].real), float(self.eigenvalues[1].real)],
-            "eig_im": [float(self.eigenvalues[0].imag), float(self.eigenvalues[1].imag)],
+            "eig_re": self.eigenvalues.tolist(),
+            "eig_im": [0.0, 0.0],
             "stability": self.stability,
         }
 
@@ -408,16 +422,17 @@ def classify(eigenvalues: np.ndarray) -> str:
 
 
 def _records(tables: _NodeTables, roots: list[tuple[float, float]]) -> list[FixedPointRecord]:
-    """One record per root, from one batched evaluation."""
+    """One record per root, from one batched evaluation. The Jacobian
+    [[p, q], [q, r]] is symmetric, so its eigenvalues are real:
+    mid -+ hypot((p - r) / 2, q) with mid = (p + r) / 2, in ascending order."""
     pts = np.array(roots, dtype=float).reshape(-1, 2)
     f, jacs = tables.fbar_jacobian_many(pts[:, 0], pts[:, 1])
-    records = []
-    for (a, b), (fa, fb), jac, eig in zip(roots, f.tolist(), jacs, np.linalg.eigvals(jacs)):
-        eig = eig[np.lexsort((eig.imag, eig.real))]
-        records.append(FixedPointRecord(a=a, b=b, residual=math.hypot(fa, fb),
-                                        jacobian=jac, eigenvalues=eig,
-                                        stability=classify(eig)))
-    return records
+    p, q, r = jacs[:, 0, 0], jacs[:, 0, 1], jacs[:, 1, 1]
+    mid, rad = 0.5 * (p + r), np.hypot(0.5 * (p - r), q)
+    eigs = np.stack([mid - rad, mid + rad], axis=1)
+    return [FixedPointRecord(a=a, b=b, residual=math.hypot(fa, fb), jacobian=jac,
+                             eigenvalues=eig, stability=classify(eig))
+            for (a, b), (fa, fb), jac, eig in zip(roots, f.tolist(), jacs, eigs)]
 
 
 def _newton_lockstep(tables: _NodeTables,
@@ -426,10 +441,10 @@ def _newton_lockstep(tables: _NodeTables,
 
     Entry i is start i's root, or None when its iterate left NEWTON_RADIUS,
     met a singular Jacobian or did not converge in NEWTON_MAX_ITER steps.
-    Each round evaluates the live starts in one batch and solves their
-    steps in one stacked np.linalg.solve, which gives every matrix the
-    solution a solve of its own gives; so each start follows the path it
-    would follow alone.
+    Each round evaluates the live starts in one batch and solves each
+    symmetric system [[p, q], [q, r]] step = -Fbar in closed form, over
+    det = p r - q^2; a start whose det is 0 is dropped with the converged
+    ones. Each start follows the path it would follow alone.
     """
     out: list[tuple[float, float] | None] = [None] * len(starts)
     x = np.array(starts, dtype=float)
@@ -441,18 +456,12 @@ def _newton_lockstep(tables: _NodeTables,
         done = np.hypot(f[:, 0], f[:, 1]) < NEWTON_TOL
         for i, root in zip(live[done].tolist(), x[done].tolist()):
             out[i] = (root[0], root[1])
-        x, f, jac, live = x[~done], f[~done], jac[~done], live[~done]
-        try:
-            step = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # a singular start: solve one at a time, drop it
-            step = np.zeros_like(f)
-            ok = np.ones(len(f), dtype=bool)
-            for i in range(len(f)):
-                try:
-                    step[i] = np.linalg.solve(jac[i], -f[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
-            x, step, live = x[ok], step[ok], live[ok]
+        p, q, r = jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 1]
+        det = p * r - q * q
+        keep = ~done & (det != 0.0)
+        x, f, p, q, r, det, live = (v[keep] for v in (x, f, p, q, r, det, live))
+        step = np.stack([q * f[:, 1] - r * f[:, 0], q * f[:, 0] - p * f[:, 1]], axis=1) \
+            / det[:, None]
         norm = np.hypot(step[:, 0], step[:, 1])
         long = norm > 0.5  # keep iterates from shooting across the disk
         step[long] *= (0.5 / norm[long])[:, None]

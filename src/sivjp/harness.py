@@ -11,12 +11,12 @@ Summaries and fixed-point files cross-reference each other by a hash of
 the model configuration.
 
 Each command imports only the modules it runs: the fixed-point atlas
-(equilibria) is imported by the commands that take a census and by
-is_attracting, the flow by cmd_flow and cmd_shadow, the self-checks by
-validation_report, and ProcessPoolExecutor by _map_ordered when it first
-starts a pool, so `localize` at --threads 1 loads none of them. Those
-calls go through the module objects (equilibria.find_fixed_points,
-flow.integrate_flow), so that replacements made on those modules apply.
+(equilibria) is imported by the commands that take a census, the flow
+by cmd_flow and cmd_shadow, the self-checks by validation_report, and
+ProcessPoolExecutor by _map_ordered when it first starts a pool, so
+`localize` at --threads 1 loads none of them. Those calls go through the
+module objects (equilibria.find_fixed_points, flow.integrate_flow), so
+that replacements made on those modules apply.
 ProcessPoolExecutor, run_sitp, _simulate_worker, classify_limit and
 ExperimentConfig.from_dict stay module attributes that are looked up at
 call time, because the benchmark's tracer (perfbench/traced.py) and the
@@ -40,7 +40,7 @@ import numpy as np
 from .engine import MomentTrace, SIVJPConfig, run_sitp
 from .errors import ConfigError, DomainError, SweepError
 from .geometry import TWO_PI
-from .markov import MAX_PROPOSALS, TelegraphState, csv_text
+from .markov import MAX_PROPOSALS, TelegraphState, csv_text, ks_uniform
 from .model import ModelSpec
 from .potentials import local_minima, make_potential
 from .rng import SeedSpec
@@ -176,17 +176,6 @@ LIMIT_RADIUS = 0.05
 TAIL_FRACTION = 0.1
 
 
-def is_attracting(rec: FixedPointRecord) -> bool:
-    """No eigenvalue with real part beyond +STABILITY_TOL.
-
-    Sinks qualify, and so do degenerate points whose only marginal
-    direction is neutral (the supercritical circle of fixed points with no
-    exterior potential): trajectories do settle on those.
-    """
-    from . import equilibria
-    return bool(np.max(rec.eigenvalues.real) <= equilibria.STABILITY_TOL)
-
-
 def classify_limit(trace: MomentTrace, census: list[FixedPointRecord],
                    ring: float | None = None) -> tuple[str, int, float]:
     """(classification, nearest fixed point index, distance at the end).
@@ -209,7 +198,7 @@ def classify_limit(trace: MomentTrace, census: list[FixedPointRecord],
         d_max = float(np.max(np.hypot(pts[:, 0] - rec.a, pts[:, 1] - rec.b)))
         if d_max <= LIMIT_RADIUS and dists_end[k] < best:
             best = dists_end[k]
-            label = "converged-to-sink" if is_attracting(rec) else "near-saddle"
+            label = "converged-to-sink" if rec.attracting else "near-saddle"
             nearest = k
     if label == "unresolved" and ring is not None:
         tail_radii = np.hypot(pts[:, 0], pts[:, 1])
@@ -450,24 +439,14 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_census.json"),
                {f"{rho:.12g}": payload for rho, (_, payload) in zip(rhos, censuses)})
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_info.json"),
-               {"theta_ks_uniform": _ks_uniform_angle(theta_finals),
+               {"theta_ks_uniform": ks_uniform(np.mod(theta_finals, TWO_PI) / TWO_PI)
+                if theta_finals else None,
                 "n_rows": len(rows), "n_failed": n_failed})
     if not quiet:
         print(f"scan: {len(rows)} rows, {n_failed} failed -> {csv_path}", file=sys.stderr)
     if n_failed > 0.1 * len(rows):
         raise SweepError(f"cmd_scan: {n_failed} of {len(rows)} rows failed (more than 10%)")
     return csv_path
-
-
-def _ks_uniform_angle(thetas: list[float]) -> float | None:
-    """Informational KS statistic of final angles against the uniform law."""
-    if not thetas:
-        return None
-    u = np.sort(np.mod(thetas, TWO_PI)) / TWO_PI
-    n = u.size
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    return float(max(np.max(grid_hi - u), np.max(u - grid_lo)))
 
 
 def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,

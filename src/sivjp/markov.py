@@ -393,3 +393,12 @@ def velocity_fraction(log: EventLog) -> float:
     _, ys, durations = log.segments()
     ys = np.asarray(ys, dtype=float).reshape(len(durations), -1)[:, 0]
     return float(durations[ys == 1].sum() / log.t_final)
+
+
+def ks_uniform(u: np.ndarray) -> float:
+    """Kolmogorov-Smirnov statistic of samples in [0, 1] against the
+    uniform law: the exponential gaps of a telegraph run after the map
+    g -> 1 - exp(-g), or a scan's final angles over 2 pi."""
+    u = np.sort(u)
+    n = u.size
+    return float(max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(0, n) / n)))

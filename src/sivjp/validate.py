@@ -14,7 +14,7 @@ import numpy as np
 from . import equilibria
 from .engine import OccupationStats, SIVJPConfig, advect_occupation, drift_vprime, run_sitp
 from .geometry import PeriodicGrid, TWO_PI, dist_t, quad_periodic, wrap
-from .markov import TelegraphState, simulate_telegraph
+from .markov import TelegraphState, ks_uniform, simulate_telegraph
 from .model import ModelSpec
 from .potentials import cos2_potential, zero_potential
 from .rng import SeedSpec, derive_stream
@@ -211,10 +211,7 @@ def check_exp_gaps(master_seed: int) -> str:
     log = simulate_telegraph(zero_potential(), 1.0, TelegraphState(0.0, 1),
                              20000.0, SeedSpec(master_seed, 907))
     gaps = np.diff(np.concatenate([[0.0], log.jump_times]))
-    u = np.sort(1.0 - np.exp(-gaps))
-    n = u.size
-    ks = float(max(np.max(np.arange(1, n + 1) / n - u),
-                   np.max(u - np.arange(0, n) / n)))
+    ks = ks_uniform(1.0 - np.exp(-gaps))
     if ks > 0.015:
         raise AssertionError(f"KS statistic {ks!r} too large for Exp(1) gaps")
-    return f"KS {_fmt(ks)} over {n} gaps"
+    return f"KS {_fmt(ks)} over {gaps.size} gaps"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,16 @@ TABLE_MODELS = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
                 ModelSpec(potential=zero_potential(), rho=4.0),
                 ModelSpec(potential=grid_potential([0.3, -0.1, 0.5, 0.2, -0.4, 0.0]),
                           rho=-3.0))
+
+
+def census_models():
+    """TABLE_MODELS and the models of every shipped config, at its rho and
+    at every rho of its sweep."""
+    models = list(TABLE_MODELS)
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = ExperimentConfig.from_file(str(path))
+        models += [cfg.build_model(rho=rho) for rho in [cfg.model["rho"], *cfg.sweep["rhos"]]]
+    return models
 
 
 def assert_near_reference(model, grid, a, b, f, jac):
@@ -562,6 +573,49 @@ class TestCensus:
         got = equilibria._newton_lockstep(tables, starts)
         assert got[bad] is None
         assert_roots_near(got[:bad] + got[bad + 1:], want[:bad] + want[bad + 1:])
+
+    def test_all_singular_starts_dropped_without_warnings(self, monkeypatch):
+        # every Jacobian 0: every start is dropped at its first round, with
+        # no division by the zero determinant
+        evaluate = equilibria._NodeTables.fbar_jacobian_many
+
+        def singular(self, a, b):
+            f, jac = evaluate(self, a, b)
+            return f, np.zeros_like(jac)
+
+        monkeypatch.setattr(equilibria._NodeTables, "fbar_jacobian_many", singular)
+        tables = equilibria._NodeTables(COS2(2.5), DENSITY_GRID)
+        starts = np.array([(0.3, 0.2), (-0.5, 0.1), (0.0, 0.9)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert equilibria._newton_lockstep(tables, starts) == [None, None, None]
+
+    def test_symmetric_jacobian_and_closed_form_eigenvalues(self):
+        # Fbar is a gradient: every record's Jacobian is exactly symmetric,
+        # and its eigenvalues are real, ascending and within round-off of
+        # LAPACK's symmetric solver
+        for model in census_models():
+            for rec in find_fixed_points(model):
+                jac = rec.jacobian
+                assert jac[0, 1] == jac[1, 0]
+                assert rec.eigenvalues.dtype == np.float64 and rec.eigenvalues.shape == (2,)
+                assert rec.eigenvalues[0] <= rec.eigenvalues[1]
+                assert np.max(np.abs(rec.eigenvalues - np.linalg.eigvalsh(jac))) \
+                    <= 1e-15 * max(1.0, abs(model.rho))
+                assert rec.as_dict()["eig_im"] == [0.0, 0.0]
+
+    def test_attracting_rule(self):
+        # the record's rule is the largest real part of the general
+        # eigenvalues at most STABILITY_TOL
+        for model in census_models():
+            for rec in find_fixed_points(model):
+                want = np.max(np.linalg.eigvals(rec.jacobian).real) <= equilibria.STABILITY_TOL
+                assert rec.attracting == want
+        ring = find_fixed_points(ModelSpec(potential=zero_potential(), rho=4.0))
+        assert all(r.attracting for r in ring if r.stability == "Degenerate")
+        assert len(ring) == 1 + equilibria.RING_POINTS
+        origin = min(find_fixed_points(COS2(2.0 * RHO_C_COS2)), key=lambda r: abs(r.a))
+        assert origin.stability == "Saddle" and not origin.attracting
 
     def test_census_transitions_at_thresholds(self):
         # 50-point scan across each threshold; census changes exactly once,

@@ -20,12 +20,12 @@ from sivjp.harness import ExperimentConfig, cmd_fixed_points, cmd_validate
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FIXED_POINTS_SHA256 = {
-    "flow_demo": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
-    "localize_two_well": "aedddc92f6372e3f7f4798daf696ed7025364a06af578fa731d91131658254fa",
+    "flow_demo": "fe53078f53afa40b4ab1e0e261cd288245aa4a7ee46704cf422f415ba3d1b7f1",
+    "localize_two_well": "959d0acc1c423e30e0bb64cb0ef439a0b043d98ffe42732dd513811703d27a5a",
     "pitchfork_scan": "eec89fe8686856662a8c7067c884986dde198618560245523c6700e06e24d626",
-    "shadow_demo": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
+    "shadow_demo": "fe53078f53afa40b4ab1e0e261cd288245aa4a7ee46704cf422f415ba3d1b7f1",
     "subcritical_smoke": "772577260d95bd5da26a56b2ada68cbe6b463c2a2ba2624ea2acb7ea195e6979",
-    "supercritical": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
+    "supercritical": "fe53078f53afa40b4ab1e0e261cd288245aa4a7ee46704cf422f415ba3d1b7f1",
 }
 VALIDATE_SEED0_SHA256 = "c381d9379544a922d567891fb6ecd2ec9e401a952c8c27bd4577ca5acd00ebd9"
 # (command, shipped config) -> {file it writes: SHA-256}
@@ -40,7 +40,7 @@ COMMAND_OUTPUTS_SHA256 = {
         "shadow_demo_shadow.csv": "3e4292bd2ecc18c282ad8d4bf18471c9b964cdce5f6dbe04d35aa87fbb1188cf",
     },
     ("simulate", "supercritical"): {
-        "fixed_points.json": "d2f779a5348e04b195d0e31c34bbdc9159725de18d72d30af1d00d71ebf57f17",
+        "fixed_points.json": "fe53078f53afa40b4ab1e0e261cd288245aa4a7ee46704cf422f415ba3d1b7f1",
         "summary.json": "d598c968ebf111f19a70e0f8cc5f77092757738aa22ae0453bf93715e127df72",
         "supercritical_seed0000.csv": "b0a38d2947b69efeb596d5b50657aa8add6dd11ca06b247ba5c4ef935a9a90a7",
         "supercritical_seed0001.csv": "6b762a50bd4c63505b0a2e3cf51f54ae7d2f8dae0ba44141f88a123ab5232a89",
@@ -73,7 +73,7 @@ COMMAND_OUTPUTS_SHA256 = {
     },
     ("scan", "pitchfork_scan"): {
         "pitchfork_scan.csv": "fbaf362d4c48831dce48a714bf95cf6cffdf605aafc5a63cabfa1aa6648f718c",
-        "pitchfork_scan_census.json": "52ea820837a0f47298f5b469dea33e40eff099b66c976e539a7fa3f5c8f56512",
+        "pitchfork_scan_census.json": "94a3170a479f04f37fd4971d89c5a10670161a93c9f9528e53c14055202f43e7",
         "pitchfork_scan_info.json": "2befcb3ec96375c566ee73f1860bfbc2e23e47f72cb7fc7f171ce71b51e05dd6",
     },
     ("localize", "localize_two_well"): {
