@@ -30,7 +30,12 @@ keeps the constant lam_bar.
 
 One thinning loop, _drive, serves both modes; only the drift differs. It
 is the only thinning loop on the circle: markov.simulate_telegraph is the
-moment mode at rho = 0, with _drive recording its jump skeleton.
+moment mode at rho = 0, with _drive recording its jump skeleton. The loop
+inlines the clock (markov.local_clock, which stays the reference), the
+moment update (_advance) and the wrap (geometry.wrap), with the same
+operations in the same order, and holds the velocity as the float +-1.0,
+so a proposal makes no Python call beyond the drift and the math
+functions; a leg that stays inside [0, 2 pi) reuses its end's sin and cos.
 run_sitp is the exact moment mode: the drift U'(x) + rho*(a sin x - b cos x)
 is computed inline, and the two moments are the whole occupation state, so
 a run is a pure function of its config and seed (occupation_histogram bins
@@ -55,7 +60,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, wrap
 from .model import ModelSpec
-from .markov import (ROUNDOFF_TOL, TelegraphState, csv_text, envelope_slope, local_clock,
+from .markov import (ROUNDOFF_TOL, TelegraphState, csv_text, envelope_slope,
                      proposal_budget, thinning_envelope)
 from .rng import SeedSpec, derive_stream, uniform_pairs
 
@@ -209,7 +214,7 @@ class MomentTrace:
 
 
 def _record_due(rec, snaps: list, k: int, t_next: float, r: float, t: float,
-                x: float, y: int, a: float, b: float) -> int:
+                x: float, y: float, a: float, b: float) -> int:
     """Record the snapshots due by t_next on the leg that leaves x at time t
     with velocity y and moments (a, b); returns the next snapshot's index.
 
@@ -224,7 +229,7 @@ def _record_due(rec, snaps: list, k: int, t_next: float, r: float, t: float,
         rec[1].append(a_s)
         rec[2].append(b_s)
         rec[3].append(wrap(x + y * dt))
-        rec[4].append(y)
+        rec[4].append(int(y))
         k += 1
     return k
 
@@ -241,23 +246,25 @@ def _finalize(cfg: SIVJPConfig, rec, n_events, n_proposals) -> MomentTrace:
 
 
 def _drive(cfg: SIVJPConfig, lam_bar: float,
-           drift: Callable[[float, int, float, float, float], float] | None = None,
+           drift: Callable[[float, float, float, float, float], float] | None = None,
            jumps: list | None = None):
     """The thinning loop of both modes and of markov.simulate_telegraph,
     capped at the envelope lam_bar.
 
     With drift None the drift is the moment mode's
     U'(x) + rho*(a sin x - b cos x), computed inline, and proposals come
-    from the local envelope (the module docstring) unless
-    cfg.lambda_bar_override pins the constant lam_bar; otherwise it is
-    drift(x_prev, y, tau, x, t), called once per proposal after the flight
-    leg of length tau from x_prev to x (now at time t), under the constant
-    lam_bar. A jumps list receives t, x, y at each accepted flip, y the
-    velocity after it: the jump skeleton, flat, so that it holds no
-    containers for the garbage collector to traverse.
+    from the local envelope (the module docstring, with markov.local_clock
+    inlined) unless cfg.lambda_bar_override pins the constant lam_bar;
+    otherwise it is drift(x_prev, y, tau, x, t), called once per proposal
+    after the flight leg of length tau from x_prev to x (now at time t),
+    with y the float +-1.0, under the constant lam_bar. A jumps list
+    receives t, x, y at each accepted flip, y the float velocity after it:
+    the jump skeleton, flat, so that it holds no containers for the garbage
+    collector to traverse.
 
     Returns (rec, x, y, t, n_events, n_proposals), where rec holds the
-    snapshot columns and (x, y, t) is the state at the last proposal.
+    snapshot columns and (x, y, t) is the state at the last proposal; y is
+    an int in both.
     """
     model = cfg.model
     lam_min = model.lambda_min
@@ -275,10 +282,12 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     budget = proposal_budget(lam_bar, cfg.t_end)
 
     gen = derive_stream(cfg.seed)
+    # y is held as the float +-1.0, so every product with it is float x
+    # float, with the same bits as the int +-1; it leaves the loop as an int
     if cfg.z0 is not None:
-        x, y = wrap(cfg.z0.x), cfg.z0.y
+        x, y = wrap(cfg.z0.x), float(cfg.z0.y)
     else:
-        x, y = gen.random() * TWO_PI, 1
+        x, y = gen.random() * TWO_PI, 1.0
     draws = uniform_pairs(gen)
     a, b = cfg.mu0
     r = cfg.r
@@ -294,18 +303,43 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     sin = math.sin
     cos = math.cos
     log1p = math.log1p
+    sqrt = math.sqrt
     fmod = math.fmod
-    clock = local_clock
     sx, cx = sin(x), cos(x)  # at the leg start: for the drift and the next update
     # V'(x) at the leg start: y*v is the local envelope's intercept
     v = du(x) + rho * (a * sx - b * cx) if drift is None else 0.0
 
     for u_gap, u_acc in draws:
         w = r + t
-        if local:
-            tau, lam = clock(u_gap, y * v, slope0 + slope_w / w, lam_min, lam_bar)
-        else:  # local_clock's constant case, inlined
-            tau = -log1p(-u_gap) / lam_bar
+        e = -log1p(-u_gap)
+        if not local:
+            tau = e / lam_bar
+        else:
+            # markov.local_clock inlined, the same operations in the same
+            # order: flat at lam_min, then a ramp, then the cap lam_bar
+            g0 = y * v
+            slope = slope0 + slope_w / w
+            if g0 < 0.0 and e <= (flat := lam_min * (ramp0 := -g0 / slope)):
+                tau = e / lam_min
+                lam = lam_min
+            else:
+                tau = 0.0
+                h = lam_min + g0  # the bound where the ramp starts
+                if g0 < 0.0:
+                    tau = ramp0
+                    e -= flat
+                    h = lam_min
+                d = 2.0 * e / (h + sqrt(h * h + 2.0 * slope * e))
+                lam = h + slope * d
+                if lam < lam_bar:  # the gap ends on the ramp
+                    tau += d
+                else:
+                    if h < lam_bar:
+                        ramp = (lam_bar - h) / slope
+                        e -= 0.5 * (h + lam_bar) * ramp
+                        tau += ramp
+                    tau += e / lam_bar
+                    lam = lam_bar
         t_next = t + tau
         if t_next >= next_snap:
             snap_idx = _record_due(rec, snaps, snap_idx, t_next, r, t, x, y, a, b)
@@ -315,15 +349,20 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
         # _advance inlined: one Python call less per proposal
         x_prev = x
         xs = x + y * tau
-        a = (w * a + y * (sin(xs) - sx)) / (w + tau)
-        b = (w * b - y * (cos(xs) - cx)) / (w + tau)
-        # wrap inlined: xs is finite under a finite envelope
-        x = fmod(xs, TWO_PI)
-        if x < 0.0:
-            x += TWO_PI
-            if x >= TWO_PI:  # a tiny negative xs rounds up to 2*pi
-                x -= TWO_PI
-        sx, cx = sin(x), cos(x)
+        s1 = sin(xs)
+        c1 = cos(xs)
+        a = (w * a + y * (s1 - sx)) / (w + tau)
+        b = (w * b - y * (c1 - cx)) / (w + tau)
+        if 0.0 <= xs < TWO_PI:  # fmod would return xs itself
+            x, sx, cx = xs, s1, c1
+        else:
+            # wrap inlined: xs is finite under a finite envelope
+            x = fmod(xs, TWO_PI)
+            if x < 0.0:
+                x += TWO_PI
+                if x >= TWO_PI:  # a tiny negative xs rounds up to 2*pi
+                    x -= TWO_PI
+            sx, cx = sin(x), cos(x)
         t = t_next
         n_prop += 1
         if n_prop > budget:
@@ -343,7 +382,7 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
             if jumps is not None:
                 jumps += (t, x, y)
 
-    return rec, x, y, t, n_events, n_prop
+    return rec, x, int(y), t, n_events, n_prop
 
 
 def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
@@ -401,7 +440,7 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
     hist_raw = np.full(n, r / n)  # uniform initial measure of mass r
     inv_h = n / TWO_PI
 
-    def drift(x_prev: float, y: int, tau: float, x: float, t: float) -> float:
+    def drift(x_prev: float, y: float, tau: float, x: float, t: float) -> float:
         arc_sojourn(x_prev, y, tau, grid, out=hist_raw)
         pos = x * inv_h
         i = int(pos)

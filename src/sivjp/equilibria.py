@@ -306,14 +306,25 @@ def field_grid(model: ModelSpec) -> PeriodicGrid:
 # ---------------------------------------------------------------------------
 # thresholds and the ring radius
 
+RING_ROUNDOFF = 1e-14  # above the round-off of Fbar_a(a, 0) near the origin on every grid
+
+
 def _ring_radius(tables: _NodeTables) -> float | None:
     """Root of Fbar_a(a, 0) in [1e-9, 1], by bisection until the midpoint
     rounds to an endpoint, when no further step can move the bracket; None
     when Fbar_a(a, 0) does not fall from positive to non-positive over the
     bracket. For a constant U the root is unique: r(rho), the radius of the
-    circle of fixed points."""
+    circle of fixed points.
+
+    Just above rho = 2, Fbar_a(1e-9, 0) is round-off, so where it is not
+    positive the bracket starts instead where the field's linear part
+    (rho/2 - 1) a reaches RING_ROUNDOFF."""
     lo, hi = 1e-9, 1.0
-    if not tables.fbar(lo, 0.0)[0] > 0.0 >= tables.fbar(hi, 0.0)[0]:
+    f_lo = tables.fbar(lo, 0.0)[0]
+    if not f_lo > 0.0 and tables.rho > 2.0:
+        lo = min(RING_ROUNDOFF / (0.5 * tables.rho - 1.0), hi)
+        f_lo = tables.fbar(lo, 0.0)[0]
+    if not f_lo > 0.0 >= tables.fbar(hi, 0.0)[0]:
         return None
     while True:
         mid = 0.5 * (lo + hi)

@@ -13,7 +13,9 @@ certified global envelope lam_bar by an override.
 simulate_telegraph is the self-interacting engine at rho = 0: it runs on
 the engine's thinning loop, engine._drive, which records its jump
 skeleton, so the two cannot drift apart. That loop proposes under the
-local envelope of local_clock. Along a flight leg the rate is
+local envelope of local_clock, which it runs inlined, with the same
+operations in the same order; local_clock is the reference its gaps are
+tested against bit for bit. Along a flight leg the rate is
 lambda_min + g(s)_+ with g(s) = y V'(x(s)), and |g'| <= slope, so
 
     bound(s) = min(lambda_min + max(g0 + slope*s, 0), lam_bar)
@@ -63,12 +65,14 @@ if TYPE_CHECKING:
 # proposals above the mean of the dominating Poisson(lam_bar * T) count
 BUDGET_SIGMAS = 10.0
 BUDGET_SLACK = 100.0
-# largest expected proposal count lam_bar * T of a run: about 15 minutes at
-# 0.9 us per proposal
+# largest expected proposal count lam_bar * T of a run: about 11 to 21
+# minutes at the engine loop's 0.65 to 1.25 us per proposal (2-vCPU Xeon)
 MAX_PROPOSALS = 1e9
 # the local envelope is used where it is predicted to make at most this
-# fraction of the constant envelope's proposals: its clock costs about a
-# third of a proposal more, so a smaller saving does not repay it
+# fraction of the constant envelope's proposals: its clock makes a proposal
+# about 1.4 times as dear (1.37-1.46 times, measured on zero at rho 4, cos2
+# at 2.8 and two_well at 30 with the clock inlined), so a smaller saving
+# does not repay it
 LOCAL_MAX_RATIO = 0.7
 # relative round-off allowance on exact invariants: the unit disk of the
 # occupation moments and the domination of the jump rate by the envelope
@@ -201,7 +205,8 @@ def envelope_slope(lam_min: float, lam_bar: float, slope: float) -> float:
 
 def local_clock(u_gap: float, g0: float, slope: float, lam_min: float,
                 lam_bar: float) -> tuple[float, float]:
-    """The gap to the next proposal and the bound at it, from one uniform.
+    """The gap to the next proposal and the bound at it, from one uniform:
+    the reference for the copy that engine._drive runs inlined.
 
     The gap solves int_0^tau bound(s) ds = -log(1 - u_gap) in closed form
     for bound(s) = min(lam_min + max(g0 + slope*s, 0), lam_bar), in three

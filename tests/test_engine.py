@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -13,12 +14,15 @@ from sivjp import (OccupationStats, PeriodicGrid, SIVJPConfig, SeedSpec,
                    TelegraphState, advect_occupation, drift_vprime,
                    occupation_histogram, quadratic_kernel_grids, run_sitp,
                    run_sitp_general, simulate_telegraph)
+from sivjp.engine import _advance
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
-from sivjp.geometry import TWO_PI
-from sivjp.markov import MAX_PROPOSALS, envelope_slope, local_clock
+from sivjp.geometry import TWO_PI, wrap
+from sivjp.markov import (MAX_PROPOSALS, envelope_slope, local_clock,
+                          thinning_envelope)
 from sivjp.model import ModelSpec
 from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
-                              two_well_potential, zero_potential)
+                              trig_potential, two_well_potential, zero_potential)
+from sivjp.rng import derive_stream, uniform_pairs
 
 ZERO = ModelSpec(potential=zero_potential(), rho=0.0)
 
@@ -345,6 +349,122 @@ class TestDrawConsumption:
                                  lambda_bar_override=override)
         assert log.jump_times.size == jumps
         assert hashlib.sha256(log.to_csv().encode()).hexdigest() == digest
+
+
+def reference_run(cfg):
+    """run_sitp written plainly: local_clock for every gap, _advance for
+    every moment update, wrap for every position and drift_vprime for every
+    drift, with the velocity an int. Returns the snapshot rows
+    (t, a, b, x, y), the event and proposal counts, and the set of clock
+    stretches ("flat", "ramp", "cap") and wraps ("up", "down") it took."""
+    model = cfg.model
+    lam_min, rho = model.lambda_min, model.rho
+    lam_bar = thinning_envelope(model.thinning_bound, cfg.lambda_bar_override)
+    slope0 = math.inf  # an infinite slope makes local_clock constant
+    if cfg.lambda_bar_override is None:
+        slope0 = envelope_slope(lam_min, lam_bar, model.potential.ddv_sup + abs(rho))
+    gen = derive_stream(cfg.seed)
+    if cfg.z0 is not None:
+        x, y = wrap(cfg.z0.x), cfg.z0.y
+    else:
+        x, y = gen.random() * TWO_PI, 1
+    (a, b), r, t = cfg.mu0, cfg.r, 0.0
+    snaps = cfg.snapshot_times().tolist()
+    rows, n_events, n_prop, seen = [], 0, 0, set()
+    v = drift_vprime(model, x, OccupationStats(r=r, t=t, a=a, b=b))
+    for u_gap, u_acc in uniform_pairs(gen):
+        w = r + t
+        tau, lam = local_clock(u_gap, y * v, slope0 + abs(rho) / w, lam_min, lam_bar)
+        seen.add("cap" if lam == lam_bar else "flat" if lam == lam_min else "ramp")
+        while snaps and snaps[0] <= t + tau:
+            dt = snaps[0] - t
+            rows.append((snaps.pop(0), *_advance(w, a, b, x, y, dt), wrap(x + y * dt), y))
+        if t + tau >= cfg.t_end:
+            break
+        a, b = _advance(w, a, b, x, y, tau)
+        if not 0.0 <= x + y * tau < TWO_PI:
+            seen.add("up" if y > 0 else "down")
+        x, t = wrap(x + y * tau), t + tau
+        n_prop += 1
+        v = drift_vprime(model, x, OccupationStats(r=r, t=t, a=a, b=b))
+        if u_acc * lam < lam_min + max(y * v, 0.0):
+            y = -y
+            n_events += 1
+    return rows, n_events, n_prop, seen
+
+
+def _reference_cfg(pot, rho, t_end=300.0, **kw):
+    return SIVJPConfig(model=ModelSpec(potential=pot, rho=rho), t_end=t_end,
+                       seed=SeedSpec(91, 0), record_stride=t_end / 7, **kw)
+
+
+REFERENCE_CASES = {
+    "cos2_rho0.8": _reference_cfg(cos2_potential(), 0.8),
+    "cos2_rho2.8": _reference_cfg(cos2_potential(), 2.8),
+    "two_well_rho30": _reference_cfg(two_well_potential(), 30.0, t_end=100.0),
+    "zero_rho1_constant": _reference_cfg(zero_potential(), 1.0),
+    "zero_rho4": _reference_cfg(zero_potential(), 4.0),
+    "sine_terms_rho-3": _reference_cfg(trig_potential((0.3,), (0.0, 0.7)), -3.0),
+    "override": _reference_cfg(cos2_potential(), 2.8, lambda_bar_override=9.0),
+    "start_y-1": _reference_cfg(cos2_potential(), 2.8, z0=TelegraphState(6.0, -1),
+                                mu0=(0.3, -0.2)),
+}
+
+
+@functools.cache
+def reference_case(name):
+    return reference_run(REFERENCE_CASES[name])
+
+
+class TestReferenceLoop:
+    """engine._drive, with its clock, moment update and wrap inlined and its
+    velocity held as a float, against the plain loop of reference_run."""
+
+    @pytest.mark.parametrize("name", list(REFERENCE_CASES))
+    def test_run_sitp_matches_reference_bit_for_bit(self, name):
+        cfg = REFERENCE_CASES[name]
+        rows, n_events, n_prop, _ = reference_case(name)
+        trace = run_sitp(cfg)
+        for i, column in enumerate(("times", "a_vals", "b_vals", "x_vals", "y_vals")):
+            want = np.array([row[i] for row in rows])
+            got = getattr(trace, column)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), column
+        assert (trace.n_events, trace.n_proposals) == (n_events, n_prop)
+        _, a, b, x, y = rows[-1]
+        assert trace.final == OccupationStats(r=cfg.r, t=cfg.t_end, a=a, b=b)
+        assert trace.final_state == TelegraphState(x=x, y=y)
+
+    def test_cases_cover_every_stretch_and_wrap(self):
+        seen = set().union(*(reference_case(name)[3] for name in REFERENCE_CASES))
+        assert seen == {"flat", "ramp", "cap", "up", "down"}
+        # the constant-envelope cases stay at the cap
+        for name in ("zero_rho1_constant", "override"):
+            assert reference_case(name)[3] <= {"cap", "up", "down"}
+
+
+class TestVelocityTypes:
+    """The loop holds the velocity as a float; what leaves it is an int."""
+
+    def test_moment_trace_and_telegraph_velocities_are_ints(self):
+        trace = run_sitp(REFERENCE_CASES["start_y-1"])
+        assert np.issubdtype(trace.y_vals.dtype, np.integer)
+        assert type(trace.final_state.y) is int
+        log = simulate_telegraph(cos2_potential(), 0.25, TelegraphState(1.0, -1), 200.0,
+                                 SeedSpec(7, 3))
+        assert log.post_y.size > 0 and np.issubdtype(log.post_y.dtype, np.integer)
+        assert type(log.y_final) is int
+
+    def test_general_mode_runs_with_int_velocities(self):
+        grid = PeriodicGrid(32)
+        model = ModelSpec(potential=cos2_potential(), rho=2.0)
+        w, dw = quadratic_kernel_grids(model, grid)
+        cfg = SIVJPConfig(model=model, t_end=50.0, seed=SeedSpec(75, 0), record_stride=10.0,
+                          z0=TelegraphState(1.0, -1))
+        trace, hist = run_sitp_general(w, dw, cfg)
+        assert trace.n_events > 0
+        assert np.issubdtype(trace.y_vals.dtype, np.integer)
+        assert type(trace.final_state.y) is int
+        assert hist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLocalEnvelope:

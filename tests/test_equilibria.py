@@ -458,6 +458,22 @@ class TestCensus:
                 assert rec.stability == alt.stability
                 assert np.max(np.abs(rec.jacobian - alt.jacobian)) <= 1e-14 * rho
 
+    def test_ring_just_above_threshold(self):
+        # at rho = 2 + 1e-7, Fbar_a(1e-9, 0) is round-off on the census
+        # grid, so the bracket starts where the linear part is above it;
+        # the ring has radius sqrt(16 (rho/2 - 1) / rho^3) to leading order
+        rho = 2.0000001
+        recs = find_fixed_points(ModelSpec(potential=zero_potential(), rho=rho))
+        assert len(recs) == 1 + equilibria.RING_POINTS
+        radius = max(r.a for r in recs)
+        assert radius == pytest.approx(3.2e-4, rel=0.02)
+        assert radius == pytest.approx(math.sqrt(16.0 * (rho / 2.0 - 1.0) / rho ** 3),
+                                       rel=1e-5)
+        assert radius == pytest.approx(solve_r_of_rho(rho), rel=1e-5)
+        # just below it the census is the origin alone
+        below = find_fixed_points(ModelSpec(potential=zero_potential(), rho=2.0 - 1e-7))
+        assert [(r.a, r.b) for r in below] == [(0.0, 0.0)]
+
     @pytest.mark.parametrize("potential", [cos_potential(), cos2_potential()],
                              ids=["cos", "cos2"])
     def test_non_constant_potential_census_is_the_sweep(self, monkeypatch, potential):
