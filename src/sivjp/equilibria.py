@@ -16,21 +16,22 @@ analytic Jacobian, the bifurcation thresholds, a global fixed-point census
 with stability classification, the free energy, and a Laplace-asymptotics
 cross-check. The census has two cases. When U is constant Fbar commutes
 with rotations, so the census is written down rather than searched for:
-the origin plus RING_POINTS points of the circle whose radius r(rho) is
-the one root of Fbar_a(a, 0). Every other U takes a Newton sweep over
-the disk. One bisection, _ring_radius, gives r(rho) to both the census
-ring and solve_r_of_rho.
+the origin plus, for rho > 2, RING_POINTS points of the circle whose
+radius r(rho) is the one root of Fbar_a(a, 0). Every other U takes a
+Newton sweep over the disk. One bisection, _ring_radius, gives r(rho) to
+both the census ring and solve_r_of_rho.
 
 Fbar and its Jacobian have one evaluator, _NodeTables: cos z, sin z,
 their products and -U(z) on the nodes, so that an evaluation is two
 matrix products, one for the log-density and one for the mass and the
-moments. The census, the flow integrator (flow.integrate_flow) and
-solve_r_of_rho build one table per call; the public fbar and
-jacobian_fbar, one per evaluation. A table keeps pibar's checks and
-exception classes, and pibar -> GridDensity -> moments is the reference
-the tests hold it to, within round-off: 1e-14 for Fbar, 1e-14 max(1, |rho|)
-for the Jacobian. The census evaluates in batches: its Newton sweep goes
-in lockstep over all starts, and its records take one batched call.
+moments. The census, the flow integrator (flow.integrate_flow, which
+evaluates its two lanes in pairs) and solve_r_of_rho build one table per
+call; the public fbar and jacobian_fbar, one per evaluation. A table
+keeps pibar's checks and exception classes, and pibar -> GridDensity ->
+moments is the reference the tests hold it to, within round-off: 1e-14
+for Fbar, 1e-14 max(1, |rho|) for the Jacobian. The census evaluates in
+batches: its Newton sweep goes in lockstep over all starts, and its
+records take one batched call.
 
 Fbar is a gradient, Fbar = grad Phi with Phi(m) = log Z(rho m) / rho
 - |m|^2 / 2 and Z the normalizer of pibar (Benaim & Raimond, Ann.
@@ -163,9 +164,12 @@ class _NodeTables:
 
     fbar_jacobian_many evaluates k points per call, BATCH_VALUES // n at a
     time; a batch with a failing point raises what a loop over its points
-    would raise first. fbar writes into two buffers the table owns, so a
-    table serves one caller at a time; it returns fresh Python floats,
-    fbar_jacobian_many fresh arrays.
+    would raise first. fbar_pair evaluates two points, the flow's two
+    lanes, with one max shift and exp over a (2, n) buffer but each row's
+    own products, so each point keeps fbar's bits (one matrix product for
+    both rows would round differently). fbar and fbar_pair write into
+    buffers the table owns, so a table serves one caller at a time; they
+    return fresh Python floats, fbar_jacobian_many fresh arrays.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid) -> None:
@@ -177,15 +181,20 @@ class _NodeTables:
         self.neg_u_min = float(np.minimum.reduce(self.neg_u))  # nan when -U has one
         self.cols = np.stack([np.ones(grid.n), c, s, c * c, s * s, c * s])
         self.batch = max(1, BATCH_VALUES // grid.n)
+        self._coef, self._cols3 = np.array([0.0, 0.0, 1.0]), self.cols[:3]
         self._logw, self._w = np.empty(grid.n), np.empty(grid.n)
+        self._logw2, self._w2 = np.empty((2, grid.n)), np.empty((2, grid.n))
+        self._shift2 = np.empty(2)
+        self._rows = (*self._logw2, *self._w2, self._shift2[:, None])  # fbar_pair's views
 
     def fbar(self, a: float, b: float) -> tuple[float, float]:
         """Fbar at one point, on 1-D buffers, for the flow and the
-        bisection: 5.2 us at 64 nodes and 6.6 us at 512, against 31 and
-        33 us for fbar_jacobian_many with k = 1 (best of three runs on a
-        2-vCPU Xeon VM, BENCH_fused_field.json)."""
-        rho, logw, w = self.rho, self._logw, self._w
-        np.dot((rho * a, rho * b, 1.0), self.basis, out=logw)
+        bisection: 4.2 us at 64 nodes and 5.4 us at 512 (best of nine runs
+        on a 2-vCPU Xeon VM, BENCH_flow_lockstep.json), against 31 and
+        33 us for fbar_jacobian_many with k = 1 (BENCH_fused_field.json)."""
+        rho, coef, logw, w = self.rho, self._coef, self._logw, self._w
+        coef[0], coef[1] = rho * a, rho * b
+        np.dot(coef, self.basis, out=logw)
         shift = float(np.maximum.reduce(logw))  # a nan or +inf value propagates here
         if not math.isfinite(shift):
             raise NumericError("density_from_log: non-finite log-density value")
@@ -196,10 +205,36 @@ class _NodeTables:
             if not np.isfinite(logw).all():  # a -inf value, which exp took to 0
                 raise NumericError("density_from_log: non-finite log-density value")
             raise DomainError("GridDensity: density values must be strictly positive")
-        s0, s1, s2 = np.dot(self.cols[:3], w).tolist()
+        s0, s1, s2 = np.dot(self._cols3, w).tolist()
         if not s0 >= 1.0:
             raise DomainError(f"GridDensity: weights sum to {s0!r}, below the max node's 1")
         return s1 / s0 - a, s2 / s0 - b
+
+    def fbar_pair(self, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+        """fbar(a, b) + fbar(c, d), bit for bit, for the flow's lockstep
+        lanes: one max-reduce, subtract and exp over a (2, n) buffer, and
+        each row's products are fbar's gemvs. 6.5 us at 64 nodes and 9.1 us
+        at 512, against 8.4 and 10.9 us for the two fbar calls (as above).
+        When a check fails, the two fbar calls, in that order, raise."""
+        rho, coef, basis, cols, low = self.rho, self._coef, self.basis, self._cols3, self.neg_u_min
+        logw, w, (l0, l1, w0, w1, shift) = self._logw2, self._w2, self._rows
+        coef[0], coef[1] = rho * a, rho * b
+        np.dot(coef, basis, out=l0)
+        coef[0], coef[1] = rho * c, rho * d
+        np.dot(coef, basis, out=l1)
+        h0, h1 = np.maximum.reduce(logw, axis=1, out=self._shift2).tolist()
+        if math.isfinite(h0) and math.isfinite(h1):
+            np.subtract(logw, shift, out=w)
+            np.exp(w, out=w)
+            if (h0 - low + abs(rho) * math.hypot(a, b) < UNDERFLOW_GAP
+                    or np.minimum.reduce(w0) > 0.0) \
+                    and (h1 - low + abs(rho) * math.hypot(c, d) < UNDERFLOW_GAP
+                         or np.minimum.reduce(w1) > 0.0):
+                s0, s1, s2 = np.dot(cols, w0).tolist()
+                t0, t1, t2 = np.dot(cols, w1).tolist()
+                if s0 >= 1.0 and t0 >= 1.0:
+                    return s1 / s0 - a, s2 / s0 - b, t1 / t0 - c, t2 / t0 - d
+        return (*self.fbar(a, b), *self.fbar(c, d))
 
     def fbar_jacobian_many(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fbar, shape (k, 2), and its Jacobian, shape (k, 2, 2), at the
@@ -312,16 +347,20 @@ RING_ROUNDOFF = 1e-14  # above the round-off of Fbar_a(a, 0) near the origin on 
 def _ring_radius(tables: _NodeTables) -> float | None:
     """Root of Fbar_a(a, 0) in [1e-9, 1], by bisection until the midpoint
     rounds to an endpoint, when no further step can move the bracket; None
-    when Fbar_a(a, 0) does not fall from positive to non-positive over the
-    bracket. For a constant U the root is unique: r(rho), the radius of the
-    circle of fixed points.
+    at rho <= 2, and when Fbar_a(a, 0) does not fall from positive to
+    non-positive over the bracket. For a constant U the root exists only
+    for rho > 2, and is unique: r(rho), the radius of the circle of fixed
+    points.
 
-    Just above rho = 2, Fbar_a(1e-9, 0) is round-off, so where it is not
-    positive the bracket starts instead where the field's linear part
+    Near rho = 2, Fbar_a(1e-9, 0) is round-off: just below, a fine grid
+    can make it positive, hence the rho test; just above, where it is not
+    positive, the bracket starts instead where the field's linear part
     (rho/2 - 1) a reaches RING_ROUNDOFF."""
+    if not tables.rho > 2.0:
+        return None
     lo, hi = 1e-9, 1.0
     f_lo = tables.fbar(lo, 0.0)[0]
-    if not f_lo > 0.0 and tables.rho > 2.0:
+    if not f_lo > 0.0:
         lo = min(RING_ROUNDOFF / (0.5 * tables.rho - 1.0), hi)
         f_lo = tables.fbar(lo, 0.0)[0]
     if not f_lo > 0.0 >= tables.fbar(hi, 0.0)[0]:

@@ -371,6 +371,44 @@ class TestAxisStage:
                     for (a, b), fi, ji in zip(points, f, jac):
                         assert_near_reference(model, grid, a, b, fi, ji)
 
+    def test_pair_equals_two_lone_calls(self):
+        # bit for bit, on the field grids, DENSITY_GRID and THRESHOLD_GRID,
+        # inside and outside the disk
+        rng = np.random.default_rng(20261020)
+        for grid in (PeriodicGrid(64), PeriodicGrid(128), PeriodicGrid(256), DENSITY_GRID,
+                     THRESHOLD_GRID):
+            for model in TABLE_MODELS:
+                tables = equilibria._NodeTables(model, grid)
+                for (a, b), (c, d) in rng.uniform(-1.5, 1.5, size=(20, 2, 2)).tolist():
+                    want = (*tables.fbar(a, b), *tables.fbar(c, d))
+                    assert np.array(tables.fbar_pair(a, b, c, d)).tobytes() \
+                        == np.array(want).tobytes()
+
+    def test_pair_raises_like_two_lone_calls(self):
+        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
+                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
+        bad = {"underflow": (COS2(40.0), 20.0), "overflow": (COS2(40.0), 1e308),
+               "nan": (COS2(40.0), math.nan), "-inf": (ModelSpec(potential=spike, rho=1.0), 0.1)}
+
+        def raised(call):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    call()
+                except (DomainError, NumericError) as exc:
+                    return type(exc), str(exc)
+            return None
+
+        for model, a in bad.values():
+            tables = equilibria._NodeTables(model, DENSITY_GRID)
+            alone = raised(lambda: tables.fbar(a, 0.3))
+            assert alone is not None
+            # the failing point first, second, or with a failing point of
+            # another kind after it: the first failing lone call's error
+            for other in (0.2, -20.0 if model.rho == 40.0 else math.nan):
+                assert raised(lambda: tables.fbar_pair(a, 0.3, other, -0.1)) == alone
+                first = raised(lambda: tables.fbar(other, -0.1))
+                assert raised(lambda: tables.fbar_pair(other, -0.1, a, 0.3)) == (first or alone)
+
     def test_batched_raises_like_scalar_loop(self):
         spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
                                  lambda z: 0.0 * z, dv_sup=1.0, validate=False)
@@ -473,6 +511,18 @@ class TestCensus:
         # just below it the census is the origin alone
         below = find_fixed_points(ModelSpec(potential=zero_potential(), rho=2.0 - 1e-7))
         assert [(r.a, r.b) for r in below] == [(0.0, 0.0)]
+
+    @pytest.mark.parametrize("grid", [None, THRESHOLD_GRID], ids=["census", "threshold"])
+    def test_ring_only_above_threshold(self, grid):
+        # a constant U has the ring only for rho > 2; on THRESHOLD_GRID,
+        # Fbar_a(1e-9, 0) is round-off of either sign near rho = 2
+        for rho in (2.0 - 1e-7, 2.0):
+            below = find_fixed_points(ModelSpec(potential=zero_potential(), rho=rho), grid)
+            assert [(r.a, r.b) for r in below] == [(0.0, 0.0)]
+        rho = 2.0000001
+        above = find_fixed_points(ModelSpec(potential=zero_potential(), rho=rho), grid)
+        assert len(above) == 1 + equilibria.RING_POINTS
+        assert max(r.a for r in above) == pytest.approx(solve_r_of_rho(rho), rel=1e-5)
 
     @pytest.mark.parametrize("potential", [cos_potential(), cos2_potential()],
                              ids=["cos", "cos2"])
@@ -691,14 +741,15 @@ class TestFieldGrid:
                 model = ModelSpec(potential=pot, rho=rho)
                 f, jac = equilibria._NodeTables(model, field_grid(model)).fbar_jacobian_many(
                     points[:, 0], points[:, 1])
-                # the 4096-node tables, within round-off of the reference path
-                # (test_batched_field_and_jacobian_match_reference)
-                f_ref, jac_ref = equilibria._NodeTables(model, THRESHOLD_GRID).fbar_jacobian_many(
-                    points[:, 0], points[:, 1])
-                assert np.max(np.abs(f - f_ref)) <= 1e-14
-                # the Jacobian is rho * Cov, so its round-off grows with |rho|:
-                # 512 nodes are 4e-14 off the 4096-node values at rho = 40
-                assert np.max(np.abs(jac - jac_ref)) <= 1e-14 * max(1.0, abs(rho))
+                # the reference path, pibar -> moments with the second moments
+                # by quad_periodic, on 4096 nodes; the 4096-node tables carry
+                # 2-4e-15 of BLAS round-off, more than this path
+                for (a, b), fi, ji in zip(points, f, jac):
+                    assert np.max(np.abs(fi - reference_fbar(model, a, b, THRESHOLD_GRID))) \
+                        <= 1e-14
+                    # the Jacobian is rho * Cov, so its round-off grows with |rho|
+                    assert np.max(np.abs(ji - reference_jacobian(model, a, b, THRESHOLD_GRID))) \
+                        <= 1e-14 * max(1.0, abs(rho))
 
     def test_census_matches_density_grid_on_shipped_configs(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):

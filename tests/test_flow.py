@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from sivjp.engine import MomentTrace, OccupationStats
 from sivjp.equilibria import _NodeTables, field_grid
 from sivjp.geometry import DENSITY_GRID
 from sivjp.errors import ConfigError, DomainError, NumericError
+from sivjp.harness import ExperimentConfig
 from sivjp.markov import TelegraphState
 from sivjp.model import ModelSpec
-from sivjp.potentials import cos2_potential, zero_potential
+from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
+
+FLOW_DEMO = ExperimentConfig.from_file(
+    str(Path(__file__).resolve().parents[1] / "configs" / "flow_demo.json"))
 
 
 def model_zero(rho):
@@ -144,6 +149,140 @@ class TestIntegrateFlow:
             assert min(d_plus, d_minus) < 1e-4
             n_checked += 1
         assert n_checked > 50
+
+
+def two_pass(tables, start, t_flow, dt):
+    """integrate_flow's times and points, or its error, from the reference:
+    the dt pass, then the dt/2 pass, then the sup-norm gap between them."""
+    p0 = np.array(start, dtype=float)
+    times, points = flow._rk4_path(tables, p0, t_flow, dt)
+    _, fine = flow._rk4_path(tables, p0, t_flow, dt, substeps=2)
+    err = float(np.max(np.abs(points - fine)))
+    if err > flow.HALVING_TOL:
+        raise NumericError(f"integrate_flow: step-halving check failed (sup error {err:.3e})")
+    return times, points
+
+
+def integrated(model, start, t_flow, dt):
+    trace = integrate_flow(model, start, t_flow, dt)
+    return trace.times, trace.points
+
+
+def outcome(run):
+    """The bytes of a (times, points) result, or the type and text of the
+    error that run raised."""
+    try:
+        times, points = run()
+    except (DomainError, NumericError) as exc:
+        return type(exc), str(exc)
+    return times.tobytes(), points.tobytes()
+
+
+class FieldTables:
+    """Stand-in for _NodeTables with a given field, to steer the lanes
+    into failures that the true field does not produce."""
+
+    def __init__(self, field):
+        self.fbar = field
+
+    def fbar_pair(self, a, b, c, d):
+        return (*self.fbar(a, b), *self.fbar(c, d))
+
+
+class TestLockstep:
+    """integrate_flow runs the dt path and the halving path in one loop;
+    it must return, bit for bit, or raise, text for text, what the two
+    passes of _rk4_path give."""
+
+    CASES = {
+        "flow_demo": (FLOW_DEMO.build_model(), tuple(FLOW_DEMO.flow["start"]),
+                      FLOW_DEMO.flow["T_flow"], FLOW_DEMO.flow["dt"]),
+        "partial_zero": (model_zero(4.0), (0.1, 0.0), 1.005, 0.01),
+        "partial_cos2": (ModelSpec(potential=cos2_potential(), rho=2.0), (0.1, 0.0), 0.025, 0.01),
+        "cos2_coarse": (ModelSpec(potential=cos2_potential(), rho=3.0), (0.3, -0.2), 2.35, 0.1),
+        "two_well": (ModelSpec(potential=two_well_potential(), rho=30.0), (0.999, 0.01), 5.0, 0.1),
+        "rim": (ModelSpec(potential=cos2_potential(), rho=5.0), (0.999, 0.0), 3.0, 0.01),
+        # the refusals integrate_flow's docstring lists
+        "zero-40_far": (model_zero(-40.0), (0.5, 0.0), 8.0, 0.01),
+        "zero-40_near": (model_zero(-40.0), (0.01, 0.02), 8.0, 0.01),
+        "zero+40": (model_zero(40.0), (0.01, 0.02), 8.0, 0.01),
+        "cos2-10": (ModelSpec(potential=cos2_potential(), rho=-10.0), (0.5, 0.0), 8.0, 0.01),
+        # the tilted density underflows on both lanes
+        "underflow": (model_zero(800.0), (0.9, 0.0), 1.0, 0.1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_two_passes(self, case):
+        model, start, t_flow, dt = self.CASES[case]
+        tables = _NodeTables(model, field_grid(model))
+        want = outcome(lambda: two_pass(tables, start, t_flow, dt))
+        assert outcome(lambda: integrated(model, start, t_flow, dt)) == want
+        if case.startswith(("zero", "cos2-")):
+            assert want[0] is NumericError and "step-halving check failed" in want[1]
+        if case == "underflow":
+            assert want[0] is DomainError
+            return
+        # the halving lane too: the gap is the two passes' sup-norm gap, bit for bit
+        p0 = np.array(start, dtype=float)
+        _, dt_path = flow._rk4_path(tables, p0, t_flow, dt)
+        _, fine = flow._rk4_path(tables, p0, t_flow, dt, substeps=2)
+        gap = flow._rk4_lockstep(tables, p0, t_flow, dt)[2]
+        assert gap.hex() == float(np.max(np.abs(dt_path - fine))).hex()
+
+    def test_refused_horizon_builds_no_path(self, monkeypatch):
+        def no_tables(model, grid):
+            raise AssertionError("tables built for a refused horizon")
+
+        monkeypatch.setattr(flow, "_NodeTables", no_tables)
+        with pytest.raises(ConfigError, match="steps allowed"):
+            integrate_flow(model_zero(1.0), (0.0, 0.0), 1e5, dt=0.01)
+
+    @staticmethod
+    def unit_drift(traps):
+        """Unit speed along a, from (-0.5, 0) at dt = 0.1: the dt lane's
+        stages sit at multiples of 0.05, the halving lane's at multiples
+        of 0.025. `traps` maps an a to the result or error there."""
+        def field(a, b):
+            for at, action in traps.items():
+                if abs(a - at) < 1e-9:
+                    if isinstance(action, Exception):
+                        raise action
+                    return action
+            return 1.0, 0.0
+        return field
+
+    @pytest.mark.parametrize("traps, want", [
+        # both lanes leave the disk in the same step: the dt lane's error
+        # comes first (the halving lane's norm is 1.0068763185234453)
+        (None, "left the unit disk (1.0068758132983884)"),
+        # only the halving lane fails: its error, after the dt lane ran out
+        ({-0.475: DomainError("halving lane")}, "halving lane"),
+        ({-0.475: (1e3, 0.0)}, "left the unit disk (16.2)"),
+        # the halving lane fails first, the dt lane later: the dt lane's error
+        ({-0.475: DomainError("halving lane"), 0.3: NumericError("dt lane")}, "dt lane"),
+    ], ids=["disk_exit", "halving_only", "halving_disk_exit", "dt_later"])
+    def test_error_parity(self, monkeypatch, traps, want):
+        if traps is None:  # outward growth, e^s from radius 0.5
+            tables, start, t_flow = FieldTables(lambda a, b: (a, b)), (0.5, 0.0), 1.0
+        else:
+            tables, start, t_flow = FieldTables(self.unit_drift(traps)), (-0.5, 0.0), 1.0
+        monkeypatch.setattr(flow, "_NodeTables", lambda model, grid: tables)
+        expected = outcome(lambda: two_pass(tables, start, t_flow, 0.1))
+        assert expected[0] in (DomainError, NumericError) and want in expected[1]
+        assert outcome(lambda: integrated(model_zero(1.0), start, t_flow, 0.1)) == expected
+
+    def test_evaluation_counts_on_flow_demo(self, monkeypatch):
+        # 6,000 steps: four paired stages (dt lane with the first half step)
+        # and four lone stages (the second half step) each
+        calls = {"fbar": 0, "fbar_pair": 0}
+        for name in calls:
+            def counted(self, *args, _method=getattr(_NodeTables, name), _name=name):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(_NodeTables, name, counted)
+        model, start, t_flow, dt = self.CASES["flow_demo"]
+        integrate_flow(model, start, t_flow, dt)
+        assert calls == {"fbar": 24_000, "fbar_pair": 24_000}
 
 
 class TestPseudotrajectory:
