@@ -13,8 +13,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "engine": ("MomentTrace", "OccupationStats", "SIVJPConfig", "advect_occupation",
-               "drift_vprime", "run_sitp", "run_sitp_general", "quadratic_kernel_grids"),
+    "engine": ("MomentTrace", "OccupationStats", "advect_occupation", "drift_vprime",
+               "run_sitp", "run_sitp_general", "quadratic_kernel_grids"),
     "equilibria": ("FixedPointRecord", "GridDensity", "fbar", "find_fixed_points",
                    "free_energy", "jacobian_fbar", "laplace_check", "moments", "pibar",
                    "rho_2", "rho_c", "solve_r_of_rho"),
@@ -22,10 +22,10 @@ _EXPORTS = {
     "flow": ("FlowTrace", "integrate_flow", "pseudotrajectory_error"),
     "geometry": ("DENSITY_GRID", "THRESHOLD_GRID", "PeriodicGrid", "dist_t",
                  "quad_periodic", "wrap"),
-    "markov": ("EventLog", "TelegraphState", "TorusVJPState", "empirical_tv",
+    "markov": ("EventLog", "TorusVJPState", "empirical_tv",
                "invariant_density", "occupation_histogram", "simulate_telegraph",
                "simulate_torus_vjp", "velocity_fraction"),
-    "model": ("ModelSpec",),
+    "model": ("ModelSpec", "SIVJPConfig", "TelegraphState"),
     "potentials": ("FrozenPotential", "cos_potential", "cos2_potential",
                    "frozen_potential", "grid_potential", "local_minima",
                    "make_potential", "two_well_potential", "zero_potential"),

@@ -47,6 +47,10 @@ is approximate (bias of the order of the grid spacing) and exists for
 kernels that do not reduce to two moments, and proposes under the constant
 lam_bar, as does a run with lambda_bar_override. The envelope is chosen by
 markov.thinning_envelope and checked on every accepted proposal.
+
+A run's specification (SIVJPConfig, its start state TelegraphState and
+the proposal budget) lives in model, which loads neither this module nor
+markov, so that the commands which never simulate do not load this one.
 """
 
 from __future__ import annotations
@@ -59,12 +63,10 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, wrap
-from .model import ModelSpec
-from .markov import (ROUNDOFF_TOL, TelegraphState, csv_text, envelope_slope,
-                     proposal_budget, thinning_envelope)
-from .rng import SeedSpec, derive_stream, uniform_pairs
-
-MAX_SNAPSHOTS = 2_000_000  # longest snapshot schedule a run may record
+from .markov import csv_text, envelope_slope, thinning_envelope
+from .model import (ROUNDOFF_TOL, ModelSpec, SIVJPConfig, TelegraphState,
+                    proposal_budget)
+from .rng import derive_stream, uniform_pairs
 
 
 @dataclass(frozen=True)
@@ -117,70 +119,6 @@ def drift_vprime(model: ModelSpec, x: float, occ: OccupationStats) -> float:
     """V'(x) against the occupation measure: U'(x) + rho*(a sin x - b cos x)."""
     return model.potential.dv_scalar(x) + model.rho * (
         occ.a * math.sin(x) - occ.b * math.cos(x))
-
-
-@dataclass(frozen=True)
-class SIVJPConfig:
-    """One self-interacting run.
-
-    z0 = None draws the initial position uniformly (the first stream draw)
-    with velocity +1. mu0 gives the initial occupation moments; a
-    run_sitp_general run starts uniform, so it needs mu0 = (0, 0).
-
-    record_stride is the snapshot interval; with log_stride=True it is a
-    multiplicative ratio and snapshots sit at record_t0 * stride^k, which
-    gives a uniform density in logarithmic time.
-    """
-
-    model: ModelSpec
-    t_end: float
-    seed: SeedSpec
-    r: float = 1.0
-    mu0: tuple[float, float] = (0.0, 0.0)
-    z0: TelegraphState | None = None
-    record_stride: float = 10.0
-    log_stride: bool = False
-    record_t0: float = 1.0
-    lambda_bar_override: float | None = None
-
-    def validate(self) -> None:
-        if not 0.0 < self.r < math.inf:
-            raise ConfigError("SIVJPConfig: r must be finite and > 0")
-        if not 0.0 < self.t_end < math.inf:
-            raise ConfigError("SIVJPConfig: T must be finite and > 0")
-        if not self.record_stride > 0.0:
-            raise ConfigError("SIVJPConfig: record_stride must be > 0")
-        if self.log_stride and self.record_stride <= 1.0:
-            raise ConfigError("SIVJPConfig: multiplicative record_stride must be > 1")
-        if self.log_stride and not 0.0 < self.record_t0 < math.inf:
-            raise ConfigError("SIVJPConfig: record_t0 must be finite and > 0")
-        a0, b0 = self.mu0
-        if not a0 * a0 + b0 * b0 <= 1.0 + ROUNDOFF_TOL:  # NaN fails too
-            raise ConfigError("SIVJPConfig: mu0 moments must lie in the closed unit disk")
-        if self.z0 is not None and not math.isfinite(self.z0.x):
-            raise ConfigError("SIVJPConfig: x0 must be finite")
-        self.snapshot_times()
-        proposal_budget(self.model.thinning_bound, self.t_end)
-
-    def snapshot_times(self) -> np.ndarray:
-        """The snapshot times before t_end, then t_end; refuses more than
-        MAX_SNAPSHOTS before t_end."""
-        span = (math.log(self.t_end / self.record_t0) / math.log(self.record_stride)
-                if self.log_stride else self.t_end / self.record_stride)
-        # the schedule keeps at least floor(span) - 1 times, so this refuses
-        # no schedule that the count below accepts; it is compared as a float
-        # because int() of an infinite or NaN span raises
-        if not span <= MAX_SNAPSHOTS + 2:
-            raise ConfigError("SIVJPConfig: snapshot schedule too dense")
-        if self.log_stride:
-            ts = self.record_t0 * self.record_stride ** np.arange(max(math.floor(span) + 1, 0))
-            ts = ts[(ts > 0.0) & (ts < self.t_end)]
-        else:
-            ts = np.arange(1, int(span) + 1) * self.record_stride
-            ts = ts[ts < self.t_end]
-        if ts.size > MAX_SNAPSHOTS:
-            raise ConfigError("SIVJPConfig: snapshot schedule too dense")
-        return np.concatenate([ts, [self.t_end]])
 
 
 @dataclass

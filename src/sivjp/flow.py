@@ -19,16 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import MomentTrace
 from .markov import csv_text
 # fbar is not called here; it stays a module attribute because the
 # benchmark's tracer (perfbench/traced.py) wraps flow.fbar.
 from .equilibria import _NodeTables, fbar, field_grid  # noqa: F401
 from .errors import ConfigError, DomainError, NumericError
 from .model import ModelSpec
+
+if TYPE_CHECKING:
+    from .engine import MomentTrace
 
 DISK_TOL = 1e-9
 HALVING_TOL = 1e-8  # sup-norm gap allowed between the dt and dt/2 paths

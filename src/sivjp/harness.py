@@ -10,11 +10,19 @@ workers; simulate, scan and localize take them as one stream in job order
 Summaries and fixed-point files cross-reference each other by a hash of
 the model configuration.
 
-Each command imports only the modules it runs: the fixed-point atlas
-(equilibria) is imported by the commands that take a census, the flow
-by cmd_flow and cmd_shadow, the self-checks by validation_report, and
-ProcessPoolExecutor by _map_ordered when it first starts a pool, so
-`localize` at --threads 1 loads none of them. Those calls go through the
+Each command imports only the modules it runs. A config loads from
+model's run spec (SIVJPConfig, TelegraphState, MAX_PROPOSALS), so the
+engine (engine, markov) is imported only by the commands that simulate:
+run_sitp imports it on its first call, and simulate, scan and localize
+import it before _map_ordered can start a pool, so that the workers the
+pool forks inherit it rather than each compiling it. The fixed-point atlas
+(equilibria) is imported by the commands that take a census, the flow by
+cmd_flow and cmd_shadow, the self-checks by validation_report, markov's
+csv_text and ks_uniform by cmd_shadow and cmd_scan, hashlib by model_hash
+and ProcessPoolExecutor by _map_ordered when it first starts a pool. So
+`fixed-points` loads neither the engine nor markov, `flow` loads no
+engine and no hashlib (flow loads markov for csv_text), and `localize` at
+--threads 1 loads no atlas, flow or pool. Those calls go through the
 module objects (equilibria.find_fixed_points, flow.integrate_flow), so
 that replacements made on those modules apply.
 ProcessPoolExecutor, run_sitp, _simulate_worker, classify_limit and
@@ -25,7 +33,6 @@ tests replace them.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.resources
 import json
 import math
@@ -37,16 +44,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import MomentTrace, SIVJPConfig, run_sitp
 from .errors import ConfigError, DomainError, SweepError
 from .geometry import TWO_PI
-from .markov import MAX_PROPOSALS, TelegraphState, csv_text, ks_uniform
-from .model import ModelSpec
+from .model import MAX_PROPOSALS, ModelSpec, SIVJPConfig, TelegraphState
 from .potentials import local_minima, make_potential
 from .rng import SeedSpec
 from .schemacheck import schema_error
 
 if TYPE_CHECKING:
+    from .engine import MomentTrace
     from .equilibria import FixedPointRecord
 
 
@@ -162,6 +168,7 @@ class ExperimentConfig:
         )
 
     def model_hash(self, rho: float | None = None) -> str:
+        import hashlib
         payload = dict(self.model)
         if rho is not None:
             payload["rho"] = rho
@@ -214,6 +221,21 @@ def run_summary(seed_index: int, trace: MomentTrace,
     out.update({"seed": seed_index, "classification": label,
                 "nearest_fp": nearest, "nearest_fp_dist": dist})
     return out
+
+
+# ---------------------------------------------------------------------------
+# the engine, imported by the commands that simulate
+
+def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
+    """engine.run_sitp, with the engine imported on the first call."""
+    from .engine import run_sitp as run
+    return run(cfg)
+
+
+def _load_engine() -> None:
+    """Imports the engine in this process, before _map_ordered can start a
+    pool, so that the workers it forks inherit the module."""
+    importlib.import_module(".engine", __package__)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +328,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     ensure_outdir(out_dir)
     summaries = []
     jobs = [(cfg, rho, k) for k in range(int(cfg.sweep["seeds"]))]
+    _load_engine()
     with closing(_map_ordered(_simulate_worker, jobs, threads)) as traces:
         for k, trace in enumerate(traces):
             if isinstance(trace, Exception):
@@ -370,6 +393,7 @@ def cmd_shadow(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> list[list]:
     flow.pseudotrajectory_error per anchor. Returns those rows.
     """
     from . import flow
+    from .markov import csv_text
     run = cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0)
     times = run.snapshot_times()
     anchors = []
@@ -411,6 +435,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     in classification, becomes an "error:<Type>: <message>" row. Returns
     the CSV path; raises SweepError, once every output is written, when
     more than 10% of the rows failed."""
+    from .markov import csv_text, ks_uniform
     rhos = cfg.sweep["rhos"]
     if not rhos:
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")
@@ -418,6 +443,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     censuses = [_census(cfg, rho) for rho in rhos]  # (records, payload) per rho
     ensure_outdir(out_dir)
     jobs = [(cfg, rho, i * n_seeds + k) for i, rho in enumerate(rhos) for k in range(n_seeds)]
+    _load_engine()
     rows, theta_finals, n_failed = [], [], 0
     # the stream first, so that zip exhausts it and its pool shuts down here
     for res, (_, rho, stream) in zip(_map_ordered(_simulate_worker, jobs, threads), jobs):
@@ -478,6 +504,7 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     ensure_outdir(out_dir)
     per_run = []
     jobs = [(run_cfg, cfg.model["rho"], k) for k in range(int(loc["N"]))]
+    _load_engine()
     with closing(_map_ordered(_simulate_worker, jobs, threads)) as traces:
         for k, trace in enumerate(traces):
             if isinstance(trace, Exception):

@@ -28,9 +28,9 @@ envelope_slope keeps it only where the saving is predicted to repay that;
 otherwise, and for an infinite or zero slope, the loop proposes under the
 constant envelope lam_bar, which a lambda_bar_override pins. The d-torus
 loop here, simulate_torus_vjp, keeps its constant envelope. Every run
-stops with RunawayRateError past proposal_budget, which its proposal count
-exceeds with negligible probability, since that count is dominated by
-Poisson(lam_bar * T).
+stops with RunawayRateError past model.proposal_budget, which its proposal
+count exceeds with negligible probability, since that count is dominated
+by Poisson(lam_bar * T).
 
 The 1-D telegraph process flips its velocity y in {-1, +1} at rate
 lambda_min + (y V'(x))_+, which keeps exp(-V) (x) (delta_1 + delta_{-1})/2
@@ -38,6 +38,11 @@ invariant. The d-torus process bounces (direction resampled uniformly on
 the sphere of radius |y|) at rate |y||grad V| + y.grad V and refreshes its
 whole velocity from a rotation-invariant law q at a constant rate, which
 keeps exp(-V) (x) q invariant.
+
+The start state TelegraphState, the run config engine._drive reads
+(SIVJPConfig) and the proposal budget with its constants live in model,
+so that loading a config loads neither this module nor the engine.
+csv_text, the package's CSV format, stays here.
 """
 
 from __future__ import annotations
@@ -54,29 +59,20 @@ import numpy as np
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import (DENSITY_GRID, TWO_PI, PeriodicGrid,
                        segments_sojourn, wrap)
-from .model import ModelSpec
+from .model import (ROUNDOFF_TOL, ModelSpec, SIVJPConfig, TelegraphState,
+                    proposal_budget)
 from .potentials import FrozenPotential
 from .rng import SeedSpec, derive_stream
 
 if TYPE_CHECKING:
     from .equilibria import GridDensity
 
-# the proposal budget: BUDGET_SIGMAS standard deviations and BUDGET_SLACK
-# proposals above the mean of the dominating Poisson(lam_bar * T) count
-BUDGET_SIGMAS = 10.0
-BUDGET_SLACK = 100.0
-# largest expected proposal count lam_bar * T of a run: about 11 to 21
-# minutes at the engine loop's 0.65 to 1.25 us per proposal (2-vCPU Xeon)
-MAX_PROPOSALS = 1e9
 # the local envelope is used where it is predicted to make at most this
 # fraction of the constant envelope's proposals: its clock makes a proposal
 # about 1.4 times as dear (1.37-1.46 times, measured on zero at rho 4, cos2
 # at 2.8 and two_well at 30 with the clock inlined), so a smaller saving
 # does not repay it
 LOCAL_MAX_RATIO = 0.7
-# relative round-off allowance on exact invariants: the unit disk of the
-# occupation moments and the domination of the jump rate by the envelope
-ROUNDOFF_TOL = 1e-12
 
 
 def csv_text(header: list[str], rows) -> str:
@@ -87,16 +83,6 @@ def csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows([v if isinstance(v, str) else "%.12g" % v for v in row] for row in rows)
     return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class TelegraphState:
-    x: float
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.y not in (-1, 1):
-            raise ConfigError(f"TelegraphState: y must be -1 or +1, got {self.y}")
 
 
 @dataclass(frozen=True)
@@ -167,21 +153,6 @@ def thinning_envelope(certified: float, override: float | None) -> float:
     return lam
 
 
-def proposal_budget(lam_bar: float, t_end: float) -> int:
-    """The most proposals a run of length t_end under lam_bar may make.
-
-    Every proposal rate is at most lam_bar, so the count is dominated by
-    Poisson(lam_bar * t_end); passing its mean by BUDGET_SIGMAS standard
-    deviations means the loop does not advance. A mean above MAX_PROPOSALS,
-    infinite or NaN raises ConfigError.
-    """
-    mean = lam_bar * t_end
-    if not mean <= MAX_PROPOSALS:
-        raise ConfigError(f"lam_bar * T = {mean:.3g} expected proposals, "
-                          f"not at most MAX_PROPOSALS = {MAX_PROPOSALS:.0e}")
-    return int(mean + BUDGET_SIGMAS * sqrt(mean) + BUDGET_SLACK)  # an int compares faster
-
-
 def envelope_slope(lam_min: float, lam_bar: float, slope: float) -> float:
     """The slope local_clock is to use: slope where the local envelope pays,
     else inf, the constant envelope lam_bar.
@@ -250,7 +221,7 @@ def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphSta
     pays, else from the constant lam_bar. An override (upward only) pins
     the constant envelope, e.g. to share a proposal skeleton between runs.
     """
-    from .engine import SIVJPConfig, _drive  # engine imports this module
+    from .engine import _drive  # engine imports this module
     if not lambda_min > 0.0:
         raise ConfigError("simulate_telegraph: lambda_min must be > 0")
     if not t_end > 0.0:

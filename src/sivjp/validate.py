@@ -12,10 +12,10 @@ import math
 import numpy as np
 
 from . import equilibria
-from .engine import OccupationStats, SIVJPConfig, advect_occupation, drift_vprime, run_sitp
+from .engine import OccupationStats, advect_occupation, drift_vprime, run_sitp
 from .geometry import PeriodicGrid, TWO_PI, dist_t, quad_periodic, wrap
-from .markov import TelegraphState, ks_uniform, simulate_telegraph
-from .model import ModelSpec
+from .markov import ks_uniform, simulate_telegraph
+from .model import ModelSpec, SIVJPConfig, TelegraphState
 from .potentials import cos2_potential, zero_potential
 from .rng import SeedSpec, derive_stream
 

@@ -13,8 +13,7 @@ from sivjp.equilibria import _NodeTables, field_grid
 from sivjp.geometry import DENSITY_GRID
 from sivjp.errors import ConfigError, DomainError, NumericError
 from sivjp.harness import ExperimentConfig
-from sivjp.markov import TelegraphState
-from sivjp.model import ModelSpec
+from sivjp.model import ModelSpec, TelegraphState
 from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
 
 FLOW_DEMO = ExperimentConfig.from_file(

@@ -22,8 +22,7 @@ from sivjp.harness import (ExperimentConfig, classify_limit, cmd_fixed_points,
                            validation_report)
 from sivjp.engine import MomentTrace, OccupationStats
 from sivjp.equilibria import find_fixed_points
-from sivjp.markov import TelegraphState
-from sivjp.model import ModelSpec
+from sivjp.model import ModelSpec, TelegraphState
 from sivjp.potentials import cos2_potential
 from sivjp.schemacheck import schema_error
 

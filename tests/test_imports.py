@@ -8,8 +8,10 @@ bind nothing, and an import marked "# noqa: F401" is kept on purpose.
 
 The import budget runs the package in a fresh interpreter and checks which
 modules it loaded: the package root loads no submodule, and each command
-leaves out the fixed-point atlas, the flow, the self-checks and the process
-pool unless it runs them.
+leaves out the engine (engine, markov), hashlib, the fixed-point atlas, the
+flow, the self-checks and the process pool unless it runs them. A command
+that starts a pool loads the engine first, so that the workers the pool
+forks inherit it.
 """
 
 import ast
@@ -113,15 +115,21 @@ def test_check_finds_an_aliased_loop_primitive():
 # import budget
 
 POOL = "concurrent.futures.process"
+ENGINE = {"sivjp.engine", "sivjp.markov"}
+
+
+def run_fresh(code: str) -> list[str]:
+    """The lines a fresh interpreter prints running code at the root."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout.splitlines()
 
 
 def modules_after(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running code at the root."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True, timeout=60)
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return set(json.loads(run_fresh(code)[-1]))
 
 
 def cli_run(tmp_path, raw: dict, argv: list[str]) -> str:
@@ -135,18 +143,46 @@ def test_package_root_loads_no_submodule():
     assert sorted(m for m in modules_after("import sivjp") if m.startswith("sivjp.")) == []
 
 
-def test_config_load_loads_no_atlas_flow_checks_or_pool():
+def test_config_load_loads_no_engine_hashlib_atlas_flow_checks_or_pool():
     loaded = modules_after("import sivjp.cli\n"
                            "from sivjp.harness import ExperimentConfig\n"
                            "ExperimentConfig.from_file('configs/localize_two_well.json')")
-    assert loaded.isdisjoint({"sivjp.equilibria", "sivjp.flow", "sivjp.validate", POOL})
+    assert "sivjp.model" in loaded
+    assert loaded.isdisjoint(ENGINE | {"hashlib", "sivjp.equilibria", "sivjp.flow",
+                                       "sivjp.validate", POOL})
 
 
-def test_fixed_points_loads_no_flow_or_pool(tmp_path):
+def test_flow_loads_no_engine_or_hashlib(tmp_path):
+    raw = json.loads((ROOT / "configs" / "flow_demo.json").read_text())
+    raw["flow"]["T_flow"] = 5.0
+    loaded = modules_after(cli_run(tmp_path, raw, ["flow"]))
+    assert "sivjp.flow" in loaded
+    assert loaded.isdisjoint({"sivjp.engine", "hashlib"})
+
+
+def test_scan_loads_the_engine_before_its_pool(tmp_path):
+    # the pool records what the main process holds when it starts; the
+    # workers it forks inherit that
+    raw = json.loads((ROOT / "configs" / "pitchfork_scan.json").read_text())
+    raw["sweep"] = {"rhos": [1.0, 3.0], "seeds": 1}
+    raw["sivjp"]["T"] = 50.0
+    code = ("import sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from sivjp import harness\n"
+            "class Pool(ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        print('engine at pool start:', 'sivjp.engine' in sys.modules)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "harness.ProcessPoolExecutor = Pool\n"
+            + cli_run(tmp_path, raw, ["--threads", "2", "scan"]))
+    assert run_fresh(code) == ["engine at pool start: True"]
+
+
+def test_fixed_points_loads_no_engine_flow_or_pool(tmp_path):
     raw = {"name": "fp", "model": {"potential": "cos2", "rho": 3.0, "lambda_min": 1.0}}
     loaded = modules_after(cli_run(tmp_path, raw, ["fixed-points"]))
     assert "sivjp.equilibria" in loaded
-    assert loaded.isdisjoint({"sivjp.flow", POOL})
+    assert loaded.isdisjoint(ENGINE | {"sivjp.flow", POOL})
 
 
 def test_shadow_loads_no_checks_or_pool(tmp_path):
@@ -168,8 +204,8 @@ def test_serial_localize_loads_no_atlas_or_pool(tmp_path):
 # the package root's names, imported on first access
 
 EXPORTS = {
-    "engine": ["MomentTrace", "OccupationStats", "SIVJPConfig", "advect_occupation",
-               "drift_vprime", "run_sitp", "run_sitp_general", "quadratic_kernel_grids"],
+    "engine": ["MomentTrace", "OccupationStats", "advect_occupation", "drift_vprime",
+               "run_sitp", "run_sitp_general", "quadratic_kernel_grids"],
     "equilibria": ["FixedPointRecord", "GridDensity", "fbar", "find_fixed_points",
                    "free_energy", "jacobian_fbar", "laplace_check", "moments", "pibar",
                    "rho_2", "rho_c", "solve_r_of_rho"],
@@ -177,10 +213,10 @@ EXPORTS = {
     "flow": ["FlowTrace", "integrate_flow", "pseudotrajectory_error"],
     "geometry": ["DENSITY_GRID", "THRESHOLD_GRID", "PeriodicGrid", "dist_t",
                  "quad_periodic", "wrap"],
-    "markov": ["EventLog", "TelegraphState", "TorusVJPState", "empirical_tv",
+    "markov": ["EventLog", "TorusVJPState", "empirical_tv",
                "invariant_density", "occupation_histogram", "simulate_telegraph",
                "simulate_torus_vjp", "velocity_fraction"],
-    "model": ["ModelSpec"],
+    "model": ["ModelSpec", "SIVJPConfig", "TelegraphState"],
     "potentials": ["FrozenPotential", "cos_potential", "cos2_potential",
                    "frozen_potential", "grid_potential", "local_minima", "make_potential",
                    "two_well_potential", "zero_potential"],

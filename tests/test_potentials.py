@@ -8,8 +8,8 @@ from sivjp import potentials
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.harness import config_schema
-from sivjp.markov import TorusVJPState, proposal_budget, simulate_torus_vjp
-from sivjp.model import ModelSpec
+from sivjp.markov import TorusVJPState, simulate_torus_vjp
+from sivjp.model import ModelSpec, proposal_budget
 from sivjp.potentials import (check_derivative, cos_potential,
                               cos2_potential, frozen_potential, grid_potential,
                               local_minima, make_potential, trig_potential,
@@ -173,9 +173,9 @@ class TestRunawayGuard:
     # mean must trip the guard
     @pytest.fixture
     def small_budget(self, monkeypatch):
-        import sivjp.markov as markov
-        monkeypatch.setattr(markov, "BUDGET_SIGMAS", -10.0)
-        monkeypatch.setattr(markov, "BUDGET_SLACK", 0.0)
+        import sivjp.model as model
+        monkeypatch.setattr(model, "BUDGET_SIGMAS", -10.0)
+        monkeypatch.setattr(model, "BUDGET_SLACK", 0.0)
 
     def test_telegraph_guard(self, small_budget):
         with pytest.raises(RunawayRateError, match="budget"):
