@@ -14,7 +14,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "engine": ("MomentTrace", "OccupationStats", "advect_occupation", "drift_vprime",
-               "run_sitp", "run_sitp_general", "quadratic_kernel_grids"),
+               "run_sitp", "run_sitp_general", "quadratic_kernel_grids",
+               "simulate_telegraph"),
     "equilibria": ("FixedPointRecord", "GridDensity", "fbar", "find_fixed_points",
                    "free_energy", "jacobian_fbar", "laplace_check", "moments", "pibar",
                    "rho_2", "rho_c", "solve_r_of_rho"),
@@ -23,8 +24,8 @@ _EXPORTS = {
     "geometry": ("DENSITY_GRID", "THRESHOLD_GRID", "PeriodicGrid", "dist_t",
                  "quad_periodic", "wrap"),
     "markov": ("EventLog", "TorusVJPState", "empirical_tv",
-               "invariant_density", "occupation_histogram", "simulate_telegraph",
-               "simulate_torus_vjp", "velocity_fraction"),
+               "invariant_density", "occupation_histogram", "simulate_torus_vjp",
+               "velocity_fraction"),
     "model": ("ModelSpec", "SIVJPConfig", "TelegraphState"),
     "potentials": ("FrozenPotential", "cos_potential", "cos2_potential",
                    "frozen_potential", "grid_potential", "local_minima",

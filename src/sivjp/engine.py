@@ -17,40 +17,46 @@ in closed form,
 so the self-interaction is exact and O(1) per event: the whole pair
 (state, occupation) is simulated with no time-discretization error, by
 Poisson thinning. The global envelope lam_bar = lambda_min + sup|U'| + |rho|
-dominates the rate because a^2 + b^2 <= 1. The moment mode proposes under
-the tighter local envelope of markov.local_clock, capped at lam_bar: along
-a leg g(s) = y V'(x(s)) has
+dominates the rate because a^2 + b^2 <= 1; thinning_envelope is the one
+rule for raising it by an override. The moment mode proposes under the
+tighter local envelope of local_clock, capped at lam_bar: along a leg the
+rate is lambda_min + g(s)_+ with g(s) = y V'(x(s)), and
 
     g' = U''(x) + rho*(a cos x + b sin x) - rho*y*(a sin x - b cos x)/w,
 
-with w = r + t growing, so |g'| <= sup|U''| + |rho|*(1 + 1/w) at the leg
-start's weight w. Where markov.envelope_slope predicts too small a saving
-to repay the dearer clock (weak interaction under a high floor), the run
+with w = r + t growing, so |g'| <= slope = sup|U''| + |rho|*(1 + 1/w) at
+the leg start's weight w. Then
+
+    bound(s) = min(lambda_min + max(g0 + slope*s, 0), lam_bar)
+
+dominates the rate, where g0 = y V'(x) at the last proposal, which the
+loop has already computed (Lewis & Shedler 1979; the affine bounds of the
+Zig-Zag sampler). Its clock costs more per proposal, so envelope_slope
+keeps it only where the saving is predicted to repay that (strong
+attraction); otherwise (weak interaction under a high floor) the run
 keeps the constant lam_bar.
 
 One thinning loop, _drive, serves both modes; only the drift differs. It
-is the only thinning loop on the circle: markov.simulate_telegraph is the
-moment mode at rho = 0, with _drive recording its jump skeleton. The loop
-inlines the clock (markov.local_clock, which stays the reference), the
-moment update (_advance) and the wrap (geometry.wrap), with the same
-operations in the same order, and holds the velocity as the float +-1.0,
-so a proposal makes no Python call beyond the drift and the math
-functions; a leg that stays inside [0, 2 pi) reuses its end's sin and cos.
-run_sitp is the exact moment mode: the drift U'(x) + rho*(a sin x - b cos x)
-is computed inline, and the two moments are the whole occupation state, so
-a run is a pure function of its config and seed (occupation_histogram bins
-a plain telegraph log where a histogram is wanted). run_sitp_general is the
-general-kernel mode: it owns an occupation histogram on the kernel's grid,
-its drift callback deposits each flight leg there and convolves the kernel
-derivative against it, and it returns the histogram beside the trace; it
-is approximate (bias of the order of the grid spacing) and exists for
-kernels that do not reduce to two moments, and proposes under the constant
-lam_bar, as does a run with lambda_bar_override. The envelope is chosen by
-markov.thinning_envelope and checked on every accepted proposal.
-
-A run's specification (SIVJPConfig, its start state TelegraphState and
-the proposal budget) lives in model, which loads neither this module nor
-markov, so that the commands which never simulate do not load this one.
+is the only thinning loop on the circle: simulate_telegraph, the plain
+telegraph process, is the moment mode at rho = 0, with _drive recording
+its jump skeleton. The loop inlines the clock (local_clock, which stays
+the reference), the moment update (_advance) and the wrap (geometry.wrap),
+with the same operations in the same order, and holds the velocity as the
+float +-1.0, so a proposal makes no Python call beyond the drift and the
+math functions; a leg that stays inside [0, 2 pi) reuses its end's sin
+and cos. run_sitp is the exact moment mode: the drift
+U'(x) + rho*(a sin x - b cos x) is computed inline, and the two moments
+are the whole occupation state, so a run is a pure function of its config
+and seed (markov.occupation_histogram bins a telegraph log where a
+histogram is wanted). run_sitp_general is the general-kernel mode: it
+owns an occupation histogram on the kernel's grid, its drift callback
+deposits each flight leg there and convolves the kernel derivative
+against it, and it returns the histogram beside the trace; it is
+approximate (bias of the order of the grid spacing) and exists for
+kernels that do not reduce to two moments, and proposes under the
+constant lam_bar, as does a run with lambda_bar_override. The envelope is
+checked on every accepted proposal, and a run stops with RunawayRateError
+past model.proposal_budget.
 """
 
 from __future__ import annotations
@@ -63,10 +69,18 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, wrap
-from .markov import csv_text, envelope_slope, thinning_envelope
+from .markov import EventLog, csv_text
 from .model import (ROUNDOFF_TOL, ModelSpec, SIVJPConfig, TelegraphState,
                     proposal_budget)
-from .rng import derive_stream, uniform_pairs
+from .potentials import FrozenPotential
+from .rng import SeedSpec, derive_stream, uniform_pairs
+
+# the local envelope is used where it is predicted to make at most this
+# fraction of the constant envelope's proposals: its clock makes a proposal
+# about 1.4 times as dear (1.37-1.46 times, measured on zero at rho 4, cos2
+# at 2.8 and two_well at 30 with the clock inlined), so a smaller saving
+# does not repay it
+LOCAL_MAX_RATIO = 0.7
 
 
 @dataclass(frozen=True)
@@ -183,15 +197,89 @@ def _finalize(cfg: SIVJPConfig, rec, n_events, n_proposals) -> MomentTrace:
                        n_events=n_events, n_proposals=n_proposals)
 
 
-def _drive(cfg: SIVJPConfig, lam_bar: float,
+def thinning_envelope(certified: float, override: float | None) -> float:
+    """The thinning envelope: the certified bound, or an override above it
+    (e.g. to share a proposal skeleton between runs).
+
+    It must be finite and > 0. An infinite envelope makes every gap 0, so
+    a run never reaches its end time; a NaN one makes the clock NaN. The
+    thinning loop relies on it: with it, every gap and position it sees is
+    finite.
+    """
+    lam = certified if override is None else override
+    if not (math.isfinite(lam) and lam > 0.0):
+        name = "certified" if override is None else "lambda_bar_override"
+        raise ConfigError(f"thinning envelope must be finite and > 0, got {name} {lam!r}")
+    if not lam >= certified:
+        raise ConfigError("lambda_bar_override must dominate the certified envelope")
+    return lam
+
+
+def envelope_slope(lam_min: float, lam_bar: float, slope: float) -> float:
+    """The slope local_clock is to use: slope where the local envelope pays,
+    else inf, the constant envelope lam_bar.
+
+    The prediction is the ratio of the local envelope's proposal rate to
+    the constant one's after a proposal with g0 = 0: 1 / (lam_bar * E[gap]),
+    where E[gap] = int_0^inf exp(-Lambda(s)) ds is the mean gap and Lambda
+    the integral of the bound. Weak interaction under a high floor (the
+    zero potential at rho 1, lambda_min 1: 0.74) stays constant; strong
+    attraction (two_well at rho 30: 0.16) goes local.
+    """
+    if not 0.0 < slope < math.inf:
+        return math.inf
+    ramp = min((lam_bar - lam_min) / slope, 50.0 / lam_min)  # exp(-50) is nil
+    s = np.linspace(0.0, ramp, 1025)
+    survival = np.exp(-(lam_min + 0.5 * slope * s) * s)  # exp(-Lambda) on the ramp
+    e_gap = (s[1] * (survival.sum() - 0.5 * (survival[0] + survival[-1]))
+             + survival[-1] / lam_bar)
+    return slope if 1.0 / (lam_bar * e_gap) <= LOCAL_MAX_RATIO else math.inf
+
+
+def local_clock(u_gap: float, g0: float, slope: float, lam_min: float,
+                lam_bar: float) -> tuple[float, float]:
+    """The gap to the next proposal and the bound at it, from one uniform:
+    the reference for the copy that _drive runs inlined.
+
+    The gap solves int_0^tau bound(s) ds = -log(1 - u_gap) in closed form
+    for bound(s) = min(lam_min + max(g0 + slope*s, 0), lam_bar), in three
+    stretches: flat at lam_min while g0 + slope*s < 0, then a linear ramp
+    up to lam_bar, then constant. A slope that is 0, infinite or NaN gives
+    the constant envelope: the gap -log(1 - u_gap)/lam_bar and the bound
+    lam_bar, bit for bit.
+    """
+    e = -math.log1p(-u_gap)
+    if not 0.0 < slope < math.inf:
+        return e / lam_bar, lam_bar
+    tau = 0.0
+    h = lam_min + g0  # the bound where the ramp starts
+    if g0 < 0.0:
+        tau = -g0 / slope
+        flat = lam_min * tau
+        if e <= flat:
+            return e / lam_min, lam_min
+        e -= flat
+        h = lam_min
+    d = 2.0 * e / (h + math.sqrt(h * h + 2.0 * slope * e))
+    lam = h + slope * d
+    if lam < lam_bar:  # the gap ends on the ramp
+        return tau + d, lam
+    if h < lam_bar:
+        ramp = (lam_bar - h) / slope
+        e -= 0.5 * (h + lam_bar) * ramp
+        tau += ramp
+    return tau + e / lam_bar, lam_bar
+
+
+def _drive(cfg: SIVJPConfig, certified: float,
            drift: Callable[[float, float, float, float, float], float] | None = None,
            jumps: list | None = None):
-    """The thinning loop of both modes and of markov.simulate_telegraph,
-    capped at the envelope lam_bar.
+    """The thinning loop of both modes and of simulate_telegraph, capped at
+    the envelope lam_bar: the certified bound, or cfg.lambda_bar_override.
 
     With drift None the drift is the moment mode's
     U'(x) + rho*(a sin x - b cos x), computed inline, and proposals come
-    from the local envelope (the module docstring, with markov.local_clock
+    from the local envelope (the module docstring, with local_clock
     inlined) unless cfg.lambda_bar_override pins the constant lam_bar;
     otherwise it is drift(x_prev, y, tau, x, t), called once per proposal
     after the flight leg of length tau from x_prev to x (now at time t),
@@ -205,6 +293,7 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
     an int in both.
     """
     model = cfg.model
+    lam_bar = thinning_envelope(certified, cfg.lambda_bar_override)
     lam_min = model.lambda_min
     tol = 1.0 + ROUNDOFF_TOL
     rho = model.rho
@@ -253,7 +342,7 @@ def _drive(cfg: SIVJPConfig, lam_bar: float,
         if not local:
             tau = e / lam_bar
         else:
-            # markov.local_clock inlined, the same operations in the same
+            # local_clock inlined, the same operations in the same
             # order: flat at lam_min, then a ramp, then the cap lam_bar
             g0 = y * v
             slope = slope0 + slope_w / w
@@ -332,9 +421,35 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
     occupation state, so the trace is the whole result.
     """
     cfg.validate()
-    lam_bar = thinning_envelope(cfg.model.thinning_bound, cfg.lambda_bar_override)
-    rec, _, _, _, n_events, n_prop = _drive(cfg, lam_bar)
+    rec, _, _, _, n_events, n_prop = _drive(cfg, cfg.model.thinning_bound)
     return _finalize(cfg, rec, n_events, n_prop)
+
+
+def simulate_telegraph(pot: FrozenPotential, lambda_min: float, z0: TelegraphState,
+                       t_end: float, seed: SeedSpec,
+                       lambda_bar_override: float | None = None) -> EventLog:
+    """Telegraph process on the circle with flip rate lambda_min + (y V'(x))_+.
+
+    It is the moment mode at rho = 0, run on _drive, which records the jump
+    skeleton. Proposals come from the local envelope of local_clock, with
+    slope pot.ddv_sup and cap lam_bar = lambda_min + pot.dv_sup, where
+    envelope_slope predicts it pays, else from the constant lam_bar. An
+    override (upward only) pins the constant envelope, e.g. to share a
+    proposal skeleton between runs.
+    """
+    if not t_end > 0.0:
+        raise ConfigError("simulate_telegraph: T must be > 0")
+    model = ModelSpec(potential=pot, rho=0.0, lambda_min=lambda_min)
+    # one snapshot, at t_end: the final state
+    cfg = SIVJPConfig(model=model, t_end=t_end, seed=seed, z0=z0, record_stride=t_end,
+                      lambda_bar_override=lambda_bar_override)
+    jumps: list[float] = []
+    rec, _, _, _, _, n_prop = _drive(cfg, model.thinning_bound, jumps=jumps)
+    skeleton = np.array(jumps, dtype=float).reshape(-1, 3)
+    return EventLog(x0=wrap(z0.x), y0=z0.y,
+                    jump_times=skeleton[:, 0], post_x=skeleton[:, 1],
+                    post_y=skeleton[:, 2].astype(int), t_final=t_end,
+                    x_final=rec[3][-1], y_final=rec[4][-1], n_proposals=n_prop)
 
 
 def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
@@ -369,11 +484,6 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
     asym = float(np.max(np.abs(w_grid - w_grid.T)))
     if asym > 1e-12:
         raise ConfigError(f"run_sitp_general: kernel is not symmetric (max {asym:.2e})")
-    # the drift averages dw_grid entries (weights hist_raw/(r+t), mass 1)
-    lam_bar = thinning_envelope(
-        cfg.model.lambda_min + float(np.max(np.abs(dw_grid))),
-        cfg.lambda_bar_override)
-
     r = cfg.r
     hist_raw = np.full(n, r / n)  # uniform initial measure of mass r
     inv_h = n / TWO_PI
@@ -390,7 +500,9 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
         return ((1.0 - frac) * float(dw_grid[i] @ hist_raw)
                 + frac * float(dw_grid[i1] @ hist_raw)) / (r + t)
 
-    rec, x, y, t, n_events, n_prop = _drive(cfg, lam_bar, drift=drift)
+    # the drift averages dw_grid entries (weights hist_raw/(r+t), mass 1)
+    certified = cfg.model.lambda_min + float(np.max(np.abs(dw_grid)))
+    rec, x, y, t, n_events, n_prop = _drive(cfg, certified, drift=drift)
     arc_sojourn(x, y, cfg.t_end - t, grid, out=hist_raw)
     return _finalize(cfg, rec, n_events, n_prop), hist_raw / hist_raw.sum()
 

@@ -609,7 +609,7 @@ def find_fixed_points(model: ModelSpec,
 
 
 def census_signature(records: Sequence[FixedPointRecord]) -> str:
-    """Compact census string such as '1 Saddle + 2 Sink + 2 Saddle'."""
+    """Compact census string such as '2 Saddle, 2 Sink, 1 Source' (cos2 at rho 4)."""
     counts: dict[str, int] = {}
     for r in records:
         counts[r.stability] = counts.get(r.stability, 0) + 1

@@ -13,18 +13,18 @@ the model configuration.
 Each command imports only the modules it runs. A config loads from
 model's run spec (SIVJPConfig, TelegraphState, MAX_PROPOSALS), so the
 engine (engine, markov) is imported only by the commands that simulate:
-run_sitp imports it on its first call, and simulate, scan and localize
-import it before _map_ordered can start a pool, so that the workers the
-pool forks inherit it rather than each compiling it. The fixed-point atlas
-(equilibria) is imported by the commands that take a census, the flow by
-cmd_flow and cmd_shadow, the self-checks by validation_report, markov's
-csv_text and ks_uniform by cmd_shadow and cmd_scan, hashlib by model_hash
-and ProcessPoolExecutor by _map_ordered when it first starts a pool. So
-`fixed-points` loads neither the engine nor markov, `flow` loads no
-engine and no hashlib (flow loads markov for csv_text), and `localize` at
---threads 1 loads no atlas, flow or pool. Those calls go through the
-module objects (equilibria.find_fixed_points, flow.integrate_flow), so
-that replacements made on those modules apply.
+run_sitp imports it on its first call, and _map_ordered just before it
+starts a pool, so that the workers the pool forks inherit it rather than
+each compiling it. The fixed-point atlas (equilibria) is imported by the
+commands that take a census, the flow by cmd_flow and cmd_shadow, the
+self-checks by validation_report, markov's csv_text and ks_uniform by
+cmd_shadow and cmd_scan, hashlib by model_hash and ProcessPoolExecutor by
+_map_ordered when it first starts a pool. So `fixed-points` loads neither
+the engine nor markov, `flow` loads no engine and no hashlib (flow loads
+markov for csv_text), and `localize` at --threads 1 loads no atlas, flow
+or pool. Those calls go through the module objects
+(equilibria.find_fixed_points, flow.integrate_flow), so that replacements
+made on those modules apply.
 ProcessPoolExecutor, run_sitp, _simulate_worker, classify_limit and
 ExperimentConfig.from_dict stay module attributes that are looked up at
 call time, because the benchmark's tracer (perfbench/traced.py) and the
@@ -232,12 +232,6 @@ def run_sitp(cfg: SIVJPConfig) -> MomentTrace:
     return run(cfg)
 
 
-def _load_engine() -> None:
-    """Imports the engine in this process, before _map_ordered can start a
-    pool, so that the workers it forks inherit the module."""
-    importlib.import_module(".engine", __package__)
-
-
 # ---------------------------------------------------------------------------
 # workers (module level so process pools can pickle them)
 
@@ -262,6 +256,8 @@ def _map_ordered(worker, jobs: list[tuple], threads: int):
     if threads <= 1:
         yield from (worker(*job) for job in jobs)
         return
+    # loaded here, the engine is inherited by the workers the pool forks
+    from . import engine  # noqa: F401
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -328,7 +324,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     ensure_outdir(out_dir)
     summaries = []
     jobs = [(cfg, rho, k) for k in range(int(cfg.sweep["seeds"]))]
-    _load_engine()
     with closing(_map_ordered(_simulate_worker, jobs, threads)) as traces:
         for k, trace in enumerate(traces):
             if isinstance(trace, Exception):
@@ -443,7 +438,6 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     censuses = [_census(cfg, rho) for rho in rhos]  # (records, payload) per rho
     ensure_outdir(out_dir)
     jobs = [(cfg, rho, i * n_seeds + k) for i, rho in enumerate(rhos) for k in range(n_seeds)]
-    _load_engine()
     rows, theta_finals, n_failed = [], [], 0
     # the stream first, so that zip exhausts it and its pool shuts down here
     for res, (_, rho, stream) in zip(_map_ordered(_simulate_worker, jobs, threads), jobs):
@@ -504,7 +498,6 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     ensure_outdir(out_dir)
     per_run = []
     jobs = [(run_cfg, cfg.model["rho"], k) for k in range(int(loc["N"]))]
-    _load_engine()
     with closing(_map_ordered(_simulate_worker, jobs, threads)) as traces:
         for k, trace in enumerate(traces):
             if isinstance(trace, Exception):

@@ -12,10 +12,8 @@ so the whole self-interaction is carried by the two moments.
 
 This module is also the home of a run's specification: the start state
 TelegraphState, the run config SIVJPConfig with its snapshot schedule, and
-the proposal budget with its constants. Loading a config needs no more, so
-the commands that never simulate do not load the engine, which imports
-them from here: fixed-points loads neither engine nor markov, and flow
-loads markov only for its CSV format.
+the proposal budget with its constants, so that loading a config loads no
+engine.
 """
 
 from __future__ import annotations

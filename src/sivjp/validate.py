@@ -12,9 +12,10 @@ import math
 import numpy as np
 
 from . import equilibria
-from .engine import OccupationStats, advect_occupation, drift_vprime, run_sitp
+from .engine import (OccupationStats, advect_occupation, drift_vprime, run_sitp,
+                     simulate_telegraph)
 from .geometry import PeriodicGrid, TWO_PI, dist_t, quad_periodic, wrap
-from .markov import ks_uniform, simulate_telegraph
+from .markov import ks_uniform
 from .model import ModelSpec, SIVJPConfig, TelegraphState
 from .potentials import cos2_potential, zero_potential
 from .rng import SeedSpec, derive_stream

@@ -17,7 +17,7 @@ from sivjp import (OccupationStats, PeriodicGrid, SIVJPConfig, SeedSpec,
 from sivjp.engine import _advance
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import TWO_PI, wrap
-from sivjp.markov import envelope_slope, local_clock, thinning_envelope
+from sivjp.engine import envelope_slope, local_clock, thinning_envelope
 from sivjp.model import MAX_PROPOSALS, ModelSpec
 from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
                               trig_potential, two_well_potential, zero_potential)

@@ -65,7 +65,7 @@ def test_check_flags_an_unused_import():
 
 # ---------------------------------------------------------------------------
 # one thinning loop on the circle: only engine._drive reads the loop's draws,
-# and no scope reads the local clock, which the loop inlines and markov keeps
+# and no scope reads the local clock, which the loop inlines and engine keeps
 # as the reference, so a second copy of the loop cannot come back
 
 LOOP_PRIMITIVES = ("uniform_pairs", "local_clock")
@@ -109,6 +109,41 @@ def test_check_finds_an_aliased_loop_primitive():
            "class Run:\n    def go(self):\n        return local_clock(0.5, 0.0, 1.0, 1.0, 2.0)\n")
     assert loop_primitive_users(src, "m") == {"uniform_pairs": {"m.loop"},
                                               "local_clock": {"m.loop", "m.Run.go"}}
+
+
+# ---------------------------------------------------------------------------
+# no import cycle: the engine runs on markov's EventLog and csv_text, so
+# markov must not import the engine back, at module level or in a function
+
+def engine_imports(source: str) -> list[int]:
+    """The lines of source that import sivjp.engine, at any depth: by an
+    import statement or by importlib.import_module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "import_module":
+            names = [a.value for a in node.args[:1] if isinstance(a, ast.Constant)]
+        else:
+            continue
+        if any(str(name).split(".")[-1] == "engine" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_markov_imports_no_engine():
+    assert engine_imports((SRC / "markov.py").read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_an_engine_import_at_any_depth():
+    src = ("import math\nfrom .geometry import wrap\nfrom . import engine\n"
+           "def run():\n    from .engine import _drive\n    return _drive\n"
+           "class Log:\n    def load(self):\n        import sivjp.engine\n"
+           "        return importlib.import_module('.engine', __package__)\n"
+           "from .engineering import engines\n")
+    assert engine_imports(src) == [3, 5, 9, 10]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +240,8 @@ def test_serial_localize_loads_no_atlas_or_pool(tmp_path):
 
 EXPORTS = {
     "engine": ["MomentTrace", "OccupationStats", "advect_occupation", "drift_vprime",
-               "run_sitp", "run_sitp_general", "quadratic_kernel_grids"],
+               "run_sitp", "run_sitp_general", "quadratic_kernel_grids",
+               "simulate_telegraph"],
     "equilibria": ["FixedPointRecord", "GridDensity", "fbar", "find_fixed_points",
                    "free_energy", "jacobian_fbar", "laplace_check", "moments", "pibar",
                    "rho_2", "rho_c", "solve_r_of_rho"],
@@ -214,8 +250,8 @@ EXPORTS = {
     "geometry": ["DENSITY_GRID", "THRESHOLD_GRID", "PeriodicGrid", "dist_t",
                  "quad_periodic", "wrap"],
     "markov": ["EventLog", "TorusVJPState", "empirical_tv",
-               "invariant_density", "occupation_histogram", "simulate_telegraph",
-               "simulate_torus_vjp", "velocity_fraction"],
+               "invariant_density", "occupation_histogram", "simulate_torus_vjp",
+               "velocity_fraction"],
     "model": ["ModelSpec", "SIVJPConfig", "TelegraphState"],
     "potentials": ["FrozenPotential", "cos_potential", "cos2_potential",
                    "frozen_potential", "grid_potential", "local_minima", "make_potential",

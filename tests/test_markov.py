@@ -155,6 +155,28 @@ class TestEmpiricalTV:
         with pytest.raises(DomainError):
             empirical_tv(log, invariant_density(zero_potential()))
 
+    def test_speed_neither_zero_nor_one_rejected(self):
+        log = EventLog(x0=0.0, y0=0.5, jump_times=np.array([]), post_x=np.array([]),
+                       post_y=np.array([]), t_final=2.0, x_final=1.0, y_final=0.5)
+        with pytest.raises(DomainError, match="speeds must be 0 or 1"):
+            occupation_histogram(log, PeriodicGrid(64))
+
+    def test_motionless_leg_fills_its_node_cell(self):
+        grid = PeriodicGrid(64)
+        log = EventLog(x0=1.0, y0=0, jump_times=np.array([]), post_x=np.array([]),
+                       post_y=np.array([], dtype=int), t_final=3.0, x_final=1.0,
+                       y_final=0)
+        masses = occupation_histogram(log, grid)
+        k = int(round(1.0 / grid.h))
+        assert masses[k] == 3.0 and masses.sum() == log.t_final
+        # after a unit-speed leg, the motionless one adds its whole duration
+        log = EventLog(x0=0.2, y0=1, jump_times=np.array([1.0]), post_x=np.array([1.2]),
+                       post_y=np.array([0]), t_final=3.5, x_final=1.2, y_final=0)
+        masses = occupation_histogram(log, grid)
+        k = int(round(1.2 / grid.h))
+        assert masses[k] >= 2.5
+        assert masses.sum() == pytest.approx(log.t_final, rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # d-torus process
@@ -244,3 +266,22 @@ class TestTorusVJP:
         p1 = hist1 / hist1.sum()
         d = invariant_density(cos_potential(), PeriodicGrid(64))
         assert 0.5 * np.abs(p1 - d.values * d.grid.h).sum() < 0.03
+
+    def test_only_1d_logs_are_analysed(self):
+        target = invariant_density(zero_potential())
+        analyses = (velocity_fraction, lambda log: occupation_histogram(log, target.grid),
+                    lambda log: empirical_tv(log, target))
+        log2 = simulate_torus_vjp(lambda x: np.zeros(2), 0.0, _q_circle, 1.0, 1.0,
+                                  TorusVJPState(np.zeros(2), np.array([1.0, 0.0])),
+                                  50.0, SeedSpec(59, 0))
+        for analyse in analyses:
+            with pytest.raises(DomainError, match="only 1-D event logs"):
+                analyse(log2)
+        log1 = simulate_torus_vjp(lambda x: np.zeros(1), 0.0,
+                                  lambda gen: np.array([1.0 if gen.random() < 0.5 else -1.0]),
+                                  1.0, 1.0, TorusVJPState(np.zeros(1), np.ones(1)),
+                                  50.0, SeedSpec(59, 0))
+        for log in (log1, telegraph(zero_potential(), 50.0, seed=59)):
+            assert 0.0 < velocity_fraction(log) < 1.0
+            assert occupation_histogram(log, target.grid).sum() == pytest.approx(50.0)
+            assert 0.0 < empirical_tv(log, target) < 1.0
