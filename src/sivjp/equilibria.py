@@ -140,61 +140,87 @@ UNDERFLOW_GAP = -math.log(sys.float_info.min)  # exp(-x) is a normal float for x
 class _NodeTables:
     """Fbar and its Jacobian for one model on one grid, from node tables.
 
-    The rows cos z, sin z and -U(z), and the columns 1, cos z, sin z,
+    The rows cos z, sin z, -U(z) and 1, and the columns 1, cos z, sin z,
     cos^2 z, sin^2 z and cos z sin z, are computed once. An evaluation at
-    (a, b) is then two matrix products: the log-density is
-    [rho a, rho b, 1] times the rows; after a max shift and exp, the
-    weights times the first 3 (fbar) or all 6 (fbar_jacobian_many) columns
-    give the mass s0 and the unnormalized moments, and each moment is
-    divided by s0 at the end (the node spacing cancels). The checks are
-    pibar's, with its exception classes: a non-finite shift or a -inf
-    log-density value raises NumericError, a weight that underflows to 0
-    raises DomainError. The per-node test for a zero weight is skipped
-    when a bound rules one out: every log-density value is at least
-    min(-U) - |rho| hypot(a, b), so no weight underflows while the shift
-    exceeds that bound by less than UNDERFLOW_GAP (a -inf in -U always
-    takes the test). The max node contributes exp(0) = 1 to s0, so s0 >= 1
-    holds by construction; it is checked all the same, as a DomainError.
+    (a, b) is then two matrix products: [rho a, rho b, 1, -shift] times the
+    rows is the shifted log-density; after exp, the weights times the first
+    3 (fbar) or all 6 (fbar_jacobian_many) columns give the mass s0 and the
+    unnormalized moments, each divided by s0 (the node spacing cancels).
 
-    The products round differently from pibar -> moments, and a batched
-    product from a one-point one, so results agree with the reference
-    quadratures to round-off, not bit for bit: tests hold Fbar within
-    1e-14 of moments(pibar(a, b)) - (a, b) and the Jacobian within
-    1e-14 max(1, |rho|). Each result is deterministic for a given batch.
+    fbar and fbar_pair shift by max(-U) + |rho| hypot(a, b), an upper bound
+    on the log-density known in advance, while the bound on its spread,
+    span(-U) + 2 |rho| hypot(a, b), stays below UNDERFLOW_GAP by 1 + 1e-12
+    max|U|, far more than round-off: every weight is then a normal float in
+    (0, ~1], and nothing needs a check. Otherwise (a wide spread, a NaN or
+    infinite point, a non-finite -U) fbar takes _fbar_max_shift, which
+    shifts by the max and, like fbar_jacobian_many, keeps pibar's checks
+    and exception classes: a non-finite shift or a -inf log-density value
+    raises NumericError, a zero weight DomainError, tested per node unless
+    the bound rules it out (a -inf in -U always takes the test). Only the
+    max-shift paths check s0 >= 1, true by construction, as a DomainError.
 
     fbar_jacobian_many evaluates k points per call, BATCH_VALUES // n at a
     time; a batch with a failing point raises what a loop over its points
-    would raise first. fbar_pair evaluates two points, the flow's two
-    lanes, with one max shift and exp over a (2, n) buffer but each row's
-    own products, so each point keeps fbar's bits (one matrix product for
-    both rows would round differently). fbar and fbar_pair write into
-    buffers the table owns, so a table serves one caller at a time; they
-    return fresh Python floats, fbar_jacobian_many fresh arrays.
+    would raise first, and a batched product rounds differently from a
+    one-point one (each result is deterministic for a given batch).
+    fbar_pair evaluates the flow's two lanes with one exp over a (2, n)
+    buffer but each row's own products, so each keeps fbar's bits. fbar
+    and fbar_pair write into buffers the table owns, so a table serves one
+    caller at a time.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid) -> None:
         z = grid.nodes
         c, s = np.cos(z), np.sin(z)
+        neg_u = -np.asarray(model.u(z), dtype=float)
         self.rho = model.rho
-        self.basis = np.stack([c, s, -np.asarray(model.u(z), dtype=float)])
-        self.neg_u = self.basis[2]
-        self.neg_u_min = float(np.minimum.reduce(self.neg_u))  # nan when -U has one
+        self.basis = np.stack([c, s, neg_u, np.ones(grid.n)])
+        self.neg_u_min = low = float(np.minimum.reduce(neg_u))  # nan when -U has one
+        self.neg_u_max = top = float(np.maximum.reduce(neg_u))
+        self._room = 0.5 * (UNDERFLOW_GAP - (top - low) - 1.0 - 1e-12 * max(abs(top), abs(low)))
         self.cols = np.stack([np.ones(grid.n), c, s, c * c, s * s, c * s])
         self.batch = max(1, BATCH_VALUES // grid.n)
-        self._coef, self._cols3 = np.array([0.0, 0.0, 1.0]), self.cols[:3]
+        self._coef, self._cols3 = np.array([0.0, 0.0, 1.0, 0.0]), self.cols[:3]
         self._logw, self._w = np.empty(grid.n), np.empty(grid.n)
-        self._logw2, self._w2 = np.empty((2, grid.n)), np.empty((2, grid.n))
-        self._shift2 = np.empty(2)
-        self._rows = (*self._logw2, *self._w2, self._shift2[:, None])  # fbar_pair's views
+        self._pair = (w2 := np.empty((2, grid.n)), *w2)  # fbar_pair's buffer and its rows
 
     def fbar(self, a: float, b: float) -> tuple[float, float]:
-        """Fbar at one point, on 1-D buffers, for the flow and the
-        bisection: 4.2 us at 64 nodes and 5.4 us at 512 (best of nine runs
-        on a 2-vCPU Xeon VM, BENCH_flow_lockstep.json), against 31 and
-        33 us for fbar_jacobian_many with k = 1 (BENCH_fused_field.json)."""
-        rho, coef, logw, w = self.rho, self._coef, self._logw, self._w
+        """Fbar at one point: 2.1 us at 64 nodes and 3.3 us at 512 (best of
+        nine runs, 2-vCPU Xeon VM, BENCH_folded_shift.json), against 4.2 and
+        5.7 us with the max shift and 31 and 33 us for fbar_jacobian_many."""
+        rho, coef, w = self.rho, self._coef, self._w
+        t = abs(rho) * math.hypot(a, b)
+        if not t < self._room:  # a NaN point or -U fails here too
+            return self._fbar_max_shift(a, b)
+        coef[0], coef[1], coef[3] = rho * a, rho * b, -(self.neg_u_max + t)
+        np.dot(coef, self.basis, out=w)
+        np.exp(w, out=w)
+        s0, s1, s2 = np.dot(self._cols3, w).tolist()
+        return s1 / s0 - a, s2 / s0 - b
+
+    def fbar_pair(self, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+        """fbar(a, b) + fbar(c, d), bit for bit, for the flow's two lanes:
+        4.1 us at 64 nodes and 5.8 us at 512, against 6.8 and 9.5 with the
+        max shift; the two fbar calls, in order, if either needs the max shift."""
+        rho, coef, basis, cols, top = self.rho, self._coef, self.basis, self._cols3, self.neg_u_max
+        t, u = abs(rho) * math.hypot(a, b), abs(rho) * math.hypot(c, d)
+        if not (t < self._room and u < self._room):
+            return (*self.fbar(a, b), *self.fbar(c, d))
+        w, w0, w1 = self._pair
+        coef[0], coef[1], coef[3] = rho * a, rho * b, -(top + t)
+        np.dot(coef, basis, out=w0)
+        coef[0], coef[1], coef[3] = rho * c, rho * d, -(top + u)
+        np.dot(coef, basis, out=w1)
+        np.exp(w, out=w)
+        s0, s1, s2 = np.dot(cols, w0).tolist()
+        t0, t1, t2 = np.dot(cols, w1).tolist()
+        return s1 / s0 - a, s2 / s0 - b, t1 / t0 - c, t2 / t0 - d
+
+    def _fbar_max_shift(self, a: float, b: float) -> tuple[float, float]:
+        """fbar shifted by the log-density's max, with pibar's checks."""
+        rho, coef, logw, w = self.rho, self._coef[:3], self._logw, self._w
         coef[0], coef[1] = rho * a, rho * b
-        np.dot(coef, self.basis, out=logw)
+        np.dot(coef, self.basis[:3], out=logw)
         shift = float(np.maximum.reduce(logw))  # a nan or +inf value propagates here
         if not math.isfinite(shift):
             raise NumericError("density_from_log: non-finite log-density value")
@@ -210,32 +236,6 @@ class _NodeTables:
             raise DomainError(f"GridDensity: weights sum to {s0!r}, below the max node's 1")
         return s1 / s0 - a, s2 / s0 - b
 
-    def fbar_pair(self, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
-        """fbar(a, b) + fbar(c, d), bit for bit, for the flow's lockstep
-        lanes: one max-reduce, subtract and exp over a (2, n) buffer, and
-        each row's products are fbar's gemvs. 6.5 us at 64 nodes and 9.1 us
-        at 512, against 8.4 and 10.9 us for the two fbar calls (as above).
-        When a check fails, the two fbar calls, in that order, raise."""
-        rho, coef, basis, cols, low = self.rho, self._coef, self.basis, self._cols3, self.neg_u_min
-        logw, w, (l0, l1, w0, w1, shift) = self._logw2, self._w2, self._rows
-        coef[0], coef[1] = rho * a, rho * b
-        np.dot(coef, basis, out=l0)
-        coef[0], coef[1] = rho * c, rho * d
-        np.dot(coef, basis, out=l1)
-        h0, h1 = np.maximum.reduce(logw, axis=1, out=self._shift2).tolist()
-        if math.isfinite(h0) and math.isfinite(h1):
-            np.subtract(logw, shift, out=w)
-            np.exp(w, out=w)
-            if (h0 - low + abs(rho) * math.hypot(a, b) < UNDERFLOW_GAP
-                    or np.minimum.reduce(w0) > 0.0) \
-                    and (h1 - low + abs(rho) * math.hypot(c, d) < UNDERFLOW_GAP
-                         or np.minimum.reduce(w1) > 0.0):
-                s0, s1, s2 = np.dot(cols, w0).tolist()
-                t0, t1, t2 = np.dot(cols, w1).tolist()
-                if s0 >= 1.0 and t0 >= 1.0:
-                    return s1 / s0 - a, s2 / s0 - b, t1 / t0 - c, t2 / t0 - d
-        return (*self.fbar(a, b), *self.fbar(c, d))
-
     def fbar_jacobian_many(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fbar, shape (k, 2), and its Jacobian, shape (k, 2, 2), at the
         points (a[i], b[i])."""
@@ -249,7 +249,7 @@ class _NodeTables:
 
     def _batch(self, a: np.ndarray, b: np.ndarray, f: np.ndarray, jac: np.ndarray) -> None:
         rho = self.rho
-        logw = np.stack([rho * a, rho * b, np.ones(a.size)], axis=1) @ self.basis
+        logw = np.stack([rho * a, rho * b, np.ones(a.size)], axis=1) @ self.basis[:3]
         shift = np.maximum.reduce(logw, axis=1)  # a nan or +inf value propagates here
         if not np.isfinite(shift).all():
             self._fail(a, b, f, jac,

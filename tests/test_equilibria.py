@@ -355,6 +355,46 @@ class TestAxisStage:
                     pass
         assert min(underflows) == 746.0 and max(underflows) == 760.0
 
+    def test_refusals_exact_off_axis(self):
+        # tilts that miss the argmax of -U, so the log-density spreads by
+        # less than span(-U) + 2 |rho| r, the bound that decides between the
+        # folded shift and the max shift; the sweep takes the bound past
+        # UNDERFLOW_GAP and the true spread past 745.1, where the smallest
+        # weight exp(logw - max logw) underflows to 0
+        r = 0.9
+        z = DENSITY_GRID.nodes
+        cases = ((cos2_potential(), 0.5 * math.pi),  # (0, r): -U peaks at 0 and pi
+                 (two_well_potential(), 2.2),
+                 (grid_potential([0.3, -0.1, 0.5, 0.2, -0.4, 0.0]), -0.7))
+        for pot, angle in cases:
+            a, b = r * math.cos(angle), r * math.sin(angle)
+            neg_u = -pot.v(z)
+            seen = set()
+            for bound in np.arange(690.0, 801.0, 3.0):
+                model = ModelSpec(potential=pot,
+                                  rho=(bound - (neg_u.max() - neg_u.min())) / (2.0 * r))
+                tables = equilibria._NodeTables(model, DENSITY_GRID)
+                logw = neg_u + model.rho * (a * np.cos(z) + b * np.sin(z))
+                underflow = bool(np.any(np.exp(logw - logw.max()) == 0.0))
+                seen.add("underflow" if underflow else
+                         "folded" if bound < equilibria.UNDERFLOW_GAP else "max shift")
+                for evaluate in (lambda: tables.fbar(a, b),
+                                 lambda: tables.fbar_pair(a, b, 0.5 * a, 0.5 * b)[:2],
+                                 lambda: tables.fbar_pair(0.5 * a, 0.5 * b, a, b)[2:]):
+                    if underflow:
+                        with pytest.raises(DomainError):
+                            evaluate()
+                        continue
+                    f = evaluate()
+                    try:
+                        want = reference_fbar(model, a, b)
+                    except DomainError:
+                        # the reference divides each weight by the mass before its
+                        # positivity check, so it may underflow a little earlier
+                        continue
+                    assert np.max(np.abs(np.subtract(f, want))) <= 1e-14
+            assert seen == {"folded", "max shift", "underflow"}
+
     def test_batched_field_and_jacobian_match_reference(self):
         # every point of a batch, whatever its size and position, against the reference path
         rng = np.random.default_rng(20261018)

@@ -283,6 +283,21 @@ class TestLockstep:
         integrate_flow(model, start, t_flow, dt)
         assert calls == {"fbar": 24_000, "fbar_pair": 24_000}
 
+    def test_shipped_flows_take_the_folded_shift(self, monkeypatch):
+        # every field evaluation of these flows shifts by the a-priori bound;
+        # one that slid back onto the max shift would fail here
+        def refuse(self, a, b):
+            raise AssertionError(f"max shift taken at ({a!r}, {b!r})")
+
+        monkeypatch.setattr(_NodeTables, "_fbar_max_shift", refuse)
+        shadow = ExperimentConfig.from_file(
+            str(Path(__file__).resolve().parents[1] / "configs" / "shadow_demo.json"))
+        model, start, _, dt = self.CASES["flow_demo"]
+        integrate_flow(model, start, 6.0, dt)
+        for shadow_start in ((0.1, 0.0), (0.999, 0.0), (-0.3, 0.6)):
+            integrate_flow(shadow.build_model(), shadow_start, 2.0, 0.01)
+        integrate_flow(ModelSpec(potential=cos2_potential(), rho=4.0), (0.3, -0.2), 4.0, 0.01)
+
 
 class TestPseudotrajectory:
     def test_synthetic_flow_input_has_tiny_error(self):

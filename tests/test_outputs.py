@@ -27,7 +27,7 @@ FIXED_POINTS_SHA256 = {
     "subcritical_smoke": "772577260d95bd5da26a56b2ada68cbe6b463c2a2ba2624ea2acb7ea195e6979",
     "supercritical": "fe53078f53afa40b4ab1e0e261cd288245aa4a7ee46704cf422f415ba3d1b7f1",
 }
-VALIDATE_SEED0_SHA256 = "c381d9379544a922d567891fb6ecd2ec9e401a952c8c27bd4577ca5acd00ebd9"
+VALIDATE_SEED0_SHA256 = "ee756db86cfa57d3d3b706f7c8f981cff5e03d0c8e5a2674d93a2f19886338e2"
 # (command, shipped config) -> {file it writes: SHA-256}
 COMMAND_OUTPUTS_SHA256 = {
     ("flow", "flow_demo"): {
