@@ -18,11 +18,13 @@ starts a pool, so that the workers the pool forks inherit it rather than
 each compiling it. The fixed-point atlas (equilibria) is imported by the
 commands that take a census, the flow by cmd_flow and cmd_shadow, the
 self-checks by validation_report, markov's csv_text and ks_uniform by
-cmd_shadow and cmd_scan, hashlib by model_hash and ProcessPoolExecutor by
-_map_ordered when it first starts a pool. So `fixed-points` loads neither
-the engine nor markov, `flow` loads no engine and no hashlib (flow loads
-markov for csv_text), and `localize` at --threads 1 loads no atlas, flow
-or pool. Those calls go through the module objects
+cmd_shadow and cmd_scan, and ProcessPoolExecutor by _map_ordered when it
+first starts a pool. model_hash uses CPython's built-in SHA-256, not
+hashlib, so only the commands that simulate load OpenSSL (numpy.random
+imports hashlib). So `fixed-points` loads neither the engine, markov nor
+hashlib, `flow` loads no engine and no hashlib (flow loads markov for
+csv_text), and `localize` at --threads 1 loads no atlas, flow or pool.
+Those calls go through the module objects
 (equilibria.find_fixed_points, flow.integrate_flow), so that replacements
 made on those modules apply.
 ProcessPoolExecutor, run_sitp, _simulate_worker, classify_limit and
@@ -168,12 +170,31 @@ class ExperimentConfig:
         )
 
     def model_hash(self, rho: float | None = None) -> str:
-        import hashlib
-        payload = dict(self.model)
-        if rho is not None:
-            payload["rho"] = rho
+        """First 12 hex digits of the SHA-256 of the defaulted model section
+        (rho replaced when given) as sorted, compact JSON. Every number is
+        written as a float, so that a model spelled with 2 or with 2.0 has
+        one hash.
+
+        The digest comes from CPython's built-in SHA-256 (_sha2 from 3.12,
+        _sha256 before), which hashlib itself falls back to without OpenSSL:
+        importing hashlib loads OpenSSL's _hashlib extension, 3.4 MB of
+        resident memory (27.1 -> 30.5 MB in a process holding numpy), which
+        fixed-points and scan's main process need for nothing else.
+        """
+        for module in ("_sha2", "_sha256", "hashlib"):  # hashlib if built without both
+            try:
+                sha256 = importlib.import_module(module).sha256
+            except ImportError:
+                continue
+            break
+        model = self.model
+        payload = {"potential": model["potential"],
+                   "params": {key: [float(v) for v in value] if isinstance(value, list)
+                              else float(value) for key, value in model["params"].items()},
+                   "rho": float(model["rho"] if rho is None else rho),
+                   "lambda_min": float(model["lambda_min"])}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return sha256(blob.encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------

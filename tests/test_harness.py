@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -33,6 +34,7 @@ BASE = {
     "sivjp": {"T": 200.0, "record_stride": 50.0},
     "sweep": {"seeds": 3},
 }
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, cfg_dict, fname="config.json"):
@@ -126,6 +128,44 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(BASE)
         assert cfg.model_hash() == cfg.model_hash()
         assert cfg.model_hash(rho=1.0) != cfg.model_hash(rho=2.0)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
+    def test_model_hash_is_hashlib_sha256_of_the_model(self, path):
+        cfg = ExperimentConfig.from_file(str(path))
+
+        def digest(model: dict) -> str:
+            blob = json.dumps(model, sort_keys=True, separators=(",", ":")).encode()
+            return hashlib.sha256(blob).hexdigest()[:12]
+
+        assert cfg.model_hash() == digest(cfg.model)
+        for rho in [*cfg.sweep["rhos"], 0.5, 3.0]:
+            assert cfg.model_hash(rho=rho) == digest({**cfg.model, "rho": rho})
+
+    def test_model_hash_without_the_builtin_sha256(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(BASE)
+        expected = cfg.model_hash(rho=2.5)
+        for module in ("_sha2", "_sha256"):  # a build without them: hashlib's sha256
+            monkeypatch.setitem(sys.modules, module, None)
+        assert cfg.model_hash(rho=2.5) == expected
+
+    @pytest.mark.parametrize("model", [
+        {"potential": "cos2", "rho": 2, "lambda_min": 1},
+        {"potential": "two_well", "params": {"a1": 1, "a2": -2}, "rho": 30},
+        {"potential": "custom_grid", "params": {"values": [0, 1, 0.5, -1]}},
+    ], ids=["cos2", "two_well", "custom_grid"])
+    def test_model_hash_reads_ints_as_floats(self, model):
+        def floats(x):
+            if isinstance(x, dict):
+                return {key: floats(value) for key, value in x.items()}
+            if isinstance(x, list):
+                return [floats(value) for value in x]
+            return x if isinstance(x, str) else float(x)
+
+        as_ints = ExperimentConfig.from_dict({"name": "ints", "model": model})
+        as_floats = ExperimentConfig.from_dict({"name": "floats", "model": floats(model)})
+        assert as_ints.model_hash() == as_floats.model_hash()
+        assert as_ints.model_hash(rho=4) == as_floats.model_hash(rho=4.0)
+        assert as_ints.model_hash(rho=4) != as_ints.model_hash()
 
 
 def simulate_peak_rss_kb(tmp_path, seeds: int) -> int:

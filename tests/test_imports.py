@@ -8,10 +8,12 @@ bind nothing, and an import marked "# noqa: F401" is kept on purpose.
 
 The import budget runs the package in a fresh interpreter and checks which
 modules it loaded: the package root loads no submodule, and each command
-leaves out the engine (engine, markov), hashlib, the fixed-point atlas, the
-flow, the self-checks and the process pool unless it runs them. A command
-that starts a pool loads the engine first, so that the workers the pool
-forks inherit it.
+leaves out the engine (engine, markov), the fixed-point atlas, the flow,
+the self-checks and the process pool unless it runs them. A command that
+starts a pool loads the engine first, so that the workers the pool forks
+inherit it. hashlib, and with it OpenSSL's _hashlib, comes only with
+numpy.random, so `fixed-points`, `flow` and scan's main process, which
+hash their model with CPython's built-in SHA-256, load neither.
 """
 
 import ast
@@ -211,6 +213,35 @@ def test_scan_loads_the_engine_before_its_pool(tmp_path):
             "harness.ProcessPoolExecutor = Pool\n"
             + cli_run(tmp_path, raw, ["--threads", "2", "scan"]))
     assert run_fresh(code) == ["engine at pool start: True"]
+
+
+def test_scan_holds_no_openssl_when_its_pool_starts(tmp_path):
+    raw = json.loads((ROOT / "configs" / "pitchfork_scan.json").read_text())
+    raw["sweep"] = {"rhos": [1.0, 3.0], "seeds": 1}
+    raw["sivjp"]["T"] = 50.0
+    code = ("import sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from sivjp import harness\n"
+            "class Pool(ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        print('at pool start:', sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "harness.ProcessPoolExecutor = Pool\n"
+            + cli_run(tmp_path, raw, ["--threads", "2", "scan"]))
+    assert run_fresh(code) == ["at pool start: []"]
+
+
+@pytest.mark.parametrize("command, config", [("fixed-points", "pitchfork_scan.json"),
+                                             ("flow", "flow_demo.json")])
+def test_census_commands_load_no_openssl(tmp_path, command, config):
+    # model_hash takes CPython's built-in SHA-256: hashlib would load
+    # OpenSSL's _hashlib, 3.4 MB of resident memory
+    raw = json.loads((ROOT / "configs" / config).read_text())
+    if command == "flow":
+        raw["flow"]["T_flow"] = 5.0
+    loaded = modules_after(cli_run(tmp_path, raw, [command]))
+    assert "sivjp.equilibria" in loaded
+    assert loaded.isdisjoint({"hashlib", "_hashlib"})
 
 
 def test_fixed_points_loads_no_engine_flow_or_pool(tmp_path):
