@@ -460,9 +460,10 @@ def run_sitp_general(w_grid: np.ndarray, dw_grid: np.ndarray,
     nodes of PeriodicGrid(n), n = len(w_grid); the drift at x is the grid
     convolution of dw_grid against the occupation histogram on that grid,
     with piecewise-linear interpolation in x. The histogram carries the
-    uniform initial mass r plus the exact sojourn masses of the trajectory,
-    so the only bias is the cell-width smearing of the kernel, of the order
-    of the grid spacing. A run starts uniform, so cfg.mu0 must be (0, 0).
+    uniform initial mass r plus each leg's exact sojourn masses
+    (geometry.arc_sojourn), so the only bias is the cell-width smearing of
+    the kernel, of the order of the grid spacing. A run starts uniform, so
+    cfg.mu0 must be (0, 0).
 
     The exterior potential must be baked into the kernel
     (W = U(x) + Wint(x, z) + U(z)); cfg.model contributes lambda_min and

@@ -1,10 +1,15 @@
-"""Circle and torus geometry: angle wrapping, the chordal metric, and
-uniform-node periodic quadrature.
+"""Circle and torus geometry: angle wrapping, the chordal metric,
+uniform-node periodic quadrature, and the deposit of flight legs into
+grid cells.
 
 Angles are plain floats normalized to [0, 2*pi). The quadrature rule is the
 rectangle rule on n equispaced nodes, which for smooth 2*pi-periodic
 integrands converges faster than any power of 1/n and is exact on
 trigonometric polynomials of degree < n/2.
+
+Cells are node-centred and half-open, cell k being [node_k - h/2,
+node_k + h/2). arc_sojourn is the one rule that splits a flight leg into
+time-in-cell masses, for the general-kernel engine and the log analysis.
 """
 
 from __future__ import annotations
@@ -90,56 +95,44 @@ def quad_periodic(vals: np.ndarray, grid: PeriodicGrid) -> float:
     return grid.h * float(vals.sum())
 
 
+def cell_index(x: float, grid: PeriodicGrid) -> int:
+    """Index k of the node-centred, half-open cell [node_k - h/2, node_k + h/2)
+    that holds the angle x (any finite float)."""
+    return min(int(((x + 0.5 * grid.h) % TWO_PI) / grid.h), grid.n - 1)
+
+
 def arc_sojourn(x0: float, direction: int, length: float, grid: PeriodicGrid,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Time spent in each grid cell by a unit-speed arc of the given length.
+    """Add to out (zeros if None) the time in each cell of the unit-speed
+    leg of the given length from x0, forward if direction > 0, else
+    backward; return out.
 
-    Cells are centered on the nodes: cell k = [node_k - h/2, node_k + h/2).
-    The deposit is exact (no sub-sampling): full laps contribute uniformly
-    and the partial arc is split across cells analytically.
+    The package's one deposit rule, exact and local: each full lap adds h
+    to every cell, the two end cells get their partial lengths and the
+    cells strictly between them h each. Cells are as in cell_index.
     """
     if out is None:
         out = np.zeros(grid.n)
     if length <= 0.0:
         return out
-    lo = x0 if direction > 0 else x0 - length
-    _deposit_interval(lo, lo + length, grid, out)
+    n, h = grid.n, grid.h
+    laps, rem = divmod(length, TWO_PI)  # 0 <= rem < 2*pi
+    if laps:
+        out += laps * h
+    # the partial arc [s, e) in edge-aligned coordinates, cell k = [k h, (k+1) h)
+    lo = x0 if direction > 0 else x0 - rem
+    i = cell_index(lo, grid)
+    s = (lo + 0.5 * h) % TWO_PI
+    e = s + rem
+    j = int(e / h)
+    if j == i:
+        out[i] += rem
+        return out
+    out[i] += (i + 1) * h - s
+    out[j % n] += e - j * h
+    if j <= n:
+        out[i + 1:j] += h
+    else:  # the leg wraps past 2*pi
+        out[i + 1:] += h
+        out[:j - n] += h
     return out
-
-
-def _cell_cumulative(x: np.ndarray | float, grid: PeriodicGrid) -> np.ndarray:
-    """Per-cell occupancy of the unit-speed path [0, x) from angle 0.
-
-    Works on a scalar (returns shape (n,)) or a batch (returns (m, n)).
-    Cells are edge-aligned after shifting by half a cell, so that the
-    result refers to node-centered cells.
-    """
-    h = grid.h
-    x = np.asarray(x, dtype=float)[..., None] + 0.5 * h  # center -> edge shift
-    laps = np.floor(x / TWO_PI)
-    phase = x - TWO_PI * laps
-    edges = h * np.arange(grid.n)
-    return h * laps + np.clip(phase - edges, 0.0, h)
-
-
-def _deposit_interval(lo: float, hi: float, grid: PeriodicGrid, out: np.ndarray) -> None:
-    out += _cell_cumulative(hi, grid) - _cell_cumulative(lo, grid)
-
-
-def segments_sojourn(starts: np.ndarray, directions: np.ndarray, lengths: np.ndarray,
-                     grid: PeriodicGrid, chunk: int = 4096) -> np.ndarray:
-    """Total per-cell occupancy of many unit-speed arcs, vectorized.
-
-    Equivalent to summing arc_sojourn over segments, but batched so that
-    event logs with 1e5+ segments bin in a few hundred milliseconds.
-    """
-    starts = np.asarray(starts, dtype=float)
-    lengths = np.asarray(lengths, dtype=float)
-    directions = np.asarray(directions, dtype=float)
-    lo = np.where(directions > 0, starts, starts - lengths)
-    hi = lo + lengths
-    total = np.zeros(grid.n)
-    for k in range(0, lo.size, chunk):
-        sl = slice(k, k + chunk)
-        total += (_cell_cumulative(hi[sl], grid) - _cell_cumulative(lo[sl], grid)).sum(axis=0)
-    return total

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
-from .geometry import DENSITY_GRID, TWO_PI, PeriodicGrid, segments_sojourn
+from .geometry import DENSITY_GRID, TWO_PI, PeriodicGrid, arc_sojourn, cell_index
 from .model import ROUNDOFF_TOL, proposal_budget
 from .potentials import FrozenPotential
 from .rng import SeedSpec, derive_stream
@@ -199,22 +199,23 @@ def _scalar_segments(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def occupation_histogram(log: EventLog, grid: PeriodicGrid) -> np.ndarray:
     """Exact time-in-cell masses of the trajectory; sums to t_final.
 
-    Cell crossing times are computed analytically from the piecewise-linear
-    motion, so there is no sub-sampling bias. Velocities must have unit
-    speed (the telegraph case and the d=1 two-speed reduction).
+    Each unit-speed leg is deposited by geometry.arc_sojourn, and each
+    motionless leg adds its duration to its cell (geometry.cell_index).
+    Speeds must be 0 or 1 (the telegraph case and the d=1 two-speed
+    reduction).
     """
     xs, ys, durations = _scalar_segments(log)
     if log.t_final <= 0.0:
         raise DomainError("occupation_histogram: empty trajectory")
-    speeds = np.abs(ys)
-    moving = speeds > 1e-12
-    if np.any(np.abs(speeds[moving] - 1.0) > 1e-12):
-        raise DomainError("occupation_histogram: speeds must be 0 or 1")
-    masses = segments_sojourn(xs[moving], np.sign(ys[moving]), durations[moving], grid)
-    # motionless legs sit in a single cell
-    for x0, dt in zip(xs[~moving], durations[~moving]):
-        k = int(round(x0 / grid.h)) % grid.n
-        masses[k] += dt
+    masses = np.zeros(grid.n)
+    for x0, y, dt in zip(xs.tolist(), ys.tolist(), durations.tolist()):
+        speed = abs(y)
+        if speed <= 1e-12:
+            masses[cell_index(x0, grid)] += dt
+        elif abs(speed - 1.0) > 1e-12:
+            raise DomainError("occupation_histogram: speeds must be 0 or 1")
+        else:
+            arc_sojourn(x0, y, dt, grid, out=masses)
     return masses
 
 

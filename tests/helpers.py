@@ -91,6 +91,26 @@ def brute_r_of_rho(rho: float) -> float:
 _POTS = {"zero": zero_potential, "cos2": cos2_potential, "two_well": two_well_potential}
 
 
+def overlap_sojourn(lo: float, length: float, n: int) -> np.ndarray:
+    """Exact overlap of the path [lo, lo + length) with each node-centred,
+    half-open cell of n (independent oracle for geometry.arc_sojourn).
+
+    The path from angle 0 to x spends h*laps + clip(phase - k h, 0, h) in
+    cell k after the half-cell shift that makes the cells edge-aligned;
+    the leg's masses are that cumulative at its end minus at its start.
+    """
+    h = 2.0 * math.pi / n
+    edges = h * np.arange(n)
+
+    def cumulative(x: float) -> np.ndarray:
+        x = x + 0.5 * h
+        laps = math.floor(x / (2.0 * math.pi))
+        phase = x - 2.0 * math.pi * laps
+        return h * laps + np.clip(phase - edges, 0.0, h)
+
+    return cumulative(lo + length) - cumulative(lo)
+
+
 def _sitp_worker(args: tuple) -> tuple:
     pot_name, rho, lambda_min, t_end, master, stream, stride, log_stride = args
     model = ModelSpec(potential=_POTS[pot_name](), rho=rho, lambda_min=lambda_min)

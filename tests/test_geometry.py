@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TWO_PI_I0_1, bessel_i
+from helpers import TWO_PI_I0_1, bessel_i, overlap_sojourn
 from sivjp import PeriodicGrid, dist_t, quad_periodic, wrap
 from sivjp.errors import ConfigError, DomainError, NumericError
-from sivjp.geometry import DENSITY_GRID, TWO_PI, arc_sojourn, segments_sojourn
+from sivjp.geometry import DENSITY_GRID, TWO_PI, arc_sojourn
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
@@ -150,14 +150,46 @@ class TestArcSojourn:
         assert masses[0] == pytest.approx(0.08, rel=1e-12)
         assert masses[1:].sum() == pytest.approx(0.0, abs=1e-15)
 
-    def test_batched_matches_loop(self):
-        g = PeriodicGrid(64)
+    @staticmethod
+    def oracle_cases():
+        # (x0, direction, length, n)
         rng = np.random.default_rng(7)
         starts = rng.random(200) * TWO_PI
         dirs = np.where(rng.random(200) < 0.5, 1, -1)
         lengths = rng.random(200) * 9.0
-        total = segments_sojourn(starts, dirs, lengths, g, chunk=17)
-        ref = np.zeros(64)
-        for s, d, ln in zip(starts, dirs, lengths):
-            arc_sojourn(s, int(d), float(ln), g, out=ref)
-        assert np.allclose(total, ref, atol=1e-10)
+        cases = [(float(s), int(d), float(ln), 64) for s, d, ln in zip(starts, dirs, lengths)]
+        h = TWO_PI / 64
+        for d in (1, -1):
+            # start and end on cell edges
+            cases += [((k - 0.5) * h, d, m * h, 64)
+                      for k in (0, 1, 17, 63) for m in (1, 2, 5, 64, 70)]
+            # whole numbers of laps
+            cases += [(x0, d, k * TWO_PI, 64) for x0 in (0.0, 0.37, 2.5 * h) for k in (1, 2, 3)]
+            # wraps past 2*pi forwards and past 0 backwards
+            cases += [(TWO_PI - 0.3, d, 1.0, 64), (0.2, d, 1.0, 64), (0.2, d, 7.5, 64)]
+            # a start just below 2*pi, and tiny negative starts
+            cases += [(math.nextafter(TWO_PI, 0.0), d, ln, 64) for ln in (1e-9, 0.3, 6.5)]
+            cases += [(-1e-17, d, ln, 64) for ln in (1e-9, 0.3, 6.5)]
+            cases += [(-0.5 * h - 1e-17, d, 0.5, 64)]
+            # the coarsest grid
+            cases += [(x0, d, ln, 4)
+                      for x0 in (0.0, 0.7, 5.9) for ln in (0.1, 1.6, 3.0, 7.0, 13.0)]
+        return cases
+
+    def test_matches_overlap_oracle(self):
+        for x0, d, length, n in self.oracle_cases():
+            masses = arc_sojourn(x0, d, length, PeriodicGrid(n))
+            lo = x0 if d > 0 else x0 - length
+            err = np.max(np.abs(masses - overlap_sojourn(lo, length, n)))
+            assert err <= 1e-12, (x0, d, length, n, err)
+            assert masses.sum() == pytest.approx(length, rel=1e-12, abs=1e-12)
+
+    def test_accumulates_into_out(self):
+        g = PeriodicGrid(64)
+        out = np.zeros(64)
+        total = np.zeros(64)
+        for x0, d, length, _ in self.oracle_cases()[:200]:
+            assert arc_sojourn(x0, d, length, g, out=out) is out
+            lo = x0 if d > 0 else x0 - length
+            total += overlap_sojourn(lo, length, 64)
+        assert np.allclose(out, total, atol=1e-10)

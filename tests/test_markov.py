@@ -11,7 +11,7 @@ from sivjp import (EventLog, PeriodicGrid, SeedSpec, TelegraphState, TorusVJPSta
                    empirical_tv, invariant_density, simulate_telegraph,
                    simulate_torus_vjp, velocity_fraction, wrap)
 from sivjp.errors import ConfigError, DomainError
-from sivjp.geometry import TWO_PI
+from sivjp.geometry import TWO_PI, arc_sojourn
 from sivjp.markov import occupation_histogram
 from sivjp.potentials import cos_potential, cos2_potential, zero_potential
 
@@ -176,6 +176,22 @@ class TestEmpiricalTV:
         k = int(round(1.2 / grid.h))
         assert masses[k] >= 2.5
         assert masses.sum() == pytest.approx(log.t_final, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 31, 62, 63])
+    def test_motionless_leg_and_moving_leg_share_the_cell_rule(self, k):
+        # x0 sits on (or within round-off of) the edge between cells k and
+        # k + 1; a motionless leg there lands in the cell where a short
+        # forward leg from x0 starts, whichever side round-off puts x0 on
+        grid = PeriodicGrid(64)
+        x0 = (k + 0.5) * grid.h
+        log = EventLog(x0=x0, y0=0, jump_times=np.array([]), post_x=np.array([]),
+                       post_y=np.array([], dtype=int), t_final=3.0, x_final=x0,
+                       y_final=0)
+        still = occupation_histogram(log, grid)
+        cells = set(np.flatnonzero(arc_sojourn(x0, 1, 1e-9, grid)).tolist())
+        (start,) = [c for c in cells if (c - 1) % 64 not in cells]
+        assert start in (k, (k + 1) % 64)
+        assert still[start] == 3.0
 
 
 # ---------------------------------------------------------------------------
