@@ -133,6 +133,7 @@ def jacobian_fbar(model: ModelSpec, a: float, b: float,
     return _NodeTables(model, grid).fbar_jacobian_many(np.array([a]), np.array([b]))[1][0]
 
 
+_dot, _exp = np.dot, np.exp  # bound once for _NodeTables.fbar and fbar_pair
 BATCH_VALUES = 4096  # points x nodes per batched evaluation: two 32 KB arrays
 UNDERFLOW_GAP = -math.log(sys.float_info.min)  # exp(-x) is a normal float for x below this
 
@@ -174,6 +175,7 @@ class _NodeTables:
         c, s = np.cos(z), np.sin(z)
         neg_u = -np.asarray(model.u(z), dtype=float)
         self.rho = model.rho
+        self._abs_rho = abs(model.rho)
         self.basis = np.stack([c, s, neg_u, np.ones(grid.n)])
         self.neg_u_min = low = float(np.minimum.reduce(neg_u))  # nan when -U has one
         self.neg_u_max = top = float(np.maximum.reduce(neg_u))
@@ -181,39 +183,41 @@ class _NodeTables:
         self.cols = np.stack([np.ones(grid.n), c, s, c * c, s * s, c * s])
         self.batch = max(1, BATCH_VALUES // grid.n)
         self._coef, self._cols3 = np.array([0.0, 0.0, 1.0, 0.0]), self.cols[:3]
-        self._logw, self._w = np.empty(grid.n), np.empty(grid.n)
+        self._logw, self._w, self._sums = np.empty(grid.n), np.empty(grid.n), np.empty(3)
         self._pair = (w2 := np.empty((2, grid.n)), *w2)  # fbar_pair's buffer and its rows
 
     def fbar(self, a: float, b: float) -> tuple[float, float]:
-        """Fbar at one point: 2.1 us at 64 nodes and 3.3 us at 512 (best of
-        nine runs, 2-vCPU Xeon VM, BENCH_folded_shift.json), against 4.2 and
-        5.7 us with the max shift and 31 and 33 us for fbar_jacobian_many."""
+        """Fbar at one point: 1.7 us at 64 nodes and 2.5 us at 512 (median
+        of five best-of-nine runs, 2-vCPU Xeon VM, BENCH_flow_overhead.json),
+        against 4.2 and 5.7 us with the max shift and 31 and 33 us for
+        fbar_jacobian_many (BENCH_folded_shift.json)."""
         rho, coef, w = self.rho, self._coef, self._w
-        t = abs(rho) * math.hypot(a, b)
+        t = self._abs_rho * math.hypot(a, b)
         if not t < self._room:  # a NaN point or -U fails here too
             return self._fbar_max_shift(a, b)
         coef[0], coef[1], coef[3] = rho * a, rho * b, -(self.neg_u_max + t)
-        np.dot(coef, self.basis, out=w)
-        np.exp(w, out=w)
-        s0, s1, s2 = np.dot(self._cols3, w).tolist()
+        _dot(coef, self.basis, w)
+        _exp(w, w)
+        s0, s1, s2 = _dot(self._cols3, w, self._sums).tolist()
         return s1 / s0 - a, s2 / s0 - b
 
     def fbar_pair(self, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
         """fbar(a, b) + fbar(c, d), bit for bit, for the flow's two lanes:
-        4.1 us at 64 nodes and 5.8 us at 512, against 6.8 and 9.5 with the
+        3.2 us at 64 nodes and 5.0 us at 512, against 6.8 and 9.5 with the
         max shift; the two fbar calls, in order, if either needs the max shift."""
         rho, coef, basis, cols, top = self.rho, self._coef, self.basis, self._cols3, self.neg_u_max
-        t, u = abs(rho) * math.hypot(a, b), abs(rho) * math.hypot(c, d)
+        t, u = self._abs_rho * math.hypot(a, b), self._abs_rho * math.hypot(c, d)
         if not (t < self._room and u < self._room):
             return (*self.fbar(a, b), *self.fbar(c, d))
         w, w0, w1 = self._pair
         coef[0], coef[1], coef[3] = rho * a, rho * b, -(top + t)
-        np.dot(coef, basis, out=w0)
+        _dot(coef, basis, w0)
         coef[0], coef[1], coef[3] = rho * c, rho * d, -(top + u)
-        np.dot(coef, basis, out=w1)
-        np.exp(w, out=w)
-        s0, s1, s2 = np.dot(cols, w0).tolist()
-        t0, t1, t2 = np.dot(cols, w1).tolist()
+        _dot(coef, basis, w1)
+        _exp(w, w)
+        sums = self._sums
+        s0, s1, s2 = _dot(cols, w0, sums).tolist()
+        t0, t1, t2 = _dot(cols, w1, sums).tolist()
         return s1 / s0 - a, s2 / s0 - b, t1 / t0 - c, t2 / t0 - d
 
     def _fbar_max_shift(self, a: float, b: float) -> tuple[float, float]:

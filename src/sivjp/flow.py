@@ -98,6 +98,13 @@ def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
     return np.array(times), np.array(points)
 
 
+def _stage_coefs(step: float) -> tuple[float, ...]:
+    """hh, h6 of a step of that length and gh, g6 of its halves g, as
+    _rk4_path computes them at substeps 1 and 2."""
+    g = step / 2
+    return 0.5 * step, step / 6.0, g, 0.5 * g, g / 6.0
+
+
 def _rk4_lockstep(tables: _NodeTables, start: np.ndarray, t_flow: float,
                   dt: float) -> tuple[np.ndarray, np.ndarray, float]:
     """_rk4_path at substeps 1 and 2 in one loop, bit for bit: the times,
@@ -106,20 +113,23 @@ def _rk4_lockstep(tables: _NodeTables, start: np.ndarray, t_flow: float,
     Each dt step moves the dt lane one step and the halving lane two half
     steps. The dt lane's four stages each share one tables.fbar_pair call
     with the matching stage of the halving lane's first half step; the
-    second half step's stages call tables.fbar. The gap is a running max,
-    so the halving path is never stored. A lane that fails raises at once;
+    second half step's stages call tables.fbar. A step's end goes through
+    _onto_disk only past radius 1, where it raises or projects as in
+    _rk4_path. The gap is a running max, so the halving path is never
+    stored. A lane that fails raises at once;
     integrate_flow then reruns the two passes for the error they raise.
     """
     n_steps = int(math.ceil(t_flow / dt - 1e-12))
-    pair, field = tables.fbar_pair, tables.fbar
+    pair, field, hypot = tables.fbar_pair, tables.fbar, math.hypot
     pa, pb = qa, qb = float(start[0]), float(start[1])
     times, points = [0.0], [(pa, pb)]
     s = gap = 0.0
+    step = dt
+    hh, h6, g, gh, g6 = _stage_coefs(step)
     for _ in range(n_steps):
-        step = min(dt, t_flow - s)
-        hh, h6 = 0.5 * step, step / 6.0
-        g = step / 2
-        gh, g6 = 0.5 * g, g / 6.0
+        if t_flow - s < dt:  # the cut last step: min(dt, t_flow - s)
+            step = t_flow - s
+            hh, h6, g, gh, g6 = _stage_coefs(step)
         k1a, k1b, j1a, j1b = pair(pa, pb, qa, qb)
         k2a, k2b, j2a, j2b = pair(pa + hh * k1a, pb + hh * k1b, qa + gh * j1a, qb + gh * j1b)
         k3a, k3b, j3a, j3b = pair(pa + hh * k2a, pb + hh * k2b, qa + gh * j2a, qb + gh * j2b)
@@ -127,18 +137,27 @@ def _rk4_lockstep(tables: _NodeTables, start: np.ndarray, t_flow: float,
                                   qa + g * j3a, qb + g * j3b)
         pa = pa + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         pb = pb + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        pa, pb = _onto_disk(pa, pb)
+        if hypot(pa, pb) > 1.0:
+            pa, pb = _onto_disk(pa, pb)
         qa = qa + g6 * (j1a + 2.0 * j2a + 2.0 * j3a + j4a)
         qb = qb + g6 * (j1b + 2.0 * j2b + 2.0 * j3b + j4b)
-        qa, qb = _onto_disk(qa, qb)
+        if hypot(qa, qb) > 1.0:
+            qa, qb = _onto_disk(qa, qb)
         j1a, j1b = field(qa, qb)
         j2a, j2b = field(qa + gh * j1a, qb + gh * j1b)
         j3a, j3b = field(qa + gh * j2a, qb + gh * j2b)
         j4a, j4b = field(qa + g * j3a, qb + g * j3b)
         qa = qa + g6 * (j1a + 2.0 * j2a + 2.0 * j3a + j4a)
         qb = qb + g6 * (j1b + 2.0 * j2b + 2.0 * j3b + j4b)
-        qa, qb = _onto_disk(qa, qb)
-        gap = max(gap, abs(pa - qa), abs(pb - qb))
+        if hypot(qa, qb) > 1.0:
+            qa, qb = _onto_disk(qa, qb)
+        # gap = max(gap, |pa - qa|, |pb - qb|), by comparisons
+        d = pa - qa if pa > qa else qa - pa
+        if d > gap:
+            gap = d
+        d = pb - qb if pb > qb else qb - pb
+        if d > gap:
+            gap = d
         s += step
         times.append(s)
         points.append((pa, pb))

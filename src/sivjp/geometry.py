@@ -48,9 +48,10 @@ class PeriodicGrid:
     """n equispaced nodes 2*pi*k/n on the circle.
 
     n must be even and >= 4 so that the node set is symmetric under both
-    z -> z + pi and z -> -z, which the symmetry checks rely on. The node
-    array is built on first use and shared, so it is read-only; it is left
-    out of equality, hashing and pickling, which see only n.
+    z -> z + pi and z -> -z, which the symmetry checks rely on. The spacing
+    h and the node array are computed on first use; the array is shared,
+    so it is read-only. Both are left out of equality, hashing and
+    pickling, which see only n.
     """
 
     n: int
@@ -59,7 +60,7 @@ class PeriodicGrid:
         if self.n < 4 or self.n % 2 != 0:
             raise ConfigError(f"PeriodicGrid: n must be even and >= 4, got {self.n}")
 
-    @property
+    @cached_property
     def h(self) -> float:
         return TWO_PI / self.n
 

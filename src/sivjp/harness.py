@@ -514,7 +514,9 @@ def cmd_localize(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
         raise ConfigError(
             f"cmd_localize: |rho| = {abs(model.rho)} below configured floor "
             f"{loc['rho_min']} (localization needs strong attraction)")
-    run_cfg = replace(cfg, sivjp={**cfg.sivjp, "T": loc["T"]})
+    # only trace.final is read: one snapshot, at T, whatever the strides say
+    run_cfg = replace(cfg, sivjp={**cfg.sivjp, "T": loc["T"], "record_stride": loc["T"],
+                                  "log_stride": False})
     run_cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0).validate()
     ensure_outdir(out_dir)
     per_run = []

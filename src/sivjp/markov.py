@@ -44,11 +44,21 @@ if TYPE_CHECKING:
 
 def csv_text(header: list[str], rows) -> str:
     """The package's CSV format: RFC 4180 with CRLF line ends, every
-    non-string value written as %.12g and every string as it is."""
+    non-string value written as %.12g and every string as it is.
+
+    A row of as many numbers as the header has names is one % format,
+    whose output csv.writer would write unquoted; any other row (a string
+    cell, another length) goes through csv.writer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
-    writer.writerows([v if isinstance(v, str) else "%.12g" % v for v in row] for row in rows)
+    line, write = ",".join(["%.12g"] * len(header)) + "\r\n", buf.write
+    for row in rows:
+        cells = tuple(row)
+        try:
+            write(line % cells)
+        except TypeError:  # a string or tuple cell, or a row of another length
+            writer.writerow([v if isinstance(v, str) else "%.12g" % v for v in cells])
     return buf.getvalue()
 
 

@@ -11,6 +11,8 @@ within 1e-14 max(1, |rho|)).
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -109,6 +111,17 @@ def overlap_sojourn(lo: float, length: float, n: int) -> np.ndarray:
         return h * laps + np.clip(phase - edges, 0.0, h)
 
     return cumulative(lo + length) - cumulative(lo)
+
+
+def reference_csv_text(header: list[str], rows) -> str:
+    """markov.csv_text as csv.writer alone writes it: every row through
+    the writer, each non-string cell formatted as %.12g (reference for
+    csv_text's one-format rows)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else "%.12g" % v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _sitp_worker(args: tuple) -> tuple:

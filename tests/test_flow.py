@@ -236,6 +236,17 @@ class TestLockstep:
         with pytest.raises(ConfigError, match="steps allowed"):
             integrate_flow(model_zero(1.0), (0.0, 0.0), 1e5, dt=0.01)
 
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (0.6, 0.8)])
+    def test_rim_projection(self, monkeypatch, start):
+        # a slow outward drift from the unit circle: each step of both lanes
+        # ends just past radius 1 and is projected back onto the circle
+        tables = FieldTables(lambda a, b: (1e-7 * a, 1e-7 * b))
+        monkeypatch.setattr(flow, "_NodeTables", lambda model, grid: tables)
+        want = outcome(lambda: two_pass(tables, start, 1.0, 0.1))
+        assert outcome(lambda: integrated(model_zero(1.0), start, 1.0, 0.1)) == want
+        radii = np.hypot(*np.frombuffer(want[1]).reshape(-1, 2).T)
+        assert np.all(np.abs(radii - 1.0) < 1e-15)
+
     @staticmethod
     def unit_drift(traps):
         """Unit speed along a, from (-0.5, 0) at dt = 0.1: the dt lane's

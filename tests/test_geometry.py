@@ -85,6 +85,17 @@ class TestGrid:
         assert PeriodicGrid(512) == DENSITY_GRID
         assert hash(PeriodicGrid(512)) == hash(DENSITY_GRID)
 
+    @pytest.mark.parametrize("n", [4, 6, 64, 100, 512, 4096])
+    def test_spacing_cached_bit_for_bit(self, n):
+        g = PeriodicGrid(n)
+        before = pickle.dumps(g)
+        assert g.h.hex() == (TWO_PI / n).hex()
+        assert g.h is g.h
+        assert pickle.dumps(g) == before  # the cached spacing is not pickled
+        copy = pickle.loads(pickle.dumps(g))
+        assert "h" not in vars(copy) and copy.h.hex() == (TWO_PI / n).hex()
+        assert copy == g and hash(copy) == hash(g)
+
 
 class TestQuadrature:
     def test_constant(self):

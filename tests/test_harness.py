@@ -774,6 +774,27 @@ class TestLocalize:
             assert run["w"] == [2.0 - 2.0 * (a * math.cos(x0) + b * math.sin(x0))
                                 for x0 in payload["minima"]]
 
+    @pytest.mark.parametrize("strides", [{"record_stride": 50.0},
+                                         {"record_stride": 0.5},
+                                         {"record_stride": 1.1, "log_stride": True}])
+    def test_runs_record_only_the_final_state(self, tmp_path, monkeypatch, strides):
+        # the runs' one snapshot is at localize.T, whatever the strides
+        raw = copy.deepcopy(BASE)
+        raw["model"] = {"potential": "two_well", "params": {"a1": 0.2, "a2": -0.5},
+                        "rho": 30.0, "lambda_min": 1.0}
+        raw["sivjp"] = {"T": 200.0, **strides}
+        raw["localize"] = {"N": 2, "T": 300.0}
+        worker, times = harness._simulate_worker, []
+
+        def recording_worker(cfg, rho, k):
+            trace = worker(cfg, rho, k)
+            times.append(trace.times.tolist())
+            return trace
+
+        monkeypatch.setattr(harness, "_simulate_worker", recording_worker)
+        cmd_localize(ExperimentConfig.from_dict(raw), str(tmp_path / "loc"))
+        assert times == [[300.0], [300.0]]
+
     def test_infinite_horizon_exit_two_no_files(self, tmp_path, capsys):
         # the schema passes an Infinity literal; the run config must reject it
         raw = copy.deepcopy(BASE)

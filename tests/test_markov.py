@@ -1,18 +1,19 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import bessel_i
+from helpers import bessel_i, reference_csv_text
 from sivjp import (EventLog, PeriodicGrid, SeedSpec, TelegraphState, TorusVJPState,
                    empirical_tv, invariant_density, simulate_telegraph,
                    simulate_torus_vjp, velocity_fraction, wrap)
 from sivjp.errors import ConfigError, DomainError
-from sivjp.geometry import TWO_PI, arc_sojourn
-from sivjp.markov import occupation_histogram
+from sivjp.geometry import TWO_PI, arc_sojourn, cell_index
+from sivjp.markov import csv_text, occupation_histogram
 from sivjp.potentials import cos_potential, cos2_potential, zero_potential
 
 
@@ -119,6 +120,53 @@ class TestInvariantDensity:
         assert quad_periodic(d.values, d.grid) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestCsvText:
+    """csv_text writes a row of numbers with one % format; every row must
+    come out as the bytes csv.writer alone writes (reference_csv_text)."""
+
+    HEADER = ["t", "a", "b"]
+    NUMBERS = [
+        (0.0, 1.0, -2.5),
+        (1, -7, 10**15),
+        (np.float64(0.1), np.float32(0.1), np.int64(-3)),
+        (np.uint8(255), np.bool_(True), True),
+        (math.nan, math.inf, -math.inf),
+        (-0.0, np.float64(-0.0), 5e-324),
+        (1e300, -1.2345678901234567e-300, 123456789012.5),
+        (np.array(2.5), np.float64(np.nan), np.float64(-np.inf)),
+    ]
+    STRINGS = [
+        ("a,b", 1.0, 2.0),
+        ('say "hi"', 1.0, 2.0),
+        ("cr\rlf\n", "lf\n", "crlf\r\n"),
+        ("", 1.0, ""),
+        (0.5, "ok", "error:DomainError: x, y"),
+        ("", "", ""),
+    ]
+    LENGTHS = [(), (1.0,), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ("",), (math.nan, "a,b")]
+
+    @pytest.mark.parametrize("rows", [NUMBERS, STRINGS, LENGTHS, NUMBERS + STRINGS + LENGTHS],
+                             ids=["numbers", "strings", "lengths", "mixed"])
+    def test_bytes_match_csv_writer(self, rows):
+        want = reference_csv_text(self.HEADER, rows)
+        assert csv_text(self.HEADER, rows) == want
+        # rows as lists, and rows as one-shot iterators
+        assert csv_text(self.HEADER, [list(r) for r in rows]) == want
+        assert csv_text(self.HEADER, (iter(r) for r in rows)) == want
+
+    @pytest.mark.parametrize("header", [[], ["x"], ["x", "y,z", 'q"']])
+    def test_header_widths(self, header):
+        rows = [(), (1.0,), (1.0, -0.0), ("",), ((2.0,), 3.0, 4.0), (math.inf, "s", 1)]
+        assert csv_text(header, rows) == reference_csv_text(header, rows)
+
+    @pytest.mark.parametrize("row", [(None, 1.0, 2.0), (1.0, [2.0], 3.0), (1.0, 2.0, 10**400)])
+    def test_bad_cell_raises_as_csv_writer(self, row):
+        with pytest.raises(Exception) as want:
+            reference_csv_text(self.HEADER, [row])
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            csv_text(self.HEADER, [row])
+
+
 class TestEmpiricalTV:
     def test_self_comparison_is_zero(self):
         from sivjp.equilibria import GridDensity
@@ -167,13 +215,13 @@ class TestEmpiricalTV:
                        post_y=np.array([], dtype=int), t_final=3.0, x_final=1.0,
                        y_final=0)
         masses = occupation_histogram(log, grid)
-        k = int(round(1.0 / grid.h))
+        k = cell_index(1.0, grid)
         assert masses[k] == 3.0 and masses.sum() == log.t_final
         # after a unit-speed leg, the motionless one adds its whole duration
         log = EventLog(x0=0.2, y0=1, jump_times=np.array([1.0]), post_x=np.array([1.2]),
                        post_y=np.array([0]), t_final=3.5, x_final=1.2, y_final=0)
         masses = occupation_histogram(log, grid)
-        k = int(round(1.2 / grid.h))
+        k = cell_index(1.2, grid)
         assert masses[k] >= 2.5
         assert masses.sum() == pytest.approx(log.t_final, rel=1e-12)
 
