@@ -24,12 +24,11 @@ both the census ring and solve_r_of_rho.
 Fbar and its Jacobian have one evaluator, _NodeTables: cos z, sin z,
 their products and -U(z) on the nodes, so that an evaluation is two
 matrix products, one for the log-density and one for the mass and the
-moments. The census, the flow integrator (flow.integrate_flow, which
-evaluates its two lanes in pairs) and solve_r_of_rho build one table per
-call; the public fbar and jacobian_fbar, one per evaluation. A table
-keeps pibar's checks and exception classes, and pibar -> GridDensity ->
-moments is the reference the tests hold it to, within round-off: 1e-14
-for Fbar, 1e-14 max(1, |rho|) for the Jacobian. The census evaluates in
+moments. The census, the flow integrator (flow.integrate_flow) and
+solve_r_of_rho build one table per call; the public fbar and
+jacobian_fbar, one per evaluation. A table keeps pibar's checks and
+exception classes, and pibar -> GridDensity -> moments is the reference
+the tests hold it to, within round-off: 1e-14 for Fbar, 1e-14 max(1, |rho|) for the Jacobian. The census evaluates in
 batches: its Newton sweep goes in lockstep over all starts, and its
 records take one batched call.
 
@@ -133,7 +132,7 @@ def jacobian_fbar(model: ModelSpec, a: float, b: float,
     return _NodeTables(model, grid).fbar_jacobian_many(np.array([a]), np.array([b]))[1][0]
 
 
-_dot, _exp = np.dot, np.exp  # bound once for _NodeTables.fbar and fbar_pair
+_dot, _exp = np.dot, np.exp  # bound once for _NodeTables.fbar
 BATCH_VALUES = 4096  # points x nodes per batched evaluation: two 32 KB arrays
 UNDERFLOW_GAP = -math.log(sys.float_info.min)  # exp(-x) is a normal float for x below this
 
@@ -148,10 +147,10 @@ class _NodeTables:
     3 (fbar) or all 6 (fbar_jacobian_many) columns give the mass s0 and the
     unnormalized moments, each divided by s0 (the node spacing cancels).
 
-    fbar and fbar_pair shift by max(-U) + |rho| hypot(a, b), an upper bound
-    on the log-density known in advance, while the bound on its spread,
-    span(-U) + 2 |rho| hypot(a, b), stays below UNDERFLOW_GAP by 1 + 1e-12
-    max|U|, far more than round-off: every weight is then a normal float in
+    fbar shifts by max(-U) + |rho| hypot(a, b), an upper bound on the
+    log-density known in advance, while the bound on its spread, span(-U)
+    + 2 |rho| hypot(a, b), stays below UNDERFLOW_GAP by 1 + 1e-12 max|U|,
+    far more than round-off: every weight is then a normal float in
     (0, ~1], and nothing needs a check. Otherwise (a wide spread, a NaN or
     infinite point, a non-finite -U) fbar takes _fbar_max_shift, which
     shifts by the max and, like fbar_jacobian_many, keeps pibar's checks
@@ -164,10 +163,8 @@ class _NodeTables:
     time; a batch with a failing point raises what a loop over its points
     would raise first, and a batched product rounds differently from a
     one-point one (each result is deterministic for a given batch).
-    fbar_pair evaluates the flow's two lanes with one exp over a (2, n)
-    buffer but each row's own products, so each keeps fbar's bits. fbar
-    and fbar_pair write into buffers the table owns, so a table serves one
-    caller at a time.
+    fbar writes into buffers the table owns, so a table serves one caller
+    at a time.
     """
 
     def __init__(self, model: ModelSpec, grid: PeriodicGrid) -> None:
@@ -184,7 +181,6 @@ class _NodeTables:
         self.batch = max(1, BATCH_VALUES // grid.n)
         self._coef, self._cols3 = np.array([0.0, 0.0, 1.0, 0.0]), self.cols[:3]
         self._logw, self._w, self._sums = np.empty(grid.n), np.empty(grid.n), np.empty(3)
-        self._pair = (w2 := np.empty((2, grid.n)), *w2)  # fbar_pair's buffer and its rows
 
     def fbar(self, a: float, b: float) -> tuple[float, float]:
         """Fbar at one point: 1.7 us at 64 nodes and 2.5 us at 512 (median
@@ -200,25 +196,6 @@ class _NodeTables:
         _exp(w, w)
         s0, s1, s2 = _dot(self._cols3, w, self._sums).tolist()
         return s1 / s0 - a, s2 / s0 - b
-
-    def fbar_pair(self, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
-        """fbar(a, b) + fbar(c, d), bit for bit, for the flow's two lanes:
-        3.2 us at 64 nodes and 5.0 us at 512, against 6.8 and 9.5 with the
-        max shift; the two fbar calls, in order, if either needs the max shift."""
-        rho, coef, basis, cols, top = self.rho, self._coef, self.basis, self._cols3, self.neg_u_max
-        t, u = self._abs_rho * math.hypot(a, b), self._abs_rho * math.hypot(c, d)
-        if not (t < self._room and u < self._room):
-            return (*self.fbar(a, b), *self.fbar(c, d))
-        w, w0, w1 = self._pair
-        coef[0], coef[1], coef[3] = rho * a, rho * b, -(top + t)
-        _dot(coef, basis, w0)
-        coef[0], coef[1], coef[3] = rho * c, rho * d, -(top + u)
-        _dot(coef, basis, w1)
-        _exp(w, w)
-        sums = self._sums
-        s0, s1, s2 = _dot(cols, w0, sums).tolist()
-        t0, t1, t2 = _dot(cols, w1, sums).tolist()
-        return s1 / s0 - a, s2 / s0 - b, t1 / t0 - c, t2 / t0 - d
 
     def _fbar_max_shift(self, a: float, b: float) -> tuple[float, float]:
         """fbar shifted by the log-density's max, with pibar's checks."""

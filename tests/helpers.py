@@ -6,7 +6,9 @@ reference radii from bisection on a dense brute-force grid. The exception
 is the reference field and Jacobian, which run the package's reference
 quadrature path (pibar, moments, quad_periodic) that the node tables
 evaluating Fbar everywhere else must match within 1e-14 (the Jacobian
-within 1e-14 max(1, |rho|)).
+within 1e-14 max(1, |rho|)), and the reference flow, which integrates
+those node tables' field with scipy's DOP853: it is independent of the
+package's integrator, not of its field.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from sivjp import SIVJPConfig, SeedSpec, run_sitp
-from sivjp.equilibria import moments, pibar
+from sivjp.equilibria import _NodeTables, field_grid, moments, pibar
 from sivjp.geometry import DENSITY_GRID, quad_periodic
 from sivjp.model import ModelSpec
 from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
@@ -63,6 +65,19 @@ def reference_fbar(model, a, b, grid=DENSITY_GRID):
     """Fbar on the reference path: moments(pibar(a, b)) - (a, b)."""
     ma, mb = moments(pibar(model, a, b, grid))
     return ma - a, mb - b
+
+
+def reference_flow(model, start, times):
+    """The flow d(a,b)/ds = Fbar(a,b) from `start` at `times`, from scipy's
+    DOP853 at rtol 1e-13, atol 1e-14 and its dense output, on the node
+    tables' field: a fine reference that shares no integrator code with
+    flow.integrate_flow."""
+    from scipy.integrate import solve_ivp
+
+    field = _NodeTables(model, field_grid(model)).fbar
+    sol = solve_ivp(lambda s, y: field(y[0], y[1]), (0.0, times[-1]), start,
+                    method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
+    return sol.sol(times).T
 
 
 def reference_jacobian(model, a, b, grid=DENSITY_GRID):

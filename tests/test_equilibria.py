@@ -378,21 +378,18 @@ class TestAxisStage:
                 underflow = bool(np.any(np.exp(logw - logw.max()) == 0.0))
                 seen.add("underflow" if underflow else
                          "folded" if bound < equilibria.UNDERFLOW_GAP else "max shift")
-                for evaluate in (lambda: tables.fbar(a, b),
-                                 lambda: tables.fbar_pair(a, b, 0.5 * a, 0.5 * b)[:2],
-                                 lambda: tables.fbar_pair(0.5 * a, 0.5 * b, a, b)[2:]):
-                    if underflow:
-                        with pytest.raises(DomainError):
-                            evaluate()
-                        continue
-                    f = evaluate()
-                    try:
-                        want = reference_fbar(model, a, b)
-                    except DomainError:
-                        # the reference divides each weight by the mass before its
-                        # positivity check, so it may underflow a little earlier
-                        continue
-                    assert np.max(np.abs(np.subtract(f, want))) <= 1e-14
+                if underflow:
+                    with pytest.raises(DomainError):
+                        tables.fbar(a, b)
+                    continue
+                f = tables.fbar(a, b)
+                try:
+                    want = reference_fbar(model, a, b)
+                except DomainError:
+                    # the reference divides each weight by the mass before its
+                    # positivity check, so it may underflow a little earlier
+                    continue
+                assert np.max(np.abs(np.subtract(f, want))) <= 1e-14
             assert seen == {"folded", "max shift", "underflow"}
 
     def test_batched_field_and_jacobian_match_reference(self):
@@ -410,44 +407,6 @@ class TestAxisStage:
                     assert f.shape == (k, 2) and jac.shape == (k, 2, 2)
                     for (a, b), fi, ji in zip(points, f, jac):
                         assert_near_reference(model, grid, a, b, fi, ji)
-
-    def test_pair_equals_two_lone_calls(self):
-        # bit for bit, on the field grids, DENSITY_GRID and THRESHOLD_GRID,
-        # inside and outside the disk
-        rng = np.random.default_rng(20261020)
-        for grid in (PeriodicGrid(64), PeriodicGrid(128), PeriodicGrid(256), DENSITY_GRID,
-                     THRESHOLD_GRID):
-            for model in TABLE_MODELS:
-                tables = equilibria._NodeTables(model, grid)
-                for (a, b), (c, d) in rng.uniform(-1.5, 1.5, size=(20, 2, 2)).tolist():
-                    want = (*tables.fbar(a, b), *tables.fbar(c, d))
-                    assert np.array(tables.fbar_pair(a, b, c, d)).tobytes() \
-                        == np.array(want).tobytes()
-
-    def test_pair_raises_like_two_lone_calls(self):
-        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
-                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
-        bad = {"underflow": (COS2(40.0), 20.0), "overflow": (COS2(40.0), 1e308),
-               "nan": (COS2(40.0), math.nan), "-inf": (ModelSpec(potential=spike, rho=1.0), 0.1)}
-
-        def raised(call):
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    call()
-                except (DomainError, NumericError) as exc:
-                    return type(exc), str(exc)
-            return None
-
-        for model, a in bad.values():
-            tables = equilibria._NodeTables(model, DENSITY_GRID)
-            alone = raised(lambda: tables.fbar(a, 0.3))
-            assert alone is not None
-            # the failing point first, second, or with a failing point of
-            # another kind after it: the first failing lone call's error
-            for other in (0.2, -20.0 if model.rho == 40.0 else math.nan):
-                assert raised(lambda: tables.fbar_pair(a, 0.3, other, -0.1)) == alone
-                first = raised(lambda: tables.fbar(other, -0.1))
-                assert raised(lambda: tables.fbar_pair(other, -0.1, a, 0.3)) == (first or alone)
 
     def test_batched_raises_like_scalar_loop(self):
         spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),

@@ -27,15 +27,15 @@ FIXED_POINTS_SHA256 = {
     "subcritical_smoke": "772577260d95bd5da26a56b2ada68cbe6b463c2a2ba2624ea2acb7ea195e6979",
     "supercritical": "fe53078f53afa40b4ab1e0e261cd288245aa4a7ee46704cf422f415ba3d1b7f1",
 }
-VALIDATE_SEED0_SHA256 = "ee756db86cfa57d3d3b706f7c8f981cff5e03d0c8e5a2674d93a2f19886338e2"
+VALIDATE_SEED0_SHA256 = "7d29614f71ed016ee50aec460fd8caf5e7a0e42b6244b5876d5e734140a4cda8"
 # (command, shipped config) -> {file it writes: SHA-256}
 COMMAND_OUTPUTS_SHA256 = {
     ("flow", "flow_demo"): {
-        "flow_demo_flow.csv": "0b7327e4ce6c5edff5d2850e91c12ef45fed0a3d4cae559e9de67f41dbd82ba6",
+        "flow_demo_flow.csv": "eb86a026a503dc2691a352689c6769eb4e9142eb37ac086e1c5b38409dc25609",
     },
-    # the moments and the flow are the bytes of the former shadowing script
+    # the moments are the bytes of the former shadowing script
     ("shadow", "shadow_demo"): {
-        "shadow_demo_flow.csv": "524bba7fc3f30e172eb74ea39cec05efd847be148b78b20408f1df7d14524475",
+        "shadow_demo_flow.csv": "58251c2d061e12de7be5b8fbbb25b49ececc4befeb244815d6283d50217ac87e",
         "shadow_demo_moments.csv": "b4ba3df6847378782b2f17cb0bc013ca0a63db30d7bb0199a58805cf2e2830b1",
         "shadow_demo_shadow.csv": "3e4292bd2ecc18c282ad8d4bf18471c9b964cdce5f6dbe04d35aa87fbb1188cf",
     },
