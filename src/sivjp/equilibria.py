@@ -26,9 +26,12 @@ their products and -U(z) on the nodes, so that an evaluation is two
 matrix products, one for the log-density and one for the mass and the
 moments. The census, the flow integrator (flow.integrate_flow) and
 solve_r_of_rho build one table per call; the public fbar and
-jacobian_fbar, one per evaluation. A table keeps pibar's checks and
-exception classes, and pibar -> GridDensity -> moments is the reference
-the tests hold it to, within round-off: 1e-14 for Fbar, 1e-14 max(1, |rho|) for the Jacobian. The census evaluates in
+jacobian_fbar, one per evaluation. One path, the batched one, keeps
+pibar's checks and exception classes; the one-point fast path skips
+them only where a bound proves that they pass, and sends every other
+point to the batched one. pibar -> GridDensity -> moments is the
+reference the tests hold the tables to, within round-off: 1e-14 for
+Fbar, 1e-14 max(1, |rho|) for the Jacobian. The census evaluates in
 batches: its Newton sweep goes in lockstep over all starts, and its
 records take one batched call.
 
@@ -151,13 +154,12 @@ class _NodeTables:
     log-density known in advance, while the bound on its spread, span(-U)
     + 2 |rho| hypot(a, b), stays below UNDERFLOW_GAP by 1 + 1e-12 max|U|,
     far more than round-off: every weight is then a normal float in
-    (0, ~1], and nothing needs a check. Otherwise (a wide spread, a NaN or
-    infinite point, a non-finite -U) fbar takes _fbar_max_shift, which
-    shifts by the max and, like fbar_jacobian_many, keeps pibar's checks
-    and exception classes: a non-finite shift or a -inf log-density value
-    raises NumericError, a zero weight DomainError, tested per node unless
-    the bound rules it out (a -inf in -U always takes the test). Only the
-    max-shift paths check s0 >= 1, true by construction, as a DomainError.
+    (0, ~1], and nothing needs a check. Every other point (a wide spread,
+    a NaN or infinite point, a non-finite -U) goes to fbar_jacobian_many,
+    which shifts by the max and keeps pibar's checks and exception
+    classes: a non-finite shift or a -inf log-density value raises
+    NumericError, a zero weight DomainError, and a mass s0 below 1, false
+    by construction, DomainError too.
 
     fbar_jacobian_many evaluates k points per call, BATCH_VALUES // n at a
     time; a batch with a failing point raises what a loop over its points
@@ -174,47 +176,28 @@ class _NodeTables:
         self.rho = model.rho
         self._abs_rho = abs(model.rho)
         self.basis = np.stack([c, s, neg_u, np.ones(grid.n)])
-        self.neg_u_min = low = float(np.minimum.reduce(neg_u))  # nan when -U has one
+        low = float(np.minimum.reduce(neg_u))  # nan when -U has one
         self.neg_u_max = top = float(np.maximum.reduce(neg_u))
         self._room = 0.5 * (UNDERFLOW_GAP - (top - low) - 1.0 - 1e-12 * max(abs(top), abs(low)))
         self.cols = np.stack([np.ones(grid.n), c, s, c * c, s * s, c * s])
         self.batch = max(1, BATCH_VALUES // grid.n)
         self._coef, self._cols3 = np.array([0.0, 0.0, 1.0, 0.0]), self.cols[:3]
-        self._logw, self._w, self._sums = np.empty(grid.n), np.empty(grid.n), np.empty(3)
+        self._w, self._sums = np.empty(grid.n), np.empty(3)
 
     def fbar(self, a: float, b: float) -> tuple[float, float]:
         """Fbar at one point: 1.7 us at 64 nodes and 2.5 us at 512 (median
-        of five best-of-nine runs, 2-vCPU Xeon VM, BENCH_flow_overhead.json),
-        against 4.2 and 5.7 us with the max shift and 31 and 33 us for
-        fbar_jacobian_many (BENCH_folded_shift.json)."""
+        of five best-of-nine runs, 2-vCPU Xeon VM, BENCH_flow_overhead.json)
+        inside the guard, against 31 and 33 us for fbar_jacobian_many
+        (BENCH_folded_shift.json), which every point outside it takes."""
         rho, coef, w = self.rho, self._coef, self._w
         t = self._abs_rho * math.hypot(a, b)
         if not t < self._room:  # a NaN point or -U fails here too
-            return self._fbar_max_shift(a, b)
+            f0, f1 = self.fbar_jacobian_many(np.array([a]), np.array([b]))[0][0].tolist()
+            return f0, f1
         coef[0], coef[1], coef[3] = rho * a, rho * b, -(self.neg_u_max + t)
         _dot(coef, self.basis, w)
         _exp(w, w)
         s0, s1, s2 = _dot(self._cols3, w, self._sums).tolist()
-        return s1 / s0 - a, s2 / s0 - b
-
-    def _fbar_max_shift(self, a: float, b: float) -> tuple[float, float]:
-        """fbar shifted by the log-density's max, with pibar's checks."""
-        rho, coef, logw, w = self.rho, self._coef[:3], self._logw, self._w
-        coef[0], coef[1] = rho * a, rho * b
-        np.dot(coef, self.basis[:3], out=logw)
-        shift = float(np.maximum.reduce(logw))  # a nan or +inf value propagates here
-        if not math.isfinite(shift):
-            raise NumericError("density_from_log: non-finite log-density value")
-        np.subtract(logw, shift, out=w)
-        np.exp(w, out=w)
-        if not shift - self.neg_u_min + abs(rho) * math.hypot(a, b) < UNDERFLOW_GAP \
-                and not np.minimum.reduce(w) > 0.0:
-            if not np.isfinite(logw).all():  # a -inf value, which exp took to 0
-                raise NumericError("density_from_log: non-finite log-density value")
-            raise DomainError("GridDensity: density values must be strictly positive")
-        s0, s1, s2 = np.dot(self._cols3, w).tolist()
-        if not s0 >= 1.0:
-            raise DomainError(f"GridDensity: weights sum to {s0!r}, below the max node's 1")
         return s1 / s0 - a, s2 / s0 - b
 
     def fbar_jacobian_many(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +219,7 @@ class _NodeTables:
             self._fail(a, b, f, jac,
                        NumericError("density_from_log: non-finite log-density value"))
         w = np.exp(logw - shift[:, None])
-        if not (shift - self.neg_u_min + abs(rho) * np.hypot(a, b) < UNDERFLOW_GAP).all() \
-                and not (np.minimum.reduce(w, axis=1) > 0.0).all():
+        if not (np.minimum.reduce(w, axis=1) > 0.0).all():
             if not np.isfinite(logw).all():  # a -inf value, which exp took to 0
                 self._fail(a, b, f, jac,
                            NumericError("density_from_log: non-finite log-density value"))

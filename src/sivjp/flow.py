@@ -154,7 +154,7 @@ def check_horizon(t_flow: float, dt: float) -> None:
         raise ConfigError("integrate_flow: T_flow must be finite and > 0")
     if t_flow / dt > MAX_FLOW_STEPS:
         raise ConfigError(f"integrate_flow: T_flow / dt = {t_flow / dt:.3g} exceeds "
-                          f"the {MAX_FLOW_STEPS} steps allowed")
+                          f"the {MAX_FLOW_STEPS} rows allowed")
 
 
 def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,

@@ -30,6 +30,40 @@ TABLE_MODELS = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
                           rho=-3.0))
 
 
+OFF_AXIS_CASES = ((cos2_potential(), 0.5 * math.pi),  # (0, r): -U peaks at 0 and pi
+                  (two_well_potential(), 2.2),
+                  (grid_potential([0.3, -0.1, 0.5, 0.2, -0.4, 0.0]), -0.7))
+
+
+def off_axis_sweep(r=0.9):
+    """(potential, model, tables, a, b, band) along a sweep of rho at tilts
+    of radius r that miss the argmax of -U, so that the log-density spreads
+    by less than span(-U) + 2 |rho| r, the bound that decides between the
+    folded shift and the max shift. The sweep takes the bound past
+    UNDERFLOW_GAP and the true spread past 745.1, where the smallest weight
+    exp(logw - max logw) underflows to 0. band is "folded" (bound below
+    UNDERFLOW_GAP), "max shift" (above it, no zero weight) or "underflow"."""
+    z = DENSITY_GRID.nodes
+    for pot, angle in OFF_AXIS_CASES:
+        a, b = r * math.cos(angle), r * math.sin(angle)
+        neg_u = -pot.v(z)
+        for bound in np.arange(690.0, 801.0, 3.0):
+            model = ModelSpec(potential=pot,
+                              rho=(bound - (neg_u.max() - neg_u.min())) / (2.0 * r))
+            logw = neg_u + model.rho * (a * np.cos(z) + b * np.sin(z))
+            band = ("underflow" if np.any(np.exp(logw - logw.max()) == 0.0) else
+                    "folded" if bound < equilibria.UNDERFLOW_GAP else "max shift")
+            yield pot, model, equilibria._NodeTables(model, DENSITY_GRID), a, b, band
+
+
+def outcome(evaluate):
+    """evaluate()'s result, or the class and message of what it raised."""
+    try:
+        return evaluate()
+    except (DomainError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
 def census_models():
     """TABLE_MODELS and the models of every shipped config, at its rho and
     at every rho of its sweep."""
@@ -356,41 +390,46 @@ class TestAxisStage:
         assert min(underflows) == 746.0 and max(underflows) == 760.0
 
     def test_refusals_exact_off_axis(self):
-        # tilts that miss the argmax of -U, so the log-density spreads by
-        # less than span(-U) + 2 |rho| r, the bound that decides between the
-        # folded shift and the max shift; the sweep takes the bound past
-        # UNDERFLOW_GAP and the true spread past 745.1, where the smallest
-        # weight exp(logw - max logw) underflows to 0
-        r = 0.9
-        z = DENSITY_GRID.nodes
-        cases = ((cos2_potential(), 0.5 * math.pi),  # (0, r): -U peaks at 0 and pi
-                 (two_well_potential(), 2.2),
-                 (grid_potential([0.3, -0.1, 0.5, 0.2, -0.4, 0.0]), -0.7))
-        for pot, angle in cases:
-            a, b = r * math.cos(angle), r * math.sin(angle)
-            neg_u = -pot.v(z)
-            seen = set()
-            for bound in np.arange(690.0, 801.0, 3.0):
-                model = ModelSpec(potential=pot,
-                                  rho=(bound - (neg_u.max() - neg_u.min())) / (2.0 * r))
-                tables = equilibria._NodeTables(model, DENSITY_GRID)
-                logw = neg_u + model.rho * (a * np.cos(z) + b * np.sin(z))
-                underflow = bool(np.any(np.exp(logw - logw.max()) == 0.0))
-                seen.add("underflow" if underflow else
-                         "folded" if bound < equilibria.UNDERFLOW_GAP else "max shift")
-                if underflow:
-                    with pytest.raises(DomainError):
-                        tables.fbar(a, b)
-                    continue
-                f = tables.fbar(a, b)
-                try:
-                    want = reference_fbar(model, a, b)
-                except DomainError:
-                    # the reference divides each weight by the mass before its
-                    # positivity check, so it may underflow a little earlier
-                    continue
-                assert np.max(np.abs(np.subtract(f, want))) <= 1e-14
-            assert seen == {"folded", "max shift", "underflow"}
+        # the off-axis sweep reaches the folded shift, the max shift and the
+        # underflow to a zero weight, and the tables refuse exactly the last
+        seen = set()
+        for pot, model, tables, a, b, band in off_axis_sweep():
+            seen.add((pot.name, band))
+            if band == "underflow":
+                with pytest.raises(DomainError):
+                    tables.fbar(a, b)
+                continue
+            f = tables.fbar(a, b)
+            try:
+                want = reference_fbar(model, a, b)
+            except DomainError:
+                # the reference divides each weight by the mass before its
+                # positivity check, so it may underflow a little earlier
+                continue
+            assert np.max(np.abs(np.subtract(f, want))) <= 1e-14
+        assert seen == {(pot.name, band) for pot, _ in OFF_AXIS_CASES
+                        for band in ("folded", "max shift", "underflow")}
+
+    def test_hard_points_take_the_batched_path(self):
+        # every point outside the folded shift's guard gets the batched
+        # evaluator's Fbar bit for bit, or its exception class and message
+        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
+                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
+        cases = [(tables, a, b, {"max shift": None, "underflow": DomainError}[band])
+                 for _, _, tables, a, b, band in off_axis_sweep() if band != "folded"]
+        cases += [(equilibria._NodeTables(COS2(40.0), DENSITY_GRID), math.nan, 0.3, NumericError),
+                  (equilibria._NodeTables(COS2(2.5), DENSITY_GRID), 0.2, math.nan, NumericError),
+                  (equilibria._NodeTables(ModelSpec(potential=spike, rho=1.0), DENSITY_GRID),
+                   0.1, 0.3, NumericError)]
+        for tables, a, b, exc in cases:
+            assert not tables._abs_rho * math.hypot(a, b) < tables._room
+            got = outcome(lambda: tables.fbar(a, b))
+            assert got == outcome(lambda: tuple(
+                tables.fbar_jacobian_many([a], [b])[0][0].tolist()))
+            if exc is None:
+                assert [type(v) for v in got] == [float, float]
+            else:
+                assert got[0] is exc
 
     def test_batched_field_and_jacobian_match_reference(self):
         # every point of a batch, whatever its size and position, against the reference path

@@ -241,7 +241,7 @@ class TestLockstep:
             raise AssertionError("tables built for a refused horizon")
 
         monkeypatch.setattr(flow, "_NodeTables", no_tables)
-        with pytest.raises(ConfigError, match="steps allowed"):
+        with pytest.raises(ConfigError, match="rows allowed"):
             integrate_flow(model_zero(1.0), (0.0, 0.0), 1e5, dt=0.01)
 
     @pytest.mark.parametrize("start", [(1.0, 0.0), (0.6, 0.8)])
@@ -307,11 +307,11 @@ class TestLockstep:
 
     def test_shipped_flows_take_the_folded_shift(self, monkeypatch):
         # every field evaluation of these flows shifts by the a-priori bound;
-        # one that slid back onto the max shift would fail here
+        # one that slid back onto the batched max shift would fail here
         def refuse(self, a, b):
-            raise AssertionError(f"max shift taken at ({a!r}, {b!r})")
+            raise AssertionError(f"batched evaluation taken at ({a!r}, {b!r})")
 
-        monkeypatch.setattr(_NodeTables, "_fbar_max_shift", refuse)
+        monkeypatch.setattr(_NodeTables, "fbar_jacobian_many", refuse)
         shadow = ExperimentConfig.from_file(
             str(Path(__file__).resolve().parents[1] / "configs" / "shadow_demo.json"))
         model, start, _, dt = self.CASES["flow_demo"]

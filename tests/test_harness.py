@@ -326,7 +326,7 @@ class TestCLI:
         ("sivjp", {"T": 5.0, "log_stride": True, "record_stride": 1.02, "record_t0": 0.5},
          "shadow"),
         ("sivjp", {"record_stride": 10.0}, "shadow"),
-        # a shadowing flow of 2e7 steps, more than MAX_FLOW_STEPS, refused before
+        # a shadowing flow of 2e7 rows, more than MAX_FLOW_STEPS, refused before
         # the run (section None: the patch maps sections to their updates); the
         # log schedule gives the one anchor s = 0
         (None, {"sivjp": {"T": 10.0, "log_stride": True, "record_stride": 1.02,
@@ -581,11 +581,11 @@ def _numeric_probes():
                 yield path, value, raw
 
 
-def _run_contract(tmp_path, capsys, raw, command):
+def _run_contract(tmp_path, capsys, raw, command, stderr=None):
     """(exit code, how `main` on this config and command breaks the CLI
     contract or None). The contract: the exit code is 0, 2, 3 or 4, no
     exception escapes, a non-zero exit prints an error line, and exit 2
-    leaves no output directory."""
+    leaves no output directory. A list `stderr` receives the run's stderr."""
     case = Path(tempfile.mkdtemp(dir=tmp_path))
     out = str(case / "out")
     try:
@@ -594,6 +594,8 @@ def _run_contract(tmp_path, capsys, raw, command):
         capsys.readouterr()
         return None, f"{type(exc).__name__} escaped: {exc}"
     err = capsys.readouterr().err
+    if stderr is not None:
+        stderr.append(err)
     if code not in (0, 2, 3, 4):
         return code, f"exit {code}"
     if code and not any(line.startswith(("error: ", "i/o error: "))
@@ -634,6 +636,19 @@ class TestCLIContract:
         for section, values in edits.items():
             raw.setdefault(section, {}).update(values)
         assert _run_contract(tmp_path, capsys, raw, command) == (code, None)
+
+    def test_census_miss_fails_in_the_run(self, tmp_path, capsys):
+        # a run-time failure: U = -0.499 cos z - 1.66 sin z at rho = 30, whose
+        # census misses a Source near the origin and fails its index-sum
+        # check (ROADMAP item 7). A complete census passes this case, so the
+        # change that makes it complete should pick another exit-4 case.
+        raw = copy.deepcopy(CONTRACT_BASE)
+        raw["model"].update({"potential": "custom_grid", "rho": 30.0,
+                             "params": {"values": [-0.499, -1.66, 0.499, 1.66]}})
+        stderr = []
+        assert _run_contract(tmp_path, capsys, raw, "fixed-points", stderr) == (4, None)
+        assert "error: NumericError: " in stderr[0] and "index sum 0, not 1" in stderr[0]
+        assert list(tmp_path.rglob("fixed_points.json")) == []
 
     def test_escaping_exception_breaks_the_contract(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
