@@ -512,8 +512,8 @@ def quadratic_kernel_grids(model: ModelSpec,
                            grid: PeriodicGrid) -> tuple[np.ndarray, np.ndarray]:
     """W(x,z) = U(x) - rho cos(x - z) + U(z) and its x-derivative on the grid."""
     z = grid.nodes
-    u_vals = np.asarray(model.u(z), dtype=float)
-    du_vals = np.asarray(model.du(z), dtype=float)
+    u_vals = np.asarray(model.potential.v(z), dtype=float)
+    du_vals = np.asarray(model.potential.dv(z), dtype=float)
     diff = z[:, None] - z[None, :]
     w = u_vals[:, None] + u_vals[None, :] - model.rho * np.cos(diff)
     dw = du_vals[:, None] + model.rho * np.sin(diff)

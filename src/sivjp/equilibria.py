@@ -105,7 +105,7 @@ def pibar(model: ModelSpec, a: float, b: float,
     outside the moment disk.
     """
     z = grid.nodes
-    logw = -np.asarray(model.u(z), dtype=float) \
+    logw = -np.asarray(model.potential.v(z), dtype=float) \
         + model.rho * (a * np.cos(z) + b * np.sin(z))
     return density_from_log(logw, grid)
 
@@ -172,7 +172,7 @@ class _NodeTables:
     def __init__(self, model: ModelSpec, grid: PeriodicGrid) -> None:
         z = grid.nodes
         c, s = np.cos(z), np.sin(z)
-        neg_u = -np.asarray(model.u(z), dtype=float)
+        neg_u = -np.asarray(model.potential.v(z), dtype=float)
         self.rho = model.rho
         self._abs_rho = abs(model.rho)
         self.basis = np.stack([c, s, neg_u, np.ones(grid.n)])
@@ -509,7 +509,7 @@ def _ring(radius: float) -> list[tuple[float, float]]:
 def _roots(model: ModelSpec, tables: _NodeTables) -> list[tuple[float, float]]:
     """The census's roots, deduplicated in the order found; see
     find_fixed_points."""
-    if model.du_sup == 0.0:  # U constant: Fbar commutes with rotations
+    if model.potential.dv_sup == 0.0:  # U constant: Fbar commutes with rotations
         radius = _ring_radius(tables)
         return [(0.0, 0.0)] + ([] if radius is None else _ring(radius))
     ticks = np.linspace(-1.0, 1.0, SWEEP_TICKS)
@@ -527,7 +527,7 @@ def find_fixed_points(model: ModelSpec,
     """All roots of Fbar in the closed unit disk, with stability classes,
     on `grid` (default field_grid(model)).
 
-    When U is constant (model.du_sup == 0), Fbar commutes with rotations,
+    When U is constant (model.potential.dv_sup == 0), Fbar commutes with rotations,
     so its roots are the origin and, for rho > 2, the whole circle of
     radius r(rho) (Benaim & Raimond, Ann. Probab. 2005): the census is the
     origin plus RING_POINTS equally spaced points of that circle, whose
@@ -600,7 +600,7 @@ def free_energy(model: ModelSpec, d: GridDensity) -> float:
         raise DomainError("free_energy: density must be strictly positive")
     z = d.grid.nodes
     h = d.grid.h
-    u_vals = np.asarray(model.u(z), dtype=float)
+    u_vals = np.asarray(model.potential.v(z), dtype=float)
     w_mat = u_vals[:, None] + u_vals[None, :] - model.rho * np.cos(z[:, None] - z[None, :])
 
     vals = d.values

@@ -11,7 +11,8 @@ reparametrized to logarithmic time, strays from the flow started on it,
 and integrates that flow through integrate_flow, so its flow is checked too.
 Both evaluate Fbar on equilibria.field_grid(model): the fewest nodes
 (64 to 512) whose quadrature error bound, from the potential's harmonic
-amplitudes and rho, stays below 1e-17.
+amplitudes and rho, stays below 1e-17. _window_fault is the one rule for
+which windows count; shadow_anchors applies it for `sivjp shadow`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ FLOW_TOL = 1e-13  # local error per step of the returned run, in sup norm
 CHECK_RUN_TOL = 1e-11  # the same for the run that checks it
 CHECK_TOL = 1e-8  # sup-norm gap allowed between the rows of the two runs
 MIN_SNAPSHOTS = 50  # simulation snapshots pseudotrajectory_error needs in its window
+SHADOW_WINDOW = 2.0  # flow-time length of each window of shadow_anchors
 MAX_FLOW_STEPS = 1_000_000  # rows of a flow, and steps of each run, rejected ones included
 
 
@@ -191,32 +193,49 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     return FlowTrace(times=np.array(times), points=points)
 
 
+def _window_fault(times: np.ndarray, s: float, w: float) -> str | None:
+    """Why the snapshot times fail the window [e^s, e^(s + w)], or None:
+    they must cover it and hold MIN_SNAPSHOTS of them in it, ends included.
+    The one window rule of pseudotrajectory_error and shadow_anchors."""
+    t_lo, t_hi = math.exp(s), math.exp(s + w)
+    if times.size == 0 or times[0] > t_lo or times[-1] < t_hi:
+        return f"simulation does not cover [{t_lo:.3g}, {t_hi:.3g}]"
+    inside = np.count_nonzero((times >= t_lo) & (times <= t_hi))
+    if inside < MIN_SNAPSHOTS:
+        return f"only {inside} snapshots in the window (need >= {MIN_SNAPSHOTS})"
+    return None
+
+
+def shadow_anchors(times: np.ndarray) -> list[int]:
+    """The integer flow times s whose window [e^s, e^(s + SHADOW_WINDOW)]
+    pseudotrajectory_error accepts on these snapshot times (increasing,
+    positive, not empty), in increasing order."""
+    times = np.asarray(times, dtype=float)
+    first, last = math.floor(math.log(times[0])), math.ceil(math.log(times[-1]))
+    return [s for s in range(first, last + 1) if _window_fault(times, s, SHADOW_WINDOW) is None]
+
+
 def pseudotrajectory_error(sim: MomentTrace, model: ModelSpec, t_anchor: float,
                            t_window: float, dt: float = 0.01) -> float:
     """Sup distance between a simulated moment path and the flow over one
     logarithmic-time window.
 
-    The simulation snapshots, MIN_SNAPSHOTS or more in the window, are
-    reparametrized to flow time s = ln(t) and interpolated linearly; the
-    flow is integrated by integrate_flow, with rows every dt, from the
-    interpolated anchor point, so a flow that fails its self-check raises
-    NumericError; the result is sup over the window of the Euclidean
-    distance between the two moment curves. Euclidean distance on (a, b)
+    A non-finite anchor, or a window that is not finite and > 0, is a
+    ConfigError; snapshots that fail the window rule (_window_fault) raise
+    DomainError. The snapshots are reparametrized to flow time s = ln(t)
+    and interpolated linearly; the flow is integrated by integrate_flow,
+    with rows every dt, from the interpolated anchor point, so a flow that
+    fails its self-check raises NumericError; the result is sup over the
+    window of the Euclidean distance between the two moment curves. Euclidean distance on (a, b)
     is the weak-topology test-function metric restricted to cos and sin.
     """
-    if not t_window > 0.0:
-        raise ConfigError("pseudotrajectory_error: window must be > 0")
-    t_lo = math.exp(t_anchor)
-    t_hi = math.exp(t_anchor + t_window)
+    if not math.isfinite(t_anchor):
+        raise ConfigError("pseudotrajectory_error: anchor must be finite")
+    if not 0.0 < t_window < math.inf:
+        raise ConfigError("pseudotrajectory_error: window must be finite and > 0")
     times = np.asarray(sim.times, dtype=float)
-    if times.size == 0 or times[0] > t_lo or times[-1] < t_hi:
-        raise DomainError(
-            f"pseudotrajectory_error: simulation does not cover [{t_lo:.3g}, {t_hi:.3g}]")
-    inside = (times >= t_lo) & (times <= t_hi)
-    if int(inside.sum()) < MIN_SNAPSHOTS:
-        raise DomainError(
-            f"pseudotrajectory_error: only {int(inside.sum())} snapshots in the window "
-            f"(need >= {MIN_SNAPSHOTS})")
+    if (fault := _window_fault(times, t_anchor, t_window)) is not None:
+        raise DomainError(f"pseudotrajectory_error: {fault}")
     s_sim = np.log(times)
     sim_a = np.asarray(sim.a_vals, dtype=float)
     sim_b = np.asarray(sim.b_vals, dtype=float)

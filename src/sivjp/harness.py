@@ -16,7 +16,8 @@ engine (engine, markov) is imported only by the commands that simulate:
 run_sitp imports it on its first call, and _map_ordered just before it
 starts a pool, so that the workers the pool forks inherit it rather than
 each compiling it. The fixed-point atlas (equilibria) is imported by the
-commands that take a census, the flow by cmd_flow and cmd_shadow, the
+commands that take a census, the flow by cmd_flow and cmd_shadow (which
+takes its windows from flow.shadow_anchors, the home of the rule), the
 self-checks by validation_report, markov's csv_text and ks_uniform by
 cmd_shadow and cmd_scan, and ProcessPoolExecutor by _map_ordered when it
 first starts a pool. model_hash uses CPython's built-in SHA-256, not
@@ -325,7 +326,7 @@ def _census(cfg: ExperimentConfig, rho: float) -> tuple[list[FixedPointRecord], 
     b_stars = sorted(r.b for r in records if r.b > 1e-9 and abs(r.a) < 1e-9)
     if a_stars:
         thr["a_star"] = a_stars[-1]
-        if model.du_sup == 0.0:  # U constant: the radius of the census's ring
+        if model.potential.dv_sup == 0.0:  # U constant: the radius of the census's ring
             thr["r_of_rho"] = a_stars[-1]
     if b_stars:
         thr["b_star"] = b_stars[-1]
@@ -391,46 +392,36 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
     return path
 
 
-SHADOW_WINDOW = 2.0  # flow-time length of each window of cmd_shadow
-
-
 def cmd_shadow(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> list[list]:
     """Shadowing diagnostic: how closely one run's moments, replotted in
     flow time s = ln t, follow the limiting flow.
 
     The run is stream 0 of the sivjp section at the model's rho. Its
-    anchors are every integer s whose window [e^s, e^(s + SHADOW_WINDOW)]
-    starts at or after the first snapshot, ends by sivjp.T and holds at
-    least flow.MIN_SNAPSHOTS snapshots; a schedule that fits none is a
-    ConfigError, and so, before the run, is a flow.dt that
-    flow.check_horizon refuses for a window or for the flow. Writes the
-    moment trace, the flow from the first snapshot for the last anchor
-    plus SHADOW_WINDOW, and one row (s, t, sup_error) of
-    flow.pseudotrajectory_error per anchor. Returns those rows.
+    anchors are flow.shadow_anchors of its snapshot schedule, the home of
+    the window rule: a schedule that fits none is a ConfigError, and so,
+    before the run, is a flow.dt that flow.check_horizon refuses for a
+    window or for the flow. Writes the moment trace, the flow from the
+    first snapshot for the last anchor plus flow.SHADOW_WINDOW, and one
+    row (s, t, sup_error) of flow.pseudotrajectory_error per anchor.
+    Returns those rows.
     """
     from . import flow
     from .markov import csv_text
     run = cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0)
-    times = run.snapshot_times()
-    anchors = []
-    for s in range(math.floor(math.log(times[0])), math.ceil(math.log(times[-1])) + 1):
-        t_lo, t_hi = math.exp(s), math.exp(s + SHADOW_WINDOW)
-        inside = np.searchsorted(times, t_hi, "right") - np.searchsorted(times, t_lo, "left")
-        if times[0] <= t_lo and t_hi <= times[-1] and inside >= flow.MIN_SNAPSHOTS:
-            anchors.append(s)
+    anchors = flow.shadow_anchors(run.snapshot_times())
     if not anchors:
-        raise ConfigError(f"cmd_shadow: no window of length {SHADOW_WINDOW} in flow time "
-                          f"holds {flow.MIN_SNAPSHOTS} snapshots between the first "
+        raise ConfigError(f"cmd_shadow: no window of length {flow.SHADOW_WINDOW} in flow "
+                          f"time holds {flow.MIN_SNAPSHOTS} snapshots between the first "
                           f"snapshot and sivjp.T")
-    dt = cfg.flow["dt"]
-    for horizon in (SHADOW_WINDOW, anchors[-1] + SHADOW_WINDOW):  # the windows, the flow
+    dt, window = cfg.flow["dt"], flow.SHADOW_WINDOW
+    for horizon in (window, anchors[-1] + window):  # the windows, the flow
         flow.check_horizon(horizon, dt)
     trace = run_sitp(run)
     rows = [[s, math.exp(s),
-             flow.pseudotrajectory_error(trace, run.model, s, SHADOW_WINDOW, dt=dt)]
+             flow.pseudotrajectory_error(trace, run.model, s, window, dt=dt)]
             for s in anchors]
     flow_trace = flow.integrate_flow(run.model, (trace.a_vals[0], trace.b_vals[0]),
-                                     anchors[-1] + SHADOW_WINDOW, dt=dt)
+                                     anchors[-1] + window, dt=dt)
     ensure_outdir(out_dir)
     write_text(os.path.join(out_dir, f"{cfg.name}_moments.csv"), trace.to_csv())
     write_text(os.path.join(out_dir, f"{cfg.name}_flow.csv"), flow_trace.to_csv())

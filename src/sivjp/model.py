@@ -54,25 +54,13 @@ class ModelSpec:
                               f"got {self.lambda_min}")
 
     @property
-    def u(self):
-        return self.potential.v
-
-    @property
-    def du(self):
-        return self.potential.dv
-
-    @property
-    def du_sup(self) -> float:
-        return self.potential.dv_sup
-
-    @property
     def thinning_bound(self) -> float:
         """Global envelope for the self-interacting jump rate.
 
         Valid because the moments of a probability measure on the circle
         satisfy a^2 + b^2 <= 1, so |rho*(a sin x - b cos x)| <= |rho|.
         """
-        return self.lambda_min + self.du_sup + abs(self.rho)
+        return self.lambda_min + self.potential.dv_sup + abs(self.rho)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ def reference_census(model, grid):
     """find_fixed_points one point at a time on the reference path: for a
     constant U the ring through the root of Fbar_a(a, 0), bisected on
     [1e-9, 1]; otherwise Newton start by start. One record per root."""
-    if model.du_sup == 0.0:
+    if model.potential.dv_sup == 0.0:
         lo, hi = 1e-9, 1.0
         while 0.5 * (lo + hi) not in (lo, hi):
             mid = 0.5 * (lo + hi)

@@ -321,6 +321,16 @@ class TestLockstep:
         integrate_flow(ModelSpec(potential=cos2_potential(), rho=4.0), (0.3, -0.2), 4.0, 0.01)
 
 
+def still_trace(times):
+    """A fake simulation trace at the origin, a fixed point of every
+    flow with U = 0, snapshotted at `times`."""
+    zeros = np.zeros_like(times)
+    return MomentTrace(times=times, a_vals=zeros, b_vals=zeros, x_vals=zeros,
+                       y_vals=np.ones_like(times),
+                       final=OccupationStats(r=1.0, t=float(times[-1]), a=0.0, b=0.0),
+                       final_state=TelegraphState(0.0, 1), n_events=0, n_proposals=0)
+
+
 class TestPseudotrajectory:
     def test_synthetic_flow_input_has_tiny_error(self):
         model = model_zero(4.0)
@@ -374,3 +384,42 @@ class TestPseudotrajectory:
         tr = run_sitp(cfg)
         with pytest.raises(DomainError):
             pseudotrajectory_error(tr, model, 3.0, 2.0)
+
+    @pytest.mark.parametrize("anchor, window, name", [
+        (math.nan, 2.0, "anchor"), (math.inf, 2.0, "anchor"), (-math.inf, 2.0, "anchor"),
+        (3.0, math.inf, "window"), (3.0, math.nan, "window"), (3.0, 0.0, "window")])
+    def test_non_finite_anchor_or_window_rejected(self, anchor, window, name):
+        # the trace covers [e^3, e^5] densely, so only the argument is at fault
+        fake, model = still_trace(np.exp(np.linspace(0.0, 6.0, 601))), model_zero(4.0)
+        assert pseudotrajectory_error(fake, model, 3.0, 2.0) < 1e-9
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            pseudotrajectory_error(fake, model, anchor, window)
+
+    @pytest.mark.parametrize("case", ["start_on_snapshot", "end_on_snapshot",
+                                      "one_short", "exactly_enough"])
+    def test_window_rule_edges(self, case):
+        # n snapshots in the window [e^2, e^4], both ends exactly among
+        # them; the first two cases add one snapshot past the other end
+        n = flow.MIN_SNAPSHOTS - 1 if case == "one_short" else flow.MIN_SNAPSHOTS
+        inner = np.exp(np.linspace(2.0, 2.0 + flow.SHADOW_WINDOW, n))
+        inner[0], inner[-1] = math.exp(2.0), math.exp(2.0 + flow.SHADOW_WINDOW)
+        times = {"start_on_snapshot": np.append(inner, math.exp(4.5)),
+                 "end_on_snapshot": np.insert(inner, 0, math.exp(1.5)),
+                 "one_short": inner, "exactly_enough": inner}[case]
+        model = model_zero(0.0)
+        fake = still_trace(times)
+        accepted = []
+        for s in range(-1, 7):
+            try:
+                pseudotrajectory_error(fake, model, s, flow.SHADOW_WINDOW)
+            except DomainError:
+                continue
+            accepted.append(s)
+        assert flow.shadow_anchors(times) == accepted == ([] if case == "one_short" else [2])
+        # one ulp inward at the end that falls on a snapshot loses the window
+        if case in ("start_on_snapshot", "end_on_snapshot"):
+            k = 0 if case == "start_on_snapshot" else -1
+            times[k] = np.nextafter(times[k], times[1] if k == 0 else times[-2])
+            assert flow.shadow_anchors(times) == []
+            with pytest.raises(DomainError, match="does not cover"):
+                pseudotrajectory_error(still_trace(times), model, 2, flow.SHADOW_WINDOW)

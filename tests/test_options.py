@@ -1,5 +1,5 @@
-"""Every defaulted parameter of the package is passed by some caller, and
-every parameter of a public function is read.
+"""Every defaulted parameter of the package is passed by some caller,
+every parameter of a public function is read, and no member is an alias.
 
 A stand-in for an unused-option lint, modelled on test_imports.py: for each
 function or method in src/sivjp/*.py, every parameter with a default must be
@@ -9,10 +9,13 @@ x.fbar(...) counts for every function named fbar. A call that unpacks
 *args passes every positional parameter, and one that unpacks **kwargs
 every keyword. A default that no caller overrides is a constant, not an
 option. A parameter that the body of a public (non-underscore) function or
-method never reads is an argument every caller must pass for nothing.
+method never reads is an argument every caller must pass for nothing. A
+method or property whose whole body is `return self.<attr>.<attr>` restates
+a field of a field under a second name, so two spellings reach one fact.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,3 +130,39 @@ def test_check_flags_an_unread_parameter():
               "def f(x, *args, scale=1.0, **kw):\n    scale = 2\n    return x, args\n"
               "def _g(unused):\n    return 0\n")
     assert unread_params({"mod": module}) == ["mod.f: scale", "mod.f: kw", "mod.fbar: b"]
+
+
+def alias_members(sources: dict[str, str]) -> list[str]:
+    """'module.Class.member' for every method or property of the modules in
+    `sources` whose whole body is `return self.<attr>.<attr>`: a second
+    name for a field of a field, which callers can read where it lives."""
+    aliases = []
+    for module, src in sources.items():
+        for cls in ast.walk(ast.parse(src)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not isinstance(item, ast.FunctionDef) or not item.args.args:
+                    continue
+                this = item.args.args[0].arg
+                if len(item.body) == 1 and re.fullmatch(rf"return {this}\.\w+\.\w+",
+                                                        ast.unparse(item.body[0])):
+                    aliases.append(f"{module}.{cls.name}.{item.name}")
+    return aliases
+
+
+def test_no_alias_members():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert alias_members(sources) == []
+
+
+def test_check_flags_an_alias_member():
+    module = ("class M:\n"
+              "    @property\n    def du(self):\n        return self.potential.dv\n"
+              "    def grid(me):\n        return me.tables.grid\n"
+              "    def rho(self):\n        return self.rho_\n"
+              "    def sup(self):\n        return self.potential.dv_sup + 1.0\n"
+              "    def call(self):\n        return self.potential.dv(0.0)\n"
+              "    def other(self, spec):\n        return spec.potential.dv\n"
+              "    def two(self):\n        x = 1\n        return self.a.b\n")
+    assert alias_members({"mod": module}) == ["mod.M.du", "mod.M.grid"]
