@@ -63,13 +63,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, RunawayRateError
 from .geometry import PeriodicGrid, TWO_PI, arc_sojourn, wrap
-from .markov import EventLog, csv_text
+from .markov import EventLog, csv_lines
 from .model import (ROUNDOFF_TOL, ModelSpec, SIVJPConfig, TelegraphState,
                     proposal_budget)
 from .potentials import FrozenPotential
@@ -150,9 +150,12 @@ class MomentTrace:
     n_events: int
     n_proposals: int
 
+    def csv_lines(self) -> Iterator[str]:
+        return csv_lines(["t", "a", "b", "x", "y"],
+                         zip(self.times, self.a_vals, self.b_vals, self.x_vals, self.y_vals))
+
     def to_csv(self) -> str:
-        return csv_text(["t", "a", "b", "x", "y"],
-                        zip(self.times, self.a_vals, self.b_vals, self.x_vals, self.y_vals))
+        return "".join(self.csv_lines())
 
     def summary(self) -> dict:
         return {

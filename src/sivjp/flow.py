@@ -13,17 +13,20 @@ Both evaluate Fbar on equilibria.field_grid(model): the fewest nodes
 (64 to 512) whose quadrature error bound, from the potential's harmonic
 amplitudes and rho, stays below 1e-17. _window_fault is the one rule for
 which windows count; shadow_anchors applies it for `sivjp shadow`.
+A flow is held in flat float arrays, 24 bytes a row (its times and its
+points), and FlowTrace.csv_lines streams its CSV a line at a time.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .markov import csv_text
+from .markov import csv_lines
 # fbar is not called here; it stays a module attribute because the
 # benchmark's tracer (perfbench/traced.py) wraps flow.fbar.
 from .equilibria import _NodeTables, fbar, field_grid  # noqa: F401
@@ -49,8 +52,11 @@ class FlowTrace:
     times: np.ndarray
     points: np.ndarray  # shape (len(times), 2)
 
+    def csv_lines(self) -> Iterator[str]:
+        return csv_lines(["s", "a", "b"], zip(self.times, *self.points.T))
+
     def to_csv(self) -> str:
-        return csv_text(["s", "a", "b"], zip(self.times, *self.points.T))
+        return "".join(self.csv_lines())
 
 
 def _onto_disk(pa: float, pb: float) -> tuple[float, float]:
@@ -63,9 +69,10 @@ def _onto_disk(pa: float, pb: float) -> tuple[float, float]:
 
 
 def _dopri(field: Callable[[float, float], tuple[float, float]], pa: float, pb: float,
-           times: list[float], tol: float) -> list[tuple[float, float]]:
+           times: Sequence[float], tol: float) -> np.ndarray:
     """The flow from (pa, pb) at `times`, which start at 0 and do not
-    decrease: one Dormand-Prince 5(4) run on Python floats.
+    decrease, as an (n, 2) array: one Dormand-Prince 5(4) run on Python
+    floats, its rows appended to one flat array('d'), 16 bytes a row.
 
     Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6 (DOPRI5): the
     5th-order solution is carried, a step is accepted when the embedded
@@ -79,9 +86,10 @@ def _dopri(field: Callable[[float, float], tuple[float, float]], pa: float, pb: 
     MAX_FLOW_STEPS steps, or a step so small that it no longer moves the
     time, raises NumericError.
     """
-    rows, n = [(pa, pb)], 1
+    flat, n = array("d", (pa, pb)), 1
     if n == len(times):  # a horizon within 1e-12 dt of 0: the start alone
-        return rows
+        return np.frombuffer(flat).reshape(-1, 2)
+    append = flat.append
     t_end, hypot = times[-1], math.hypot
     t, h = 0.0, times[1]
     k1a, k1b = field(pa, pb)
@@ -135,10 +143,13 @@ def _dopri(field: Callable[[float, float], tuple[float, float]], pa: float, pb: 
                 v = 1.0 - u
                 ra = pa + u * (da + v * (ba + u * (ca + v * qa)))
                 rb = pb + u * (db + v * (bb + u * (cb + v * qb)))
-                rows.append(_onto_disk(ra, rb) if hypot(ra, rb) > 1.0 else (ra, rb))
+                if hypot(ra, rb) > 1.0:
+                    ra, rb = _onto_disk(ra, rb)
+                append(ra)
+                append(rb)
                 n += 1
                 if n == len(times):
-                    return rows
+                    return np.frombuffer(flat).reshape(-1, 2)
         if hypot(ya, yb) > 1.0:
             ya, yb = _onto_disk(ya, yb)
             k7a, k7b = field(ya, yb)
@@ -174,30 +185,39 @@ def integrate_flow(model: ModelSpec, start: tuple[float, float], t_flow: float,
     any path is built. On flow_demo (zero potential, rho = 4, T_flow = 60)
     the two runs take 4,556 field evaluations, and every row lies within
     3e-12 of a DOP853 reference at rtol 1e-13.
+
+    The times and each run's rows are stored flat (array('d'), 8 bytes a
+    time and 16 a row), and the runs are compared in the check run's own
+    array, so the peak is about 40 bytes a row: 2.4 MB for 60,001 rows.
     """
     a0, b0 = start
     if not math.hypot(a0, b0) <= 1.0 + DISK_TOL:  # NaN fails too
         raise ConfigError("integrate_flow: start must lie in the closed unit disk")
     check_horizon(t_flow, dt)
-    times, s = [0.0], 0.0
+    times, s = array("d", (0.0,)), 0.0
     for _ in range(int(math.ceil(t_flow / dt - 1e-12))):
         s += min(dt, t_flow - s)
         times.append(s)
     field = _NodeTables(model, field_grid(model)).fbar
     a0, b0 = float(a0), float(b0)
-    points = np.array(_dopri(field, a0, b0, times, FLOW_TOL))
-    gap = float(np.max(np.abs(points - _dopri(field, a0, b0, times, CHECK_RUN_TOL))))
+    points = _dopri(field, a0, b0, times, FLOW_TOL)
+    gaps = _dopri(field, a0, b0, times, CHECK_RUN_TOL)
+    gaps -= points
+    gap = float(np.max(np.abs(gaps, out=gaps)))
     if gap > CHECK_TOL:
         raise NumericError(f"integrate_flow: self-check failed (sup gap {gap:.3e} "
                            f"between the runs at tolerances {FLOW_TOL} and {CHECK_RUN_TOL})")
-    return FlowTrace(times=np.array(times), points=points)
+    return FlowTrace(times=np.frombuffer(times), points=points)
 
 
 def _window_fault(times: np.ndarray, s: float, w: float) -> str | None:
     """Why the snapshot times fail the window [e^s, e^(s + w)], or None:
     they must cover it and hold MIN_SNAPSHOTS of them in it, ends included.
     The one window rule of pseudotrajectory_error and shadow_anchors."""
-    t_lo, t_hi = math.exp(s), math.exp(s + w)
+    try:
+        t_lo, t_hi = math.exp(s), math.exp(s + w)
+    except OverflowError:  # past the largest float: no finite trace covers it
+        return f"simulation does not cover [e^{s:.6g}, e^{s + w:.6g}]"
     if times.size == 0 or times[0] > t_lo or times[-1] < t_hi:
         return f"simulation does not cover [{t_lo:.3g}, {t_hi:.3g}]"
     inside = np.count_nonzero((times >= t_lo) & (times <= t_hi))

@@ -2,10 +2,11 @@
 fixed-point atlases, flows, the shadowing diagnostic, bifurcation scans,
 multi-well localization runs and a self-validation suite.
 
-All outputs are CSV (the format of markov.csv_text) or JSON (UTF-8,
-sorted keys). Runs are keyed by (master_seed, stream_index), so sweeps are
-reproducible bit-for-bit and independent of how work is scheduled across
-workers; simulate, scan and localize take them as one stream in job order
+All outputs are CSV (markov.csv_lines, streamed to disk by
+markov.write_csv, never held whole) or JSON (UTF-8, sorted keys). Runs
+are keyed by (master_seed, stream_index), so sweeps are reproducible
+bit-for-bit and independent of how work is scheduled across workers;
+simulate, scan and localize take them as one stream in job order
 (_map_ordered) and keep of each run only what their outputs need.
 Summaries and fixed-point files cross-reference each other by a hash of
 the model configuration.
@@ -18,13 +19,14 @@ starts a pool, so that the workers the pool forks inherit it rather than
 each compiling it. The fixed-point atlas (equilibria) is imported by the
 commands that take a census, the flow by cmd_flow and cmd_shadow (which
 takes its windows from flow.shadow_anchors, the home of the rule), the
-self-checks by validation_report, markov's csv_text and ks_uniform by
-cmd_shadow and cmd_scan, and ProcessPoolExecutor by _map_ordered when it
-first starts a pool. model_hash uses CPython's built-in SHA-256, not
-hashlib, so only the commands that simulate load OpenSSL (numpy.random
-imports hashlib). So `fixed-points` loads neither the engine, markov nor
-hashlib, `flow` loads no engine and no hashlib (flow loads markov for
-csv_text), and `localize` at --threads 1 loads no atlas, flow or pool.
+self-checks by validation_report, markov's write_csv by the commands
+that write CSVs (and ks_uniform by cmd_scan), and ProcessPoolExecutor
+by _map_ordered when it first starts a pool. model_hash uses CPython's
+built-in SHA-256, not hashlib, so only the commands that simulate load
+OpenSSL (numpy.random imports hashlib). So `fixed-points` loads neither
+the engine, markov nor hashlib, `flow` loads no engine and no hashlib
+(flow loads markov for csv_lines), and `localize` at --threads 1 loads
+no atlas, flow or pool.
 Those calls go through the module objects
 (equilibria.find_fixed_points, flow.integrate_flow), so that replacements
 made on those modules apply.
@@ -295,11 +297,6 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def ensure_outdir(out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -341,6 +338,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     """Run sweep.seeds independent runs at the model's rho; write per-seed
     moment CSVs as the runs end, then summary.json and fixed_points.json.
     A failed run raises at once, after the CSVs of the runs before it."""
+    from .markov import write_csv
     rho = cfg.model["rho"]
     records, payload = _census(cfg, rho)
     ensure_outdir(out_dir)
@@ -350,7 +348,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
         for k, trace in enumerate(traces):
             if isinstance(trace, Exception):
                 raise trace
-            write_text(os.path.join(out_dir, f"{cfg.name}_seed{k:04d}.csv"), trace.to_csv())
+            write_csv(os.path.join(out_dir, f"{cfg.name}_seed{k:04d}.csv"), trace.csv_lines())
             summaries.append(run_summary(k, trace, records, payload))
             if not quiet:
                 s = summaries[-1]
@@ -378,6 +376,7 @@ def cmd_fixed_points(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) ->
 def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
     """Integrate the reduced flow from flow.start and write its CSV."""
     from . import flow
+    from .markov import write_csv
     spec = cfg.flow
     if "start" not in spec or "T_flow" not in spec:
         raise ConfigError("cmd_flow: config needs flow.start and flow.T_flow")
@@ -386,7 +385,7 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, quiet: bool = True) -> str:
                                 spec["T_flow"], dt=spec["dt"])
     ensure_outdir(out_dir)
     path = os.path.join(out_dir, f"{cfg.name}_flow.csv")
-    write_text(path, trace.to_csv())
+    write_csv(path, trace.csv_lines())
     if not quiet:
         print(f"flow: {trace.times.size} steps -> {path}", file=sys.stderr)
     return path
@@ -406,7 +405,7 @@ def cmd_shadow(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> list[list]:
     Returns those rows.
     """
     from . import flow
-    from .markov import csv_text
+    from .markov import csv_lines, write_csv
     run = cfg.build_sivjp(rho=cfg.model["rho"], stream_index=0)
     anchors = flow.shadow_anchors(run.snapshot_times())
     if not anchors:
@@ -423,10 +422,10 @@ def cmd_shadow(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> list[list]:
     flow_trace = flow.integrate_flow(run.model, (trace.a_vals[0], trace.b_vals[0]),
                                      anchors[-1] + window, dt=dt)
     ensure_outdir(out_dir)
-    write_text(os.path.join(out_dir, f"{cfg.name}_moments.csv"), trace.to_csv())
-    write_text(os.path.join(out_dir, f"{cfg.name}_flow.csv"), flow_trace.to_csv())
-    write_text(os.path.join(out_dir, f"{cfg.name}_shadow.csv"),
-               csv_text(["s", "t", "sup_error"], rows))
+    write_csv(os.path.join(out_dir, f"{cfg.name}_moments.csv"), trace.csv_lines())
+    write_csv(os.path.join(out_dir, f"{cfg.name}_flow.csv"), flow_trace.csv_lines())
+    write_csv(os.path.join(out_dir, f"{cfg.name}_shadow.csv"),
+              csv_lines(["s", "t", "sup_error"], rows))
     if not quiet:
         for s, t, err in rows:
             print(f"anchor s={s:.1f} (t={t:9.1f}): sup shadowing error {err:.5f}",
@@ -442,7 +441,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
     in classification, becomes an "error:<Type>: <message>" row. Returns
     the CSV path; raises SweepError, once every output is written, when
     more than 10% of the rows failed."""
-    from .markov import csv_text, ks_uniform
+    from .markov import csv_lines, ks_uniform, write_csv
     rhos = cfg.sweep["rhos"]
     if not rhos:
         raise ConfigError("cmd_scan: sweep.rhos must be a non-empty list")
@@ -466,7 +465,7 @@ def cmd_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1,
             rows.append([rho, stream, "", "", "", "", "",
                          f"error:{type(exc).__name__}: {exc}"])
     csv_path = os.path.join(out_dir, f"{cfg.name}_scan.csv")
-    write_text(csv_path, csv_text(["rho", "seed", "a_final", "b_final", "r_final",
+    write_csv(csv_path, csv_lines(["rho", "seed", "a_final", "b_final", "r_final",
                                    "nearest_fp", "dist", "status"], rows))
     write_json(os.path.join(out_dir, f"{cfg.name}_scan_census.json"),
                {f"{rho:.12g}": payload for rho, (_, payload) in zip(rhos, censuses)})

@@ -25,10 +25,9 @@ engine.simulate_telegraph runs it and returns an EventLog analysed here.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -42,24 +41,44 @@ if TYPE_CHECKING:
     from .equilibria import GridDensity
 
 
-def csv_text(header: list[str], rows) -> str:
-    """The package's CSV format: RFC 4180 with CRLF line ends, every
-    non-string value written as %.12g and every string as it is.
+class _Echo:
+    """A file whose write returns its text, so that csv.writer's writerow
+    returns the line it formats."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def csv_lines(header: list[str], rows) -> Iterator[str]:
+    """The package's CSV format, one line at a time: RFC 4180 with CRLF
+    line ends, every non-string value written as %.12g and every string
+    as it is.
 
     A row of as many numbers as the header has names is one % format,
     whose output csv.writer would write unquoted; any other row (a string
     cell, another length) goes through csv.writer."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    line, write = ",".join(["%.12g"] * len(header)) + "\r\n", buf.write
+    writer = csv.writer(_Echo(), lineterminator="\r\n")
+    yield writer.writerow(header)
+    line = ",".join(["%.12g"] * len(header)) + "\r\n"
     for row in rows:
         cells = tuple(row)
         try:
-            write(line % cells)
+            text = line % cells
         except TypeError:  # a string or tuple cell, or a row of another length
-            writer.writerow([v if isinstance(v, str) else "%.12g" % v for v in cells])
-    return buf.getvalue()
+            text = writer.writerow([v if isinstance(v, str) else "%.12g" % v for v in cells])
+        yield text
+
+
+def csv_text(header: list[str], rows) -> str:
+    """The lines of csv_lines as one string."""
+    return "".join(csv_lines(header, rows))
+
+
+def write_csv(path: str, lines: Iterable[str]) -> None:
+    """Write the lines of csv_lines to path as they come, so that no CSV
+    is ever held whole."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from sivjp.engine import MomentTrace, OccupationStats
 from sivjp.equilibria import _NodeTables, field_grid
 from sivjp.geometry import DENSITY_GRID
 from sivjp.errors import ConfigError, DomainError, NumericError
-from sivjp.harness import ExperimentConfig
+from sivjp.harness import ExperimentConfig, cmd_flow
 from sivjp.model import ModelSpec, TelegraphState
 from sivjp.potentials import cos2_potential, two_well_potential, zero_potential
 
@@ -168,6 +170,41 @@ class TestIntegrateFlow:
             assert min(d_plus, d_minus) < 1e-4
             n_checked += 1
         assert n_checked > 50
+
+
+class TestMemory:
+    """A flow is held flat, 16 bytes a row for each run and 8 for its
+    times, and its CSV is streamed to disk a line at a time."""
+
+    def test_flow_memory_per_row(self, tmp_path, monkeypatch):
+        # cmd_flow on flow_demo at T_flow = 600 (60,001 rows, a 2.4 MB CSV),
+        # its traced peak restarted once integrate_flow returns
+        cfg = dataclasses.replace(FLOW_DEMO, flow={**FLOW_DEMO.flow, "T_flow": 600.0})
+        held, integrate = [], flow.integrate_flow
+
+        def integrate_then_restart_peak(*args, **kwargs):
+            trace = integrate(*args, **kwargs)
+            held.append((trace, *tracemalloc.get_traced_memory()))
+            tracemalloc.reset_peak()
+            return trace
+
+        monkeypatch.setattr(flow, "integrate_flow", integrate_then_restart_peak)
+        tracemalloc.start()
+        try:
+            path = cmd_flow(cfg, str(tmp_path))
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (trace, current, flow_peak), = held
+        rows = trace.times.size
+        assert rows == 60_001
+        assert flow_peak <= 64 * rows, f"{flow_peak / rows:.1f} bytes a row"
+        # writing adds less than 64 KB to the command's peak, and holds no
+        # more than 256 KB beyond the trace (csv.writer alone keeps a 128 KB
+        # record buffer), so the CSV is never held whole
+        assert write_peak - flow_peak < 64 * 1024
+        assert write_peak - current < 256 * 1024
+        assert Path(path).read_bytes() == trace.to_csv().encode()
 
 
 def two_pass(tables, start, t_flow, dt):
@@ -396,16 +433,19 @@ class TestPseudotrajectory:
             pseudotrajectory_error(fake, model, anchor, window)
 
     @pytest.mark.parametrize("case", ["start_on_snapshot", "end_on_snapshot",
-                                      "one_short", "exactly_enough"])
+                                      "one_short", "exactly_enough", "past_largest_float"])
     def test_window_rule_edges(self, case):
         # n snapshots in the window [e^2, e^4], both ends exactly among
-        # them; the first two cases add one snapshot past the other end
+        # them; the first two cases add one snapshot past the other end,
+        # the last one a snapshot at 1e308, so that shadow_anchors tries
+        # windows whose end e^(s + 2) is past the largest float
         n = flow.MIN_SNAPSHOTS - 1 if case == "one_short" else flow.MIN_SNAPSHOTS
         inner = np.exp(np.linspace(2.0, 2.0 + flow.SHADOW_WINDOW, n))
         inner[0], inner[-1] = math.exp(2.0), math.exp(2.0 + flow.SHADOW_WINDOW)
         times = {"start_on_snapshot": np.append(inner, math.exp(4.5)),
                  "end_on_snapshot": np.insert(inner, 0, math.exp(1.5)),
-                 "one_short": inner, "exactly_enough": inner}[case]
+                 "one_short": inner, "exactly_enough": inner,
+                 "past_largest_float": np.append(inner, 1e308)}[case]
         model = model_zero(0.0)
         fake = still_trace(times)
         accepted = []
@@ -416,6 +456,10 @@ class TestPseudotrajectory:
                 continue
             accepted.append(s)
         assert flow.shadow_anchors(times) == accepted == ([] if case == "one_short" else [2])
+        # a window that ends past the largest float, which no finite trace covers
+        if case == "past_largest_float":
+            with pytest.raises(DomainError, match="does not cover"):
+                pseudotrajectory_error(fake, ModelSpec(), 708.0, 2.0)
         # one ulp inward at the end that falls on a snapshot loses the window
         if case in ("start_on_snapshot", "end_on_snapshot"):
             k = 0 if case == "start_on_snapshot" else -1

@@ -13,7 +13,7 @@ from sivjp import (EventLog, PeriodicGrid, SeedSpec, TelegraphState, TorusVJPSta
                    simulate_torus_vjp, velocity_fraction, wrap)
 from sivjp.errors import ConfigError, DomainError
 from sivjp.geometry import TWO_PI, arc_sojourn, cell_index
-from sivjp.markov import csv_text, occupation_histogram
+from sivjp.markov import csv_lines, csv_text, occupation_histogram, write_csv
 from sivjp.potentials import cos_potential, cos2_potential, zero_potential
 
 
@@ -144,15 +144,20 @@ class TestCsvText:
         ("", "", ""),
     ]
     LENGTHS = [(), (1.0,), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ("",), (math.nan, "a,b")]
+    TUPLES = [((2.0,), 3.0, 4.0), (1.0, (np.float64(0.5),), "z"), ((-0.0,), (math.inf,), (1,))]
 
-    @pytest.mark.parametrize("rows", [NUMBERS, STRINGS, LENGTHS, NUMBERS + STRINGS + LENGTHS],
-                             ids=["numbers", "strings", "lengths", "mixed"])
-    def test_bytes_match_csv_writer(self, rows):
+    @pytest.mark.parametrize("rows", [NUMBERS, STRINGS, LENGTHS, NUMBERS + STRINGS + LENGTHS,
+                                      TUPLES + NUMBERS + STRINGS + LENGTHS],
+                             ids=["numbers", "strings", "lengths", "mixed", "tuples"])
+    def test_bytes_match_csv_writer(self, rows, tmp_path):
         want = reference_csv_text(self.HEADER, rows)
         assert csv_text(self.HEADER, rows) == want
         # rows as lists, and rows as one-shot iterators
         assert csv_text(self.HEADER, [list(r) for r in rows]) == want
         assert csv_text(self.HEADER, (iter(r) for r in rows)) == want
+        # the streamed sink writes the same bytes
+        write_csv(tmp_path / "rows.csv", csv_lines(self.HEADER, (iter(r) for r in rows)))
+        assert (tmp_path / "rows.csv").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("header", [[], ["x"], ["x", "y,z", 'q"']])
     def test_header_widths(self, header):
