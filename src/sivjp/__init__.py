@@ -28,8 +28,8 @@ _EXPORTS = {
                "velocity_fraction"),
     "model": ("ModelSpec", "SIVJPConfig", "TelegraphState"),
     "potentials": ("FrozenPotential", "cos_potential", "cos2_potential",
-                   "frozen_potential", "grid_potential", "local_minima",
-                   "make_potential", "two_well_potential", "zero_potential"),
+                   "grid_potential", "local_minima", "make_potential",
+                   "two_well_potential", "zero_potential"),
     "rng": ("SeedSpec", "derive_stream"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,7 +19,7 @@ from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import TWO_PI, wrap
 from sivjp.engine import envelope_slope, local_clock, thinning_envelope
 from sivjp.model import MAX_PROPOSALS, ModelSpec
-from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
+from sivjp.potentials import (cos_potential, cos2_potential,
                               trig_potential, two_well_potential, zero_potential)
 from sivjp.rng import derive_stream, uniform_pairs
 
@@ -327,14 +327,16 @@ class TestDrawConsumption:
         assert (log.x_final, log.y_final) == (0.6627408838076967, 1)
 
     # the whole jump skeleton, as the SHA-256 of EventLog.to_csv(): the two
-    # goldens above, a potential with no curvature bound (ddv_sup = inf), an
-    # override above the certified envelope, and a run too short to jump
+    # goldens above, a potential with no curvature bound (cos2 with
+    # ddv_sup = inf and dv_sup 5% above sup|U'|), an override above the
+    # certified envelope, and a run too short to jump
     @pytest.mark.parametrize("pot, lam_min, z0, t_end, override, jumps, digest", [
         (cos2_potential(), 1.0, (1.0, 1), 1e4, 3.0, 15801,
          "fd3d53e5a409d60c1339e83e7edc11d2858c2be2bbf340ec0fdf472270baeac0"),
         (cos2_potential(), 0.25, (1.0, 1), 1e4, None, 8506,
          "a4125fd0ac8050d1907a9de28f7240e17f64845ac3c3123380d5a4d3b496656c"),
-        (frozen_potential(lambda z: -np.cos(2 * z), lambda z: 2 * np.sin(2 * z)),
+        (dataclasses.replace(cos2_potential(), dv_sup=2.1, ddv_sup=math.inf,
+                             amplitudes=None),
          0.25, (1.0, 1), 2000.0, None, 1634,
          "2be1db93985ff14bd41da79feafca68c781b3f5452e0444dea40074da966517d"),
         (cos_potential(), 0.5, (4.0, -1), 2000.0, 4.0, 1597,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -17,7 +18,7 @@ from sivjp.errors import DomainError, NumericError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.harness import ExperimentConfig
 from sivjp.model import ModelSpec
-from sivjp.potentials import (cos_potential, cos2_potential, frozen_potential,
+from sivjp.potentials import (FrozenPotential, cos_potential, cos2_potential,
                               grid_potential, trig_potential, two_well_potential,
                               zero_potential)
 
@@ -28,6 +29,12 @@ TABLE_MODELS = (COS2(2.5), ModelSpec(potential=two_well_potential(), rho=6.0),
                 ModelSpec(potential=zero_potential(), rho=4.0),
                 ModelSpec(potential=grid_potential([0.3, -0.1, 0.5, 0.2, -0.4, 0.0]),
                           rho=-3.0))
+
+
+# U = +inf on an arc around z = 1: the log-density has -inf entries
+SPIKE = FrozenPotential(v=lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
+                        dv=np.zeros_like, dv_sup=1.0, v_scalar=lambda x: 0.0,
+                        dv_scalar=lambda x: 0.0)
 
 
 OFF_AXIS_CASES = ((cos2_potential(), 0.5 * math.pi),  # (0, r): -U peaks at 0 and pi
@@ -309,9 +316,7 @@ class TestThresholds:
         # U = -beta cos 2z -> rho_c -> 2 as beta -> 0
         vals = []
         for beta in (0.2, 0.05, 0.01):
-            pot = frozen_potential(
-                lambda z, bb=beta: -bb * np.cos(2 * z),
-                lambda z, bb=beta: 2 * bb * np.sin(2 * z), name="scaled")
+            pot = trig_potential((0.0, -beta))
             vals.append(rho_c(ModelSpec(potential=pot, rho=0.0)))
         assert abs(vals[-1] - 2.0) < 0.01
         assert abs(vals[0] - 2.0) > abs(vals[-1] - 2.0)
@@ -342,12 +347,10 @@ class TestAxisStage:
                     assert_near_reference(model, grid, a, b, tables.fbar(a, b), jac[0])
 
     def test_tables_raise_like_public_path(self):
-        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
-                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
         cases = [(COS2(40.0), 20.0, DomainError),  # density underflows to 0
                  (COS2(40.0), 1e308, NumericError),  # log-density overflows
                  (COS2(40.0), math.nan, NumericError),
-                 (ModelSpec(potential=spike, rho=1.0), 0.1, NumericError)]  # -inf entry
+                 (ModelSpec(potential=SPIKE, rho=1.0), 0.1, NumericError)]  # -inf entry
         for model, a, exc in cases:
             tables = equilibria._NodeTables(model, DENSITY_GRID)
             for evaluate in (lambda: reference_fbar(model, a, 0.3),
@@ -413,13 +416,11 @@ class TestAxisStage:
     def test_hard_points_take_the_batched_path(self):
         # every point outside the folded shift's guard gets the batched
         # evaluator's Fbar bit for bit, or its exception class and message
-        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
-                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
         cases = [(tables, a, b, {"max shift": None, "underflow": DomainError}[band])
                  for _, _, tables, a, b, band in off_axis_sweep() if band != "folded"]
         cases += [(equilibria._NodeTables(COS2(40.0), DENSITY_GRID), math.nan, 0.3, NumericError),
                   (equilibria._NodeTables(COS2(2.5), DENSITY_GRID), 0.2, math.nan, NumericError),
-                  (equilibria._NodeTables(ModelSpec(potential=spike, rho=1.0), DENSITY_GRID),
+                  (equilibria._NodeTables(ModelSpec(potential=SPIKE, rho=1.0), DENSITY_GRID),
                    0.1, 0.3, NumericError)]
         for tables, a, b, exc in cases:
             assert not tables._abs_rho * math.hypot(a, b) < tables._room
@@ -448,12 +449,10 @@ class TestAxisStage:
                         assert_near_reference(model, grid, a, b, fi, ji)
 
     def test_batched_raises_like_scalar_loop(self):
-        spike = frozen_potential(lambda z: np.where(np.abs(z - 1.0) < 0.01, np.inf, 0.0),
-                                 lambda z: 0.0 * z, dv_sup=1.0, validate=False)
         cases = [(COS2(40.0), 20.0, DomainError),  # density underflows to 0
                  (COS2(40.0), 1e308, NumericError),  # log-density overflows
                  (COS2(40.0), math.nan, NumericError),
-                 (ModelSpec(potential=spike, rho=1.0), 0.1, NumericError)]  # -inf entry
+                 (ModelSpec(potential=SPIKE, rho=1.0), 0.1, NumericError)]  # -inf entry
         for model, a, exc in cases:
             tables = equilibria._NodeTables(model, DENSITY_GRID)
             for a_vals in ([a], [0.2, -0.4, 0.05, a]):  # alone and last in a batch
@@ -764,9 +763,10 @@ class TestFieldGrid:
             assert field_grid(ModelSpec(potential=pot, rho=4.0)).n == 64
         assert field_grid(COS2(40.0)).n == 128
         assert field_grid(ModelSpec(potential=two_well_potential(), rho=30.0)).n == 128
-        frozen = frozen_potential(lambda z: -np.cos(2 * z), lambda z: 2 * np.sin(2 * z))
+        # no recorded harmonics: the finest grid
+        unknown = dataclasses.replace(cos2_potential(), amplitudes=None)
         for rho in (0.0, 4.0):
-            assert field_grid(ModelSpec(potential=frozen, rho=rho)).n == DENSITY_GRID.n
+            assert field_grid(ModelSpec(potential=unknown, rho=rho)).n == DENSITY_GRID.n
 
     def test_field_matches_finest_grid(self):
         # within radius 1.5, where the census's Newton iterates stay

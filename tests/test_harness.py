@@ -660,6 +660,26 @@ class TestCLIContract:
 
 
 class TestFixedPointsCommand:
+    def test_many_sample_custom_grid_runs_on_64_nodes(self, tmp_path, monkeypatch):
+        # exp(cos z) at 4096 samples: grid_potential keeps its 13 resolved
+        # harmonics, so the census's field tables have 64 nodes, not 512
+        from sivjp import equilibria
+        nodes = []
+
+        class Counted(equilibria._NodeTables):
+            def __init__(self, model, grid):
+                nodes.append(grid.n)
+                super().__init__(model, grid)
+
+        monkeypatch.setattr(equilibria, "_NodeTables", Counted)
+        z = 2.0 * math.pi * np.arange(4096) / 4096
+        raw = copy.deepcopy(BASE)
+        raw["model"] = {"potential": "custom_grid", "rho": 1.0, "lambda_min": 1.0,
+                        "params": {"values": np.exp(np.cos(z)).tolist()}}
+        payload = cmd_fixed_points(ExperimentConfig.from_dict(raw), str(tmp_path / "fp"))
+        assert [r["stability"] for r in payload["census"]] == ["Sink"]
+        assert nodes == [64]
+
     def test_cos2_censuses(self, tmp_path):
         for rho, n_expected in ((1.0, 1), (3.0, 3), (4.0, 5)):
             raw = copy.deepcopy(BASE)

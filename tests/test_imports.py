@@ -285,7 +285,7 @@ EXPORTS = {
                "velocity_fraction"],
     "model": ["ModelSpec", "SIVJPConfig", "TelegraphState"],
     "potentials": ["FrozenPotential", "cos_potential", "cos2_potential",
-                   "frozen_potential", "grid_potential", "local_minima", "make_potential",
+                   "grid_potential", "local_minima", "make_potential",
                    "two_well_potential", "zero_potential"],
     "rng": ["SeedSpec", "derive_stream"],
 }
@@ -293,7 +293,7 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 def test_root_exports_the_submodules_own_objects():
-    assert len(NAMES) == 54
+    assert len(NAMES) == 53
     assert sorted(sivjp.__all__) == sorted(NAMES)
     for module, names in EXPORTS.items():
         sub = importlib.import_module(f"sivjp.{module}")

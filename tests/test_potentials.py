@@ -3,27 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from helpers import bessel_i
 from sivjp import SeedSpec, SIVJPConfig, TelegraphState, run_sitp, simulate_telegraph
 from sivjp import potentials
+from sivjp.equilibria import field_grid
 from sivjp.errors import ConfigError, DomainError, RunawayRateError
 from sivjp.geometry import DENSITY_GRID, THRESHOLD_GRID, TWO_PI
 from sivjp.harness import config_schema
 from sivjp.markov import TorusVJPState, simulate_torus_vjp
 from sivjp.model import ModelSpec, proposal_budget
-from sivjp.potentials import (check_derivative, cos_potential,
-                              cos2_potential, frozen_potential, grid_potential,
-                              local_minima, make_potential, trig_potential,
-                              two_well_potential, zero_potential)
+from sivjp.potentials import (FrozenPotential, check_derivative, cos_potential,
+                              cos2_potential, grid_potential, local_minima,
+                              make_potential, trig_potential, two_well_potential,
+                              zero_potential)
 
 
 class TestFrozenPotential:
     def test_finite_difference_check_enforced(self):
         with pytest.raises(DomainError, match="derivative"):
-            frozen_potential(lambda z: np.cos(z), lambda z: np.sin(z) * 0.9)
-
-    def test_consistent_pair_accepted(self):
-        pot = frozen_potential(lambda z: np.cos(3 * z), lambda z: -3 * np.sin(3 * z))
-        assert pot.dv_sup == pytest.approx(1.05 * 3.0, rel=1e-4)
+            check_derivative(lambda z: np.cos(z), lambda z: np.sin(z) * 0.9)
 
     def test_dv_sup_dominates_grid_max(self):
         # registry kinds: dv_sup is the exact bound sum_k k(|a_k| + |b_k|)
@@ -40,7 +38,7 @@ class TestFrozenPotential:
 
     def test_ddv_sup_dominates_grid_max(self):
         # registry kinds: ddv_sup is the exact bound sum_k k^2(|a_k| + |b_k|)
-        # on |U''|; frozen_potential has none
+        # on |U''|
         z = np.linspace(0.0, TWO_PI, 200_001)
         h = 1e-4
         z_grid = TWO_PI * np.arange(64) / 64
@@ -55,7 +53,6 @@ class TestFrozenPotential:
             grid_max = float(np.max(np.abs(ddv)))
             assert grid_max == pytest.approx(true_max, abs=1e-3)
             assert pot.ddv_sup >= grid_max - 1e-6
-        assert frozen_potential(np.cos, lambda z: -np.sin(z)).ddv_sup == math.inf
 
     def test_scalar_matches_vectorized(self):
         z = TWO_PI * np.arange(64) / 64
@@ -120,6 +117,52 @@ class TestGridPotential:
     def test_odd_sample_count_rejected(self):
         with pytest.raises(ConfigError):
             grid_potential(np.zeros(15))
+
+
+# grid_potential's trim corpus: (name, f, [(k, |a_k|, |b_k|)] for the
+# harmonics above the trim floor), from exp(x cos z) = I_0(x) + 2 sum_k
+# I_k(x) cos kz and exp(x sin z), whose harmonic k has magnitude 2 I_k(x) on
+# cos kz for even k and on sin kz for odd k
+_POLY_A, _POLY_B = np.random.default_rng(20261022).uniform(-1.0, 1.0, (2, 8))
+TRIM_CORPUS = (
+    ("exp_cos", lambda z: np.exp(np.cos(z)),
+     [(k, 2.0 * bessel_i(k, 1.0), 0.0) for k in range(1, 14)]),
+    ("exp_3sin", lambda z: np.exp(3.0 * np.sin(z)),
+     [(k, 0.0, 2.0 * bessel_i(k, 3.0)) if k % 2 else (k, 2.0 * bessel_i(k, 3.0), 0.0)
+      for k in range(1, 20)]),
+    ("poly8",  # a random 8-harmonic polynomial
+     lambda z: sum(_POLY_A[k - 1] * np.cos(k * z) + _POLY_B[k - 1] * np.sin(k * z)
+                   for k in range(1, 9)),
+     [(k, abs(_POLY_A[k - 1]), abs(_POLY_B[k - 1])) for k in range(1, 9)]),
+)
+
+
+class TestGridTrim:
+    # the trim keeps exactly the resolved harmonics at every sample count
+    @pytest.mark.parametrize("name, f, coefs", TRIM_CORPUS, ids=[c[0] for c in TRIM_CORPUS])
+    def test_resolved_harmonics_only(self, name, f, coefs):
+        eps = np.finfo(float).eps
+        for n in (64, 512, 4096):
+            z = TWO_PI * np.arange(n) / n
+            values = f(z)
+            pot = grid_potential(values)
+            kept = [k for k, amp in enumerate(pot.amplitudes, 1) if amp > 0.0]
+            assert kept == [k for k, _, _ in coefs], n
+            # the dropped coefficients and the FFT's noise: at most 7.3
+            # eps * max|values| on this corpus
+            assert np.max(np.abs(pot.v(z) - values)) <= 16.0 * eps * np.max(np.abs(values))
+            assert pot.dv_sup == pytest.approx(sum(k * (a + b) for k, a, b in coefs),
+                                               rel=1e-13)
+            assert pot.ddv_sup == pytest.approx(sum(k * k * (a + b) for k, a, b in coefs),
+                                                rel=1e-13)
+            # the field grid of the exact amplitudes: 64 nodes for exp(cos z)
+            # at rho = 1, where the 2016 harmonics of an untrimmed FFT of
+            # 4096 samples would take 512
+            exact = trig_potential([a for _, a, _ in coefs], [b for _, _, b in coefs])
+            want = field_grid(ModelSpec(potential=exact, rho=1.0)).n
+            assert field_grid(ModelSpec(potential=pot, rho=1.0)).n == want
+            if name == "exp_cos":
+                assert want == 64
 
 
 class TestRegistry:
@@ -226,4 +269,5 @@ class TestRunawayGuard:
 
 def _understated_cos():
     """U = cos with dv_sup = 0.1, although sup|U'| = 1."""
-    return frozen_potential(np.cos, lambda z: -np.sin(z), dv_sup=0.1)
+    return FrozenPotential(v=np.cos, dv=lambda z: -np.sin(z), dv_sup=0.1,
+                           v_scalar=math.cos, dv_scalar=lambda x: -math.sin(x))
